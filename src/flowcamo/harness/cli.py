@@ -245,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kind", choices=KINDS, required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--train-fraction", type=float, default=0.8)
-    sp.add_argument("--project-target", action="store_true", default=True)
+    sp.add_argument("--project-target", action=argparse.BooleanOptionalAction, default=True)
     sp.add_argument("--seed", type=int, default=42)
 
     sp = add("train-substitute", cmd_train_substitute, help="fit the substitute")

@@ -45,6 +45,8 @@ from flowcamo.substitute import (
     select_subset,
 )
 
+pytestmark = pytest.mark.slow
+
 REQUIRED_SPOOF_PAIRS = [
     ("camera", "hub"), ("hub", "camera"),
     ("camera", "health"), ("health", "camera"),

@@ -16,6 +16,7 @@ from flowcamo.harness.csvio import (
     signatures_to_csv,
 )
 from flowcamo.harness.experiment import ExperimentConfig
+from flowcamo.learners import load_model
 from flowcamo.profiler import make_identities, signature_batch
 
 
@@ -181,6 +182,38 @@ class TestCli:
                    "--out", sub, "--epochs", "5", "--seed", "3"])
         assert rc == 0
         assert "oracle agreement" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag, schema", [
+        ([], synth.target_schema()),
+        (["--project-target"], synth.target_schema()),
+        (["--no-project-target"], synth.attacker_pool_schema()),
+    ])
+    def test_train_target_projection_flag(self, flag, schema, tmp_path):
+        data = str(tmp_path / "d.csv")
+        main(["gen-data", "--out", data, "--n-classes", "3",
+              "--rows-per-class", "10", "--seed", "3"])
+        model = str(tmp_path / "m.npz")
+        rc = main(["train-target", "--data", data, "--kind", "knn",
+                   "--out", model, "--seed", "3", *flag])
+        assert rc == 0
+        assert load_model(model).schema == schema
+
+    def test_tampered_knn_target_is_a_validation_exit(self, tmp_path, capsys):
+        data = str(tmp_path / "d.csv")
+        main(["gen-data", "--out", data, "--n-classes", "3",
+              "--rows-per-class", "10", "--seed", "3"])
+        model = str(tmp_path / "knn.npz")
+        assert main(["train-target", "--data", data, "--kind", "knn",
+                     "--out", model, "--seed", "3"]) == 0
+        with np.load(model) as archive:
+            arrays = dict(archive)
+        arrays["k"] = np.asarray(0)
+        np.savez(model, **arrays)
+        capsys.readouterr()
+        rc = main(["train-substitute", "--data", data, "--target", model,
+                   "--out", str(tmp_path / "sub.npz"), "--epochs", "2"])
+        assert rc == 1
+        assert "k=0" in capsys.readouterr().err
 
     def test_run_tiny_pipeline(self, tmp_path, capsys):
         out_dir = str(tmp_path / "out")

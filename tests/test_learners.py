@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowcamo.core import (
     Dataset,
@@ -15,6 +17,7 @@ from flowcamo.learners import (
     load_model,
     save_model,
 )
+from flowcamo.learners import knn as knn_module
 
 
 def toy_schema(k=4):
@@ -112,6 +115,105 @@ class TestKnnOracle:
             votes = np.bincount(ds.y[nearest], minlength=ds.n_classes)
             expected.append(int(np.argmax(votes)))
         np.testing.assert_array_equal(model.predict_ids(Q), np.array(expected))
+
+
+def stable_argsort_scores(model, X):
+    """Reference vote: full stable argsort per chunk, then bincount per row."""
+    Xs = model.scaler.transform(X)
+    n = Xs.shape[0]
+    scores = np.empty((n, model.n_classes))
+    chunk = max(1, int(knn_module.DISTANCE_CHUNK_ELEMENTS // max(1, model.train_X.shape[0])))
+    tr_sq = np.einsum("ij,ij->i", model.train_X, model.train_X)
+    for start in range(0, n, chunk):
+        Q = Xs[start : start + chunk]
+        d2 = (
+            np.einsum("ij,ij->i", Q, Q)[:, None]
+            - 2.0 * Q @ model.train_X.T
+            + tr_sq[None, :]
+        )
+        nn = np.argsort(d2, axis=1, kind="stable")[:, : model.k]
+        votes = model.train_y[nn]
+        for j in range(Q.shape[0]):
+            scores[start + j] = np.bincount(votes[j], minlength=model.n_classes) / model.k
+    return scores
+
+
+@st.composite
+def knn_tie_cases(draw):
+    """Small integer grids with duplicated training rows, so distances tie."""
+    n_feat = draw(st.integers(1, 3))
+    cell = st.integers(-2, 2).map(float)
+    base = draw(st.lists(st.lists(cell, min_size=n_feat, max_size=n_feat),
+                         min_size=1, max_size=12))
+    reps = draw(st.lists(st.integers(1, 4), min_size=len(base), max_size=len(base)))
+    X = np.repeat(np.array(base), reps, axis=0)
+    if len(X) == 1:
+        X = np.vstack([X, X + 1.0])
+    X = X[draw(st.permutations(range(len(X))))]
+    n_classes = draw(st.integers(2, 4))
+    y = np.array(draw(st.lists(st.integers(0, n_classes - 1),
+                               min_size=len(X), max_size=len(X))))
+    y[:2] = [0, 1]  # fit needs two classes present
+    k = draw(st.integers(1, len(X)))
+    own = draw(st.lists(st.integers(0, len(X) - 1), max_size=8))
+    fresh = draw(st.lists(st.lists(st.integers(-3, 3).map(float),
+                                   min_size=n_feat, max_size=n_feat), max_size=8))
+    Q = np.vstack([X[own], np.array(fresh).reshape(-1, n_feat)])
+    if len(Q) == 0:
+        Q = X[:1]
+    chunk_rows = draw(st.integers(1, len(Q)))
+    ds = Dataset(toy_schema(n_feat), X, y, tuple(f"c{i}" for i in range(n_classes)))
+    return ds, k, Q, chunk_rows
+
+
+class TestKnnTiePolicy:
+    @settings(max_examples=200, deadline=None)
+    @given(knn_tie_cases())
+    def test_matches_stable_argsort_reference(self, case):
+        ds, k, Q, chunk_rows = case
+        model = KnnClassifier.fit(ds, k=k)
+        with pytest.MonkeyPatch.context() as mp:
+            # Several distance chunks per call.
+            mp.setattr(knn_module, "DISTANCE_CHUNK_ELEMENTS", chunk_rows * len(ds))
+            got = model.predict_scores(Q)
+            want = stable_argsort_scores(model, Q)
+        assert np.array_equal(got, want)
+        np.testing.assert_allclose(got.sum(axis=1), 1.0)
+
+    def test_ties_at_kth_distance_go_to_earlier_train_rows(self):
+        # The last row is nearest to the query, rows 1-4 tie behind it and
+        # row 0 is farthest.
+        X = np.array([[2.0, 2.0]] + [[1.0, 1.0]] * 4 + [[0.0, 0.0]])
+        y = np.array([1, 2, 0, 0, 1, 1])
+        ds = Dataset(toy_schema(2), X, y, ("a", "b", "c"))
+        q = np.zeros((1, 2))
+        for k, want in ((1, [0.0, 1.0, 0.0]), (3, [1 / 3, 1 / 3, 1 / 3]), (5, [0.4, 0.4, 0.2])):
+            scores = KnnClassifier.fit(ds, k=k).predict_scores(q)
+            np.testing.assert_array_equal(scores, [want])
+
+
+class TestKnnArchiveValidation:
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda a: a.update(k=np.asarray(0)),
+            lambda a: a.update(k=np.asarray(len(a["train_y"]) + 1)),
+            lambda a: a.update(train_y=a["train_y"][:-1]),
+            lambda a: a.update(train_y=np.where(np.arange(len(a["train_y"])) == 0,
+                                                len(a["class_labels"]), a["train_y"])),
+            lambda a: a.update(train_y=a["train_y"] - 1),
+        ],
+        ids=["k_zero", "k_above_rows", "row_mismatch", "class_above_range", "negative_class"],
+    )
+    def test_tampered_archive_rejected(self, tamper, tmp_path):
+        path = str(tmp_path / "knn.npz")
+        save_model(KnnClassifier.fit(blob_dataset(seed=15), k=5), path)
+        with np.load(path) as data:
+            arrays = dict(data)
+        tamper(arrays)
+        np.savez(path, **arrays)
+        with pytest.raises(ValidationError):
+            load_model(path)
 
 
 class TestTreePurity:
