@@ -25,17 +25,9 @@ from .core import (
     ValidationError,
     identification_rate,
     spoofing_rate,
-    validate_matrix,
 )
 from .learners import ClassifierModel, Net, bce_loss_and_dlogits, one_hot
 from .substitute import SubstituteModel
-
-
-@dataclass(frozen=True)
-class MultiplierFactor:
-    """Per-feature noise scale: zero on immutable features, U[0, 0.1] elsewhere."""
-
-    r: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -63,14 +55,6 @@ def sample_multipliers(schema: FeatureSchema, n: int, rng: np.random.Generator) 
     R = rng.uniform(0.0, 0.1, size=(n, len(schema)))
     R[:, ~schema.mutable_mask] = 0.0
     return R
-
-
-def make_noise(h, schema: FeatureSchema, seed: int):
-    """One multiplier draw and the perturbation s = r * h."""
-    h = validate_matrix(schema, h, "noise input")[0]
-    rng = np.random.default_rng(seed)
-    r = sample_multipliers(schema, 1, rng)[0]
-    return MultiplierFactor(r), r * h
 
 
 class Generator:
@@ -135,13 +119,6 @@ class Generator:
         dU = self.amp * (1.0 - T ** 2) * np.where(blocked, 0.0, dHp)
         dWs, dbs, _ = self.net.backward(cache, dU)
         return dWs, dbs
-
-
-def manipulate(g: Generator, h, s) -> np.ndarray:
-    """Single-vector manipulation; deterministic given (h, s)."""
-    h = validate_matrix(g.schema, h, "manipulate input")[0]
-    s = np.asarray(s, dtype=float)
-    return g.manipulate_batch(h[None, :], s[None, :])[0]
 
 
 def build_generator(

@@ -5,9 +5,9 @@ read-only across workers; the metric functions are pure.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 

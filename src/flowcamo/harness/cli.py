@@ -157,12 +157,8 @@ def cmd_spoof(args) -> int:
 
 def cmd_defend(args) -> int:
     identities = make_identities(args.n_devices, seed=args.seed)
-    from ..profiler import RfSignature
-
     P, Csi, y = signature_batch(identities, args.train_per_device, noise_seed=args.seed + 1)
-    sigs = [(RfSignature(P[i, 0], P[i, 1], P[i, 2], P[i, 3], Csi[i]), int(y[i]))
-            for i in range(P.shape[0])]
-    prof = fit_profiler(sigs, seed=args.seed)
+    prof = fit_profiler(P, Csi, y, seed=args.seed)
     g = load_generator(args.generator) if args.generator else None
     traffic = None
     if g is not None and args.data:

@@ -7,13 +7,12 @@ Dataset format: UTF-8, optional ``#`` comment lines, header
 from __future__ import annotations
 
 import csv
-import os
-import tempfile
 from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
 from ..core import Dataset, FeatureSchema, ValidationError
+from ..learners.io import atomic_open
 
 
 class CsvParseError(ValidationError):
@@ -29,16 +28,8 @@ class CsvParseError(ValidationError):
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
 
 
 def _fmt(v) -> str:
@@ -131,48 +122,3 @@ def ingest_csv(
     X = np.asarray(rows_x, dtype=float) if rows_x else np.zeros((0, len(schema)))
     return Dataset(schema, X, np.asarray(y, dtype=int), labels)
 
-
-def signatures_to_csv(P: np.ndarray, Csi: np.ndarray, y: np.ndarray,
-                      class_labels: Sequence[str], path: str,
-                      meta: Optional[Dict[str, str]] = None) -> None:
-    """Signature corpus export: device, class, 4 profiled features, csi_*."""
-    n_sub = Csi.shape[1]
-    header = (
-        ["device_id", "class", "amplitude_attenuation_db", "phase_shift_rad",
-         "frequency_offset_hz", "arrival_angle_rad"]
-        + [f"csi_{i}" for i in range(n_sub)]
-    )
-    rows = (
-        [int(y[i]), class_labels[int(y[i])]] + list(P[i]) + list(Csi[i])
-        for i in range(P.shape[0])
-    )
-    write_report_csv(path, header, rows, meta)
-
-
-def read_signature_csv(path: str):
-    """Inverse of ``signatures_to_csv``; returns (P, Csi, y, labels)."""
-    P, Csi, y, labels = [], [], [], {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        header = None
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            cells = next(csv.reader([line]))
-            if header is None:
-                header = cells
-                if header[:6] != [
-                    "device_id", "class", "amplitude_attenuation_db",
-                    "phase_shift_rad", "frequency_offset_hz", "arrival_angle_rad",
-                ]:
-                    raise CsvParseError("bad signature header", line=lineno)
-                continue
-            dev = int(cells[0])
-            labels[dev] = cells[1]
-            P.append([float(c) for c in cells[2:6]])
-            Csi.append([float(c) for c in cells[6:]])
-            y.append(dev)
-    if header is None:
-        raise CsvParseError(f"{path}: empty signature file")
-    label_list = tuple(labels.get(i, f"device_{i:02d}") for i in range(max(y) + 1))
-    return np.asarray(P), np.asarray(Csi), np.asarray(y, dtype=int), label_list

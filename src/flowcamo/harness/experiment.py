@@ -1,12 +1,13 @@
 """Experiment orchestration: config, staged pipeline, report emission."""
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -28,7 +29,6 @@ from ..core import (
 )
 from ..learners import KINDS, fit
 from ..profiler import (
-    DEFAULT_NOISE,
     evaluate_defense,
     fit_profiler,
     make_identities,
@@ -41,9 +41,9 @@ from ..substitute import (
     select_subset,
     train_substitute,
 )
-from . import synth
-from .csvio import write_report_csv
 from ..learners.io import schema_from_json
+from . import synth
+from .csvio import atomic_write_text, write_report_csv
 
 
 class StageFailure(RuntimeError):
@@ -137,290 +137,275 @@ def _rate(model, ds: Dataset) -> float:
     return identification_rate(ConfusionCounts.from_predictions(ds.y, pred, ds.n_classes))
 
 
+# ---- stages ------------------------------------------------------------------
+# Each stage reads what earlier stages left in ``results`` and adds its own
+# entries; ``out(name, header, rows, extra_meta)`` writes one report CSV.
+
+
+def _generate(cfg: ExperimentConfig, results: dict, out) -> None:
+    if cfg.schema_path:
+        with open(cfg.schema_path, encoding="utf-8") as fh:
+            pool_schema = schema_from_json(fh.read())
+        tgt_schema = pool_schema  # external schema: no decoy split
+    else:
+        pool_schema = synth.attacker_pool_schema(cfg.n_decoys)
+        tgt_schema = synth.target_schema()
+    profiles = synth.default_profiles(pool_schema, cfg.n_classes, cfg.separability)
+    ds_pool = synth.generate_dataset(profiles, cfg.rows_per_class, cfg.seed, pool_schema)
+    train_pool, test_pool = split_dataset(ds_pool, cfg.train_fraction, cfg.seed)
+    results["profiles"] = profiles
+    results["train_pool"], results["test_pool"] = train_pool, test_pool
+    results["train_tgt"] = train_pool.project(tgt_schema)
+    results["test_tgt"] = test_pool.project(tgt_schema)
+
+
+def _train_targets(cfg: ExperimentConfig, results: dict, out) -> None:
+    train_tgt, test_tgt = results["train_tgt"], results["test_tgt"]
+    targets = results["targets"] = {}
+    target_rates = results["target_rates"] = {}
+    for i, kind in enumerate(cfg.target_kinds):
+        model = targets[kind] = fit(kind, train_tgt, seed=cfg.seed + i)
+        target_rates[kind] = (_rate(model, train_tgt), _rate(model, test_tgt))
+
+
+def _substitute(cfg: ExperimentConfig, results: dict, out) -> None:
+    train_pool, test_pool = results["train_pool"], results["test_pool"]
+    pool_schema = train_pool.schema
+    probes = None
+    if cfg.query_augment > 0:
+        n_probe = int(round(cfg.query_augment * train_pool.X.shape[0]))
+        probe_rng = np.random.default_rng(cfg.seed + 110)
+        probes = probe_rng.uniform(
+            pool_schema.lows, pool_schema.highs, size=(n_probe, len(pool_schema))
+        )
+    oracles = results["oracles"] = {}
+    corpora = results["corpora"] = {}
+    probe_corpora = results["probe_corpora"] = {}
+    subs = results["substitutes"] = {}
+    sub_rates = results["sub_rates"] = {}
+    for i, kind in enumerate(cfg.target_kinds):
+        oracle = oracles[kind] = make_oracle(results["targets"][kind], pool_schema)
+        corpora[kind] = oracle.collect(train_pool.X)
+        probe_corpora[kind] = None if probes is None else oracle.collect(probes)
+        sub = subs[kind] = train_substitute(
+            corpora[kind],
+            epochs=cfg.substitute_epochs,
+            seed=cfg.seed + 100 + i,
+            hidden=cfg.substitute_hidden,
+            train_extra=probe_corpora[kind],
+        )
+        # Substitute's own identification rates against ground truth.
+        pred_tr = sub.predict_ids_pool(train_pool.X)
+        pred_te = sub.predict_ids_pool(test_pool.X)
+        sub_rates[kind] = (
+            float(np.mean(pred_tr == train_pool.y)),
+            float(np.mean(pred_te == test_pool.y)),
+            sub.agreement,
+        )
+
+    target_rates = results["target_rates"]
+    out(
+        "table1.csv",
+        ["model", "target_train", "target_test", "sub_train", "sub_test", "oracle_agreement"],
+        [[k, *(f"{v:.6f}" for v in (*target_rates[k], *sub_rates[k]))]
+         for k in cfg.target_kinds],
+    )
+    curves = [subs[k].training_curve for k in cfg.target_kinds]
+    fig3_rows = [
+        [e + 1] + [c[e] if e < len(c) else "" for c in curves]
+        for e in range(max(len(c) for c in curves))
+    ]
+    out("fig3.csv", ["epoch", *cfg.target_kinds], fig3_rows)
+
+
+def _scan(cfg: ExperimentConfig, results: dict, out) -> None:
+    """Performance-gain scan; timing-based, so excluded from reproducibility."""
+    kind = cfg.target_kinds[0]
+    corpus = results["corpora"][kind]  # the oracle is deterministic: no re-query
+    sub = results["substitutes"][kind]
+    weights = feature_weights(corpus, sub, seed=cfg.seed + 500)
+    scan = performance_gain_scan(
+        corpus, weights, list(cfg.scan_L), epochs=cfg.scan_epochs,
+        seed=cfg.seed + 501, train_extra=results["probe_corpora"][kind],
+    )
+    chosen = select_subset(scan, full_agreement=sub.agreement)
+    rows = scan_to_csv_rows(scan)
+    out("scan.csv", rows[0], rows[1:], {"selected_L": str(chosen)})
+    results["scan"] = scan
+    results["selected_L"] = chosen
+
+
+def _attack(cfg: ExperimentConfig, results: dict, out) -> None:
+    """Misidentification: one generator per target, trained on its substitute."""
+    train_pool, test_pool = results["train_pool"], results["test_pool"]
+    attack_rows = results["attack_rows"] = []
+    attack_generators = results["attack_generators"] = {}
+    for i, kind in enumerate(cfg.target_kinds):
+        g = attack_generators[kind] = build_generator(
+            train_pool.schema, train_pool.X, hidden=cfg.generator_hidden,
+            delta_scale=cfg.delta_scale, seed=cfg.seed + 200 + i,
+        )
+        train_generator(
+            g, results["substitutes"][kind], train_pool, misidentify(),
+            epochs=cfg.generator_epochs, seed=cfg.seed + 300 + i, lr=cfg.generator_lr,
+        )
+        target = results["targets"][kind]
+        rep_tr = evaluate_attack(g, target, train_pool, misidentify(), seed=cfg.seed + 400 + i)
+        rep_te = evaluate_attack(g, target, test_pool, misidentify(), seed=cfg.seed + 450 + i)
+        sub_success = g.training_curve[-1]
+        victim_success = 1.0 - rep_te.attacked_rate
+        attack_rows.append(
+            [kind, f"{rep_tr.attacked_rate:.6f}", f"{rep_te.attacked_rate:.6f}",
+             f"{sub_success:.6f}", f"{victim_success:.6f}",
+             f"{sub_success - victim_success:.6f}"]
+        )
+    out(
+        "table2.csv",
+        ["model", "attacked_train_rate", "attacked_test_rate",
+         "substitute_evasion", "victim_evasion", "transfer_gap"],
+        attack_rows,
+    )
+
+
+def _spoof(cfg: ExperimentConfig, results: dict, out) -> None:
+    """Spoof grid: every (target, source type, destination type) cell."""
+    profiles = results["profiles"]
+    train_pool, test_pool = results["train_pool"], results["test_pool"]
+    spoof_rows = []
+    spoof_rates = results["spoof_rates"] = {}
+    pairs = [(a, b) for a in synth.DEVICE_TYPES for b in synth.DEVICE_TYPES if a != b]
+    for i, kind in enumerate(cfg.target_kinds):
+        sub, oracle, target = (results[k][kind] for k in ("substitutes", "oracles", "targets"))
+        for j, (src, dst) in enumerate(pairs):
+            src_classes = synth.classes_of_type(profiles, src)
+            dst_classes = synth.classes_of_type(profiles, dst)
+            if not src_classes or not dst_classes:
+                continue
+            target_cls = DeviceClass(dst_classes[0], profiles[dst_classes[0]].label)
+            src_train = train_pool.take(np.flatnonzero(np.isin(train_pool.y, src_classes)))
+            src_test = test_pool.take(np.flatnonzero(np.isin(test_pool.y, src_classes)))
+            best_g, best_rate = None, -1.0
+            for t, trial_lr in enumerate(cfg.spoof_trial_lrs):
+                g = build_generator(
+                    train_pool.schema, train_pool.X, hidden=cfg.generator_hidden,
+                    delta_scale=cfg.delta_scale,
+                    seed=cfg.seed + 600 + i * 20 + j + 5000 * t,
+                )
+                train_generator(
+                    g, sub, src_train, spoof(target_cls),
+                    epochs=cfg.generator_epochs,
+                    seed=cfg.seed + 700 + i * 20 + j + 5000 * t,
+                    lr=trial_lr, lr_decay=cfg.spoof_lr_decay,
+                    bce_weight=cfg.spoof_bce_weight, gate_success=True,
+                    anchor_X=train_pool.X, anchor_weight=cfg.spoof_anchor_weight,
+                    # Success-rate quantisation on a few thousand rows is
+                    # coarser than the default plateau delta; a looser delta
+                    # lets stuck trials stop early so the budget goes to the
+                    # next restart instead.
+                    plateau_delta=2e-3,
+                )
+                check = evaluate_attack(
+                    g, oracle, src_train, spoof(target_cls),
+                    seed=cfg.seed + 750 + i * 20 + j,
+                )
+                if check.attacked_rate > best_rate:
+                    best_g, best_rate = g, check.attacked_rate
+                if best_rate >= cfg.spoof_accept:
+                    break
+            rep = evaluate_attack(
+                best_g, target, src_test, spoof(target_cls),
+                seed=cfg.seed + 800 + i * 20 + j,
+            )
+            spoof_rows.append([kind, src, dst, target_cls.label, f"{rep.attacked_rate:.6f}"])
+            spoof_rates[(kind, src, dst)] = rep.attacked_rate
+    out(
+        "table3.csv",
+        ["model", "source_type", "target_type", "spoof_class", "spoofing_rate"],
+        spoof_rows,
+    )
+
+
+def _defense(cfg: ExperimentConfig, results: dict, out) -> None:
+    """RF-signature profiler, scored while the first target's generator runs."""
+    identities = make_identities(cfg.n_classes, seed=cfg.seed + 900)
+    P, Csi, y = signature_batch(
+        identities, cfg.defense_train_per_device, noise_seed=cfg.seed + 901
+    )
+    prof = fit_profiler(
+        P, Csi, y, seed=cfg.seed + 902,
+        class_labels=tuple(p.label for p in results["profiles"]),
+    )
+    g = results["attack_generators"][cfg.target_kinds[0]]
+    report = evaluate_defense(
+        prof, g, identities, rounds=cfg.defense_rounds,
+        per_device=cfg.defense_per_device, seed=cfg.seed + 903,
+        traffic=results["test_pool"].X,
+    )
+    out(
+        "fig4.csv",
+        ["generator_epoch", "clean_rate", "under_attack_rate"],
+        [[e, f"{c:.6f}", f"{a:.6f}"]
+         for e, c, a in zip(report.epochs, report.clean_rates, report.attacked_rates)],
+        {"clean_hash": report.clean_hash, "attacked_hash": report.attacked_hash},
+    )
+    results["defense_report"] = report
+
+
+def _manifest(cfg: ExperimentConfig, results: dict, out=None,
+              failed_stage: Optional[str] = None) -> None:
+    """The config, every output written, and the failed stage if any."""
+    outputs = results["outputs"]
+    lines = [f"config_hash={cfg.config_hash()}"]
+    for k, v in sorted(cfg.to_dict().items()):
+        lines.append(f"{k}={json.dumps(v) if isinstance(v, (list, dict)) else v}")
+    for name in sorted(outputs):
+        lines.append(f"output.{name}={outputs[name]}")
+    if failed_stage is not None:
+        lines.append(f"failed_stage={failed_stage}")
+    path = os.path.join(cfg.out_dir, "manifest.txt")
+    atomic_write_text(path, "\n".join(lines) + "\n")
+    outputs["manifest.txt"] = path
+
+
+# (name, stage function, ExperimentConfig field that gates it or None), in run order.
+STAGES = (
+    ("generate", _generate, None),
+    ("train-targets", _train_targets, None),
+    ("substitute", _substitute, None),
+    ("scan", _scan, "run_scan"),
+    ("attack", _attack, None),
+    ("spoof", _spoof, "spoof_grid"),
+    ("defense", _defense, "run_defense"),
+    ("manifest", _manifest, None),
+)
+
+
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Full pipeline; writes report CSVs plus a manifest into cfg.out_dir.
 
     Any stage failure raises StageFailure with the stage name; outputs of
-    completed stages stay on disk.
+    completed stages stay on disk, and a partial manifest lists them with a
+    ``failed_stage=<name>`` line.
     """
     os.makedirs(cfg.out_dir, exist_ok=True)
     meta = {"config_hash": cfg.config_hash(), "seed": str(cfg.seed)}
     outputs: Dict[str, str] = {}
     results: Dict[str, object] = {"outputs": outputs, "config": cfg}
 
-    def out(name: str) -> str:
+    def out(name: str, header, rows, extra_meta: Optional[dict] = None) -> None:
         path = os.path.join(cfg.out_dir, name)
+        write_report_csv(path, header, rows, {**meta, **(extra_meta or {})})
         outputs[name] = path
-        return path
 
-    # ---- stage: generate -------------------------------------------------
-    stage = "generate"
-    try:
-        if cfg.schema_path:
-            with open(cfg.schema_path, encoding="utf-8") as fh:
-                pool_schema = schema_from_json(fh.read())
-            tgt_schema = pool_schema  # external schema: no decoy split
-        else:
-            pool_schema = synth.attacker_pool_schema(cfg.n_decoys)
-            tgt_schema = synth.target_schema()
-        profiles = synth.default_profiles(pool_schema, cfg.n_classes, cfg.separability)
-        ds_pool = synth.generate_dataset(profiles, cfg.rows_per_class, cfg.seed, pool_schema)
-        train_pool, test_pool = split_dataset(ds_pool, cfg.train_fraction, cfg.seed)
-        train_tgt = train_pool.project(tgt_schema)
-        test_tgt = test_pool.project(tgt_schema)
-        results["profiles"] = profiles
-        results["train_pool"], results["test_pool"] = train_pool, test_pool
-    except Exception as e:  # noqa: BLE001
-        raise StageFailure(stage, e) from e
-
-    # ---- stage: train-targets --------------------------------------------
-    stage = "train-targets"
-    try:
-        targets = {}
-        target_rates = {}
-        for i, kind in enumerate(cfg.target_kinds):
-            model = fit(kind, train_tgt, seed=cfg.seed + i)
-            targets[kind] = model
-            target_rates[kind] = (_rate(model, train_tgt), _rate(model, test_tgt))
-        results["targets"] = targets
-        results["target_rates"] = target_rates
-    except Exception as e:  # noqa: BLE001
-        raise StageFailure(stage, e) from e
-
-    # ---- stage: substitute ------------------------------------------------
-    stage = "substitute"
-    try:
-        oracles, subs, sub_rates, curves = {}, {}, {}, {}
-        probes = None
-        if cfg.query_augment > 0:
-            n_probe = int(round(cfg.query_augment * train_pool.X.shape[0]))
-            probe_rng = np.random.default_rng(cfg.seed + 110)
-            probes = probe_rng.uniform(
-                pool_schema.lows, pool_schema.highs, size=(n_probe, len(pool_schema))
-            )
-        probe_corpora = {}
-        for i, kind in enumerate(cfg.target_kinds):
-            oracle = make_oracle(targets[kind], pool_schema)
-            corpus = oracle.collect(train_pool.X)
-            probe_corpora[kind] = None if probes is None else oracle.collect(probes)
-            sub = train_substitute(
-                corpus,
-                epochs=cfg.substitute_epochs,
-                seed=cfg.seed + 100 + i,
-                hidden=cfg.substitute_hidden,
-                train_extra=probe_corpora[kind],
-            )
-            oracles[kind] = oracle
-            subs[kind] = sub
-            curves[kind] = sub.training_curve
-            # Substitute's own identification rates against ground truth.
-            pred_tr = sub.predict_ids_pool(train_pool.X)
-            pred_te = sub.predict_ids_pool(test_pool.X)
-            sub_rates[kind] = (
-                float(np.mean(pred_tr == train_pool.y)),
-                float(np.mean(pred_te == test_pool.y)),
-                sub.agreement,
-            )
-        results["oracles"], results["substitutes"] = oracles, subs
-        results["sub_rates"] = sub_rates
-
-        rows = [
-            [k, *(f"{v:.6f}" for v in (*target_rates[k], *sub_rates[k]))]
-            for k in cfg.target_kinds
-        ]
-        write_report_csv(
-            out("table1.csv"),
-            ["model", "target_train", "target_test", "sub_train", "sub_test", "oracle_agreement"],
-            rows,
-            meta,
-        )
-        max_epochs = max(len(c) for c in curves.values())
-        fig3_rows = []
-        for e in range(max_epochs):
-            fig3_rows.append(
-                [e + 1] + [curves[k][e] if e < len(curves[k]) else "" for k in cfg.target_kinds]
-            )
-        write_report_csv(out("fig3.csv"), ["epoch", *cfg.target_kinds], fig3_rows, meta)
-    except Exception as e:  # noqa: BLE001
-        raise StageFailure(stage, e) from e
-
-    # ---- stage: scan (optional; timing-based, excluded from reproducibility)
-    if cfg.run_scan:
-        stage = "scan"
+    for name, stage, gate in STAGES:
+        if gate is not None and not getattr(cfg, gate):
+            continue
         try:
-            kind = cfg.target_kinds[0]
-            corpus = oracles[kind].collect(train_pool.X)
-            weights = feature_weights(corpus, subs[kind], seed=cfg.seed + 500)
-            scan = performance_gain_scan(
-                corpus, weights, list(cfg.scan_L), epochs=cfg.scan_epochs,
-                seed=cfg.seed + 501, train_extra=probe_corpora[kind],
-            )
-            chosen = select_subset(scan, full_agreement=subs[kind].agreement)
-            rows = scan_to_csv_rows(scan)
-            write_report_csv(out("scan.csv"), rows[0], rows[1:], {**meta, "selected_L": str(chosen)})
-            results["scan"] = scan
-            results["selected_L"] = chosen
+            stage(cfg, results, out)
         except Exception as e:  # noqa: BLE001
-            raise StageFailure(stage, e) from e
-
-    # ---- stage: attack (misidentification) ---------------------------------
-    stage = "attack"
-    try:
-        attack_rows = []
-        attack_generators = {}
-        for i, kind in enumerate(cfg.target_kinds):
-            g = build_generator(
-                pool_schema, train_pool.X, hidden=cfg.generator_hidden,
-                delta_scale=cfg.delta_scale, seed=cfg.seed + 200 + i,
-            )
-            train_generator(
-                g, subs[kind], train_pool, misidentify(),
-                epochs=cfg.generator_epochs, seed=cfg.seed + 300 + i, lr=cfg.generator_lr,
-            )
-            attack_generators[kind] = g
-            rep_tr = evaluate_attack(g, targets[kind], train_pool, misidentify(), seed=cfg.seed + 400 + i)
-            rep_te = evaluate_attack(g, targets[kind], test_pool, misidentify(), seed=cfg.seed + 450 + i)
-            sub_success = g.training_curve[-1]
-            victim_success = 1.0 - rep_te.attacked_rate
-            attack_rows.append(
-                [kind, f"{rep_tr.attacked_rate:.6f}", f"{rep_te.attacked_rate:.6f}",
-                 f"{sub_success:.6f}", f"{victim_success:.6f}",
-                 f"{sub_success - victim_success:.6f}"]
-            )
-        write_report_csv(
-            out("table2.csv"),
-            ["model", "attacked_train_rate", "attacked_test_rate",
-             "substitute_evasion", "victim_evasion", "transfer_gap"],
-            attack_rows,
-            meta,
-        )
-        results["attack_generators"] = attack_generators
-        results["attack_rows"] = attack_rows
-    except Exception as e:  # noqa: BLE001
-        raise StageFailure(stage, e) from e
-
-    # ---- stage: spoof grid --------------------------------------------------
-    if cfg.spoof_grid:
-        stage = "spoof"
-        try:
-            spoof_rows = []
-            results["spoof_rates"] = {}
-            pairs = [
-                (a, b)
-                for a in synth.DEVICE_TYPES
-                for b in synth.DEVICE_TYPES
-                if a != b
-            ]
-            for i, kind in enumerate(cfg.target_kinds):
-                for j, (src, dst) in enumerate(pairs):
-                    src_classes = synth.classes_of_type(profiles, src)
-                    dst_classes = synth.classes_of_type(profiles, dst)
-                    if not src_classes or not dst_classes:
-                        continue
-                    target_cls = DeviceClass(
-                        dst_classes[0], profiles[dst_classes[0]].label
-                    )
-                    tr_rows = np.isin(train_pool.y, src_classes)
-                    te_rows = np.isin(test_pool.y, src_classes)
-                    src_train = train_pool.take(np.flatnonzero(tr_rows))
-                    src_test = test_pool.take(np.flatnonzero(te_rows))
-                    best_g, best_rate = None, -1.0
-                    for t, trial_lr in enumerate(cfg.spoof_trial_lrs):
-                        g = build_generator(
-                            pool_schema, train_pool.X, hidden=cfg.generator_hidden,
-                            delta_scale=cfg.delta_scale,
-                            seed=cfg.seed + 600 + i * 20 + j + 5000 * t,
-                        )
-                        train_generator(
-                            g, subs[kind], src_train, spoof(target_cls),
-                            epochs=cfg.generator_epochs,
-                            seed=cfg.seed + 700 + i * 20 + j + 5000 * t,
-                            lr=trial_lr, lr_decay=cfg.spoof_lr_decay,
-                            bce_weight=cfg.spoof_bce_weight, gate_success=True,
-                            anchor_X=train_pool.X, anchor_weight=cfg.spoof_anchor_weight,
-                            # Success-rate quantisation on a few thousand rows
-                            # is coarser than the default plateau delta; a
-                            # looser delta lets stuck trials stop early so the
-                            # budget goes to the next restart instead.
-                            plateau_delta=2e-3,
-                        )
-                        check = evaluate_attack(
-                            g, oracles[kind], src_train, spoof(target_cls),
-                            seed=cfg.seed + 750 + i * 20 + j,
-                        )
-                        if check.attacked_rate > best_rate:
-                            best_g, best_rate = g, check.attacked_rate
-                        if best_rate >= cfg.spoof_accept:
-                            break
-                    rep = evaluate_attack(
-                        best_g, targets[kind], src_test, spoof(target_cls),
-                        seed=cfg.seed + 800 + i * 20 + j,
-                    )
-                    spoof_rows.append(
-                        [kind, src, dst, target_cls.label, f"{rep.attacked_rate:.6f}"]
-                    )
-                    results["spoof_rates"][(kind, src, dst)] = rep.attacked_rate
-            write_report_csv(
-                out("table3.csv"),
-                ["model", "source_type", "target_type", "spoof_class", "spoofing_rate"],
-                spoof_rows,
-                meta,
-            )
-        except Exception as e:  # noqa: BLE001
-            raise StageFailure(stage, e) from e
-
-    # ---- stage: defense ------------------------------------------------------
-    if cfg.run_defense:
-        stage = "defense"
-        try:
-            identities = make_identities(cfg.n_classes, seed=cfg.seed + 900)
-            P, Csi, ysig = signature_batch(
-                identities, cfg.defense_train_per_device, noise_seed=cfg.seed + 901
-            )
-            from ..profiler import RfSignature
-
-            sig_list = [
-                (RfSignature(P[i, 0], P[i, 1], P[i, 2], P[i, 3], Csi[i]), int(ysig[i]))
-                for i in range(P.shape[0])
-            ]
-            prof = fit_profiler(
-                sig_list, seed=cfg.seed + 902,
-                class_labels=tuple(p.label for p in profiles),
-            )
-            g = results.get("attack_generators", {}).get(cfg.target_kinds[0])
-            report = evaluate_defense(
-                prof, g, identities, rounds=cfg.defense_rounds,
-                per_device=cfg.defense_per_device, seed=cfg.seed + 903,
-                traffic=test_pool.X,
-            )
-            rows = [
-                [e, f"{c:.6f}", f"{a:.6f}"]
-                for e, c, a in zip(report.epochs, report.clean_rates, report.attacked_rates)
-            ]
-            write_report_csv(
-                out("fig4.csv"),
-                ["generator_epoch", "clean_rate", "under_attack_rate"],
-                rows,
-                {**meta, "clean_hash": report.clean_hash, "attacked_hash": report.attacked_hash},
-            )
-            results["defense_report"] = report
-        except Exception as e:  # noqa: BLE001
-            raise StageFailure(stage, e) from e
-
-    # ---- stage: manifest ------------------------------------------------------
-    stage = "manifest"
-    try:
-        lines = [f"config_hash={cfg.config_hash()}"]
-        for k, v in sorted(cfg.to_dict().items()):
-            lines.append(f"{k}={json.dumps(v) if isinstance(v, (list, dict)) else v}")
-        for name in sorted(outputs):
-            lines.append(f"output.{name}={outputs[name]}")
-        from .csvio import atomic_write_text
-
-        path = os.path.join(cfg.out_dir, "manifest.txt")
-        atomic_write_text(path, "\n".join(lines) + "\n")
-        outputs["manifest.txt"] = path
-    except Exception as e:  # noqa: BLE001
-        raise StageFailure(stage, e) from e
-
+            if name != "manifest":
+                # Best effort: the stage's own error is the one to report.
+                with contextlib.suppress(OSError):
+                    _manifest(cfg, results, failed_stage=name)
+            raise StageFailure(name, e) from e
     return results

@@ -9,8 +9,8 @@ identity by construction.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -257,10 +257,6 @@ def generate_dataset(
         tuple(p.label for p in profiles),
         split_seed=seed,
     )
-
-
-def type_of_class(profiles: Sequence[SyntheticProfile], cid: int) -> str:
-    return profiles[cid].device_type
 
 
 def classes_of_type(profiles: Sequence[SyntheticProfile], dtype: str) -> List[int]:

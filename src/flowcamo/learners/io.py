@@ -6,6 +6,7 @@ bit-exactly through ``np.savez``; the schema rides along as JSON.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import tempfile
@@ -79,18 +80,28 @@ def _tree_from_arrays(data, prefix: str) -> _TreeArrays:
     return tree
 
 
-def atomic_savez(path: str, **arrays) -> None:
-    """Write-temp-then-rename so partial files never appear."""
+@contextlib.contextmanager
+def atomic_open(path: str, mode: str = "wb", **kwargs):
+    """Write-temp-then-rename so partial files never appear.
+
+    Yields a file object on a temp file beside ``path``; on a clean exit
+    the temp file replaces ``path``, on any error it is removed.
+    """
     d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".npz.tmp")
+    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            np.savez(fh, **arrays)
+        with os.fdopen(fd, mode, **kwargs) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_savez(path: str, **arrays) -> None:
+    with atomic_open(path) as fh:
+        np.savez(fh, **arrays)
 
 
 def save_model(model: ClassifierModel, path: str) -> None:

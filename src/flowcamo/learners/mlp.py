@@ -12,7 +12,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core import DegenerateTrainingError, NumericError, ValidationError
+from ..core import NumericError, ValidationError
 
 # Keeps sigmoid outputs strictly inside (0, 1) in float64.
 _LOGIT_CLIP = 30.0

@@ -10,7 +10,7 @@ neural scorers over profiled features plus simulated CSI magnitudes.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -179,10 +179,6 @@ class MultiStageClassifier:
         self.stages = stages
         self.class_labels = tuple(class_labels)
 
-    @property
-    def group_class_sets(self) -> List[set]:
-        return [set(int(c) for c in s.classes) for s in self.stages]
-
     def route(self, profiled: np.ndarray) -> np.ndarray:
         leaves = tree_apply(self.tree, np.atleast_2d(profiled))
         return np.array([self.leaf_to_group[int(l)] for l in leaves], dtype=int)
@@ -215,7 +211,9 @@ def _subtree_leaves(tree, node: int) -> List[int]:
 
 
 def fit_profiler(
-    signatures: Sequence[Tuple[RfSignature, int]],
+    P: np.ndarray,
+    Csi: np.ndarray,
+    y: np.ndarray,
     seed: int = 0,
     class_labels: Optional[tuple] = None,
     stage1_depth: int = 3,
@@ -223,10 +221,18 @@ def fit_profiler(
     stage2_epochs: int = 60,
     stage2_lr: float = 0.5,
 ) -> MultiStageClassifier:
-    """Train the two-stage identifier; needs >= 10 signatures per class."""
-    P = np.vstack([s.profiled for s, _ in signatures])
-    Csi = np.vstack([s.csi for s, _ in signatures])
-    y = np.asarray([int(c.id) if isinstance(c, DeviceClass) else int(c) for _, c in signatures])
+    """Train the two-stage identifier on ``signature_batch``-shaped arrays.
+
+    ``P`` holds the four profiled features per row, ``Csi`` the CSI
+    magnitudes and ``y`` the class ids; needs >= 10 signatures per class.
+    """
+    P = np.atleast_2d(np.asarray(P, dtype=float))
+    Csi = np.atleast_2d(np.asarray(Csi, dtype=float))
+    y = np.asarray(y, dtype=int)
+    if not P.shape[0] == Csi.shape[0] == y.shape[0]:
+        raise ValidationError(
+            f"row counts differ: P {P.shape[0]}, Csi {Csi.shape[0]}, y {y.shape[0]}"
+        )
     n_classes = int(y.max()) + 1
     counts = np.bincount(y, minlength=n_classes)
     if (counts < 10).any():

@@ -9,7 +9,7 @@ is undefined when prediction times tie, so it is reported, not decisive).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np

@@ -10,8 +10,6 @@ from flowcamo.camouflage import (
     build_generator,
     evaluate_attack,
     load_generator,
-    make_noise,
-    manipulate,
     misidentify,
     sample_multipliers,
     save_generator,
@@ -48,14 +46,6 @@ class TestMultipliers:
         S = R * 100.0
         assert S.max() <= 10.0 and S.min() >= 0.0
 
-    def test_make_noise_single_row(self, pool_schema, small_dataset):
-        h = small_dataset.X[0]
-        factor, s = make_noise(h, pool_schema, seed=5)
-        np.testing.assert_array_equal(s, factor.r * h)
-        # Deterministic for a fixed seed.
-        _, s2 = make_noise(h, pool_schema, seed=5)
-        np.testing.assert_array_equal(s, s2)
-
 
 class TestFunctionalityPreservation:
     def test_immutables_bit_equal_and_in_range(self, pool_schema, small_dataset):
@@ -77,13 +67,6 @@ class TestFunctionalityPreservation:
         X = small_dataset.X[:64]
         S = np.zeros_like(X)
         np.testing.assert_array_equal(gen.manipulate_batch(X, S), X)
-
-    def test_single_vector_wrapper(self, gen, small_dataset, pool_schema):
-        h = small_dataset.X[0]
-        _, s = make_noise(h, pool_schema, seed=9)
-        out1 = manipulate(gen, h, s)
-        out2 = manipulate(gen, h, s)
-        np.testing.assert_array_equal(out1, out2)
 
 
 class TestGeneratorGradients:

@@ -6,18 +6,11 @@ import numpy as np
 import pytest
 
 from flowcamo.core import ValidationError
-from flowcamo.harness import synth
+from flowcamo.harness import experiment, synth
 from flowcamo.harness.cli import main
-from flowcamo.harness.csvio import (
-    CsvParseError,
-    dataset_to_csv,
-    ingest_csv,
-    read_signature_csv,
-    signatures_to_csv,
-)
-from flowcamo.harness.experiment import ExperimentConfig
+from flowcamo.harness.csvio import CsvParseError, dataset_to_csv, ingest_csv
+from flowcamo.harness.experiment import ExperimentConfig, StageFailure, run_experiment
 from flowcamo.learners import load_model
-from flowcamo.profiler import make_identities, signature_batch
 
 
 class TestDatasetCsv:
@@ -80,26 +73,6 @@ class TestDatasetCsv:
             ingest_csv(str(path), pool_schema)
 
 
-class TestSignatureCsv:
-    def test_round_trip(self, tmp_path):
-        idents = make_identities(4, seed=3)
-        P, Csi, y = signature_batch(idents, 6, noise_seed=2)
-        labels = tuple(f"device_{i:02d}" for i in range(4))
-        path = str(tmp_path / "sigs.csv")
-        signatures_to_csv(P, Csi, y, labels, path)
-        P2, Csi2, y2, labels2 = read_signature_csv(path)
-        np.testing.assert_array_equal(P2, P)
-        np.testing.assert_array_equal(Csi2, Csi)
-        np.testing.assert_array_equal(y2, y)
-        assert labels2 == labels
-
-    def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "sigs.csv"
-        path.write_text("a,b,c\n")
-        with pytest.raises(CsvParseError):
-            read_signature_csv(str(path))
-
-
 class TestExperimentConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValidationError):
@@ -154,7 +127,67 @@ class TestSynthesis:
     def test_type_helpers(self, profiles):
         cams = synth.classes_of_type(profiles, "camera")
         assert cams
-        assert synth.type_of_class(profiles, cams[0]) == "camera"
+        assert all(profiles[c].device_type == "camera" for c in cams)
+
+
+def _explode(*_args, **_kwargs):
+    raise RuntimeError("generator exploded")
+
+
+TINY_RUN = dict(seed=3, n_classes=4, rows_per_class=20, substitute_epochs=4,
+                generator_epochs=2, spoof_grid=False, run_defense=False)
+
+
+class TestPipeline:
+    def test_all_stages(self, tmp_path):
+        """Every optional stage on: each report lands, scan.csv records the
+        chosen subset size, and the manifest names every output."""
+        cfg = ExperimentConfig(
+            seed=5, n_classes=8, rows_per_class=80, substitute_epochs=30,
+            generator_epochs=6, run_scan=True, scan_L=(2, 4, 8), scan_epochs=3,
+            defense_rounds=3, defense_per_device=5, defense_train_per_device=12,
+            out_dir=str(tmp_path),
+        )
+        results = run_experiment(cfg)
+        names = {"table1.csv", "fig3.csv", "scan.csv", "table2.csv", "table3.csv",
+                 "fig4.csv", "manifest.txt"}
+        assert set(results["outputs"]) == names
+        assert {p.name for p in tmp_path.iterdir()} == names
+        scan_meta = [line for line in (tmp_path / "scan.csv").read_text().splitlines()
+                     if line.startswith("# selected_L=")]
+        assert scan_meta == [f"# selected_L={results['selected_L']}"]
+        assert results["selected_L"] in cfg.scan_L
+        manifest = (tmp_path / "manifest.txt").read_text().splitlines()
+        for name in names - {"manifest.txt"}:
+            assert f"output.{name}={tmp_path / name}" in manifest
+        assert not any(line.startswith("failed_stage=") for line in manifest)
+
+    def test_stage_failure_writes_partial_manifest(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(experiment, "train_generator", _explode)
+        cfg = ExperimentConfig(out_dir=str(tmp_path), **TINY_RUN)
+        with pytest.raises(StageFailure) as err:
+            run_experiment(cfg)
+        assert err.value.stage == "attack"
+        assert "generator exploded" in str(err.value.cause)
+        assert (tmp_path / "table1.csv").is_file()
+        assert (tmp_path / "fig3.csv").is_file()
+        assert not (tmp_path / "table2.csv").exists()
+        manifest = (tmp_path / "manifest.txt").read_text().splitlines()
+        assert manifest[-1] == "failed_stage=attack"
+        assert f"output.table1.csv={tmp_path / 'table1.csv'}" in manifest
+        assert not any(line.startswith("output.table2.csv") for line in manifest)
+
+    def test_cli_run_stage_failure_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(experiment, "train_generator", _explode)
+        out_dir = tmp_path / "out"
+        rc = main([
+            "run", "--out-dir", str(out_dir), "--n-classes", "4",
+            "--rows-per-class", "20", "--substitute-epochs", "4",
+            "--generator-epochs", "2", "--no-defense", "--no-spoof", "--seed", "3",
+        ])
+        assert rc == 2
+        assert "stage 'attack' failed" in capsys.readouterr().err
+        assert "failed_stage=attack" in (out_dir / "manifest.txt").read_text()
 
 
 class TestCli:

@@ -32,14 +32,7 @@ def identities():
 @pytest.fixture(scope="module")
 def profiler(identities):
     P, Csi, y = signature_batch(identities, per_device=40, noise_seed=5)
-    sigs = list(zip(_rows_to_sigs(P, Csi), y))
-    return fit_profiler(sigs, seed=3)
-
-
-def _rows_to_sigs(P, Csi):
-    from flowcamo.profiler import RfSignature
-
-    return [RfSignature(p[0], p[1], p[2], p[3], c) for p, c in zip(P, Csi)]
+    return fit_profiler(P, Csi, y, seed=3)
 
 
 class TestSignaturePhysics:
@@ -130,9 +123,15 @@ class TestProfilerIdentification:
 
     def test_too_few_signatures_rejected(self, identities):
         P, Csi, y = signature_batch(identities, 5, noise_seed=1)
-        sigs = list(zip(_rows_to_sigs(P, Csi), y))
         with pytest.raises(ValidationError):
-            fit_profiler(sigs)
+            fit_profiler(P, Csi, y)
+
+    @pytest.mark.parametrize("cut", ["P", "Csi", "y"])
+    def test_row_count_mismatch_rejected(self, identities, cut):
+        arrays = dict(zip(("P", "Csi", "y"), signature_batch(identities, 12, noise_seed=1)))
+        arrays[cut] = arrays[cut][:-1]
+        with pytest.raises(ValidationError, match="row counts differ"):
+            fit_profiler(**arrays)
 
 
 class TestDefense:
