@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DeviceClass, FeatureSchema, ValidationError, validate_matrix
+from .core import DeviceClass, FeatureSchema, ValidationError, readonly_array, validate_matrix
 from .learners import ClassifierModel
 
 
@@ -25,12 +25,10 @@ class EavesdropCorpus:
     class_labels: tuple
 
     def __post_init__(self):
-        X = validate_matrix(self.schema, self.X, "corpus")
-        y = np.asarray(self.y, dtype=int)
+        X = validate_matrix(self.schema, readonly_array(self.X, float), "corpus")
+        y = readonly_array(self.y, int)
         if y.shape[0] != X.shape[0]:
             raise ValidationError("corpus labels must align with rows")
-        X.flags.writeable = False
-        y.flags.writeable = False
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "class_labels", tuple(self.class_labels))

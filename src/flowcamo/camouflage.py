@@ -22,11 +22,12 @@ from .core import (
     DeviceClass,
     FeatureSchema,
     NumericError,
+    UnreachableTargetError,
     ValidationError,
     identification_rate,
     spoofing_rate,
 )
-from .learners import ClassifierModel, Net, bce_loss_and_dlogits, one_hot
+from .learners import ClassifierModel, Net, bce_dlogits, one_hot
 from .substitute import SubstituteModel
 
 
@@ -117,8 +118,7 @@ class Generator:
         cache, T, at_lo, at_hi = grad_cache
         blocked = (at_lo & (dHp >= 0)) | (at_hi & (dHp <= 0))
         dU = self.amp * (1.0 - T ** 2) * np.where(blocked, 0.0, dHp)
-        dWs, dbs, _ = self.net.backward(cache, dU)
-        return dWs, dbs
+        return self.net.backward(cache, dU)
 
 
 def build_generator(
@@ -224,12 +224,15 @@ def train_generator(
     eval_rng = np.random.default_rng(seed + 1)
     orig_labels = sub.predict_ids_pool(X)  # frozen clean labels
     anchor = None
-    if mode.mode == "spoof":
-        targets_row = one_hot(np.array([mode.target.id]), sub.n_classes)[0]
+    if mode.mode == "misidentify":
+        targets = one_hot(orig_labels, sub.n_classes)  # row i is sample i's target
+    else:
+        # Every row has the same target, so any batch uses a leading slice.
+        targets = one_hot(np.full(min(n, batch_size), mode.target.id), sub.n_classes)
         if anchor_X is not None and anchor_weight > 0.0:
             rows = anchor_X[sub.predict_ids_pool(anchor_X) == mode.target.id]
             if rows.shape[0] == 0:
-                raise ValidationError(
+                raise UnreachableTargetError(
                     "anchor_X has no rows the substitute assigns to the spoof target"
                 )
             anchor = rows.mean(axis=0)
@@ -249,15 +252,13 @@ def train_generator(
             Xs = sub.scaler.transform(Hp[:, sub_cols])
             z, sub_cache = sub.net.forward_logits(Xs, want_cache=True)
             if mode.mode == "misidentify":
-                T = one_hot(orig_labels[idx], sub.n_classes)
-                _, dz = bce_loss_and_dlogits(z, T)
-                dz = -dz  # ascend the loss against the frozen labels
+                dz = bce_dlogits(z, targets[idx])
+                np.negative(dz, out=dz)  # ascend the loss against the frozen labels
             else:
-                T = np.tile(targets_row, (idx.size, 1))
-                _, dz = bce_loss_and_dlogits(z, T)
+                dz = bce_dlogits(z, targets[: idx.size])
                 if gate_success:
                     dz[np.argmax(z, axis=1) == mode.target.id] = 0.0
-            _, _, dXs = sub.net.backward(sub_cache, dz)
+            dXs = sub.net.input_grad(sub_cache, dz)
             dHp = np.zeros_like(Hp)
             dHp[:, sub_cols] = bce_weight * dXs / sub.scaler.scale
             if anchor is not None:

@@ -16,6 +16,10 @@ class ValidationError(ValueError):
     """Input violates a schema or an operation precondition."""
 
 
+class UnreachableTargetError(ValidationError):
+    """No reference row maps to a spoof target, so it cannot be anchored."""
+
+
 class EvaluationError(ValueError):
     """A metric was asked to evaluate an empty result set."""
 
@@ -121,6 +125,20 @@ class DeviceClass:
             raise ValidationError(f"class id must be non-negative, got {self.id}")
 
 
+def readonly_array(a, dtype) -> np.ndarray:
+    """``a`` as a read-only ``dtype`` array that never freezes the caller's own.
+
+    A writeable array the caller may still hold is copied first; a read-only
+    input, or a fresh conversion made here, is kept without a copy.
+    """
+    arr = np.asarray(a, dtype=dtype)
+    if arr.flags.writeable:
+        if arr is a or arr.base is not None:
+            arr = arr.copy()
+        arr.flags.writeable = False
+    return arr
+
+
 def validate_matrix(schema: FeatureSchema, X: np.ndarray, what: str = "X") -> np.ndarray:
     """Check shape and per-feature ranges; returns X as a float array."""
     X = np.asarray(X, dtype=float)
@@ -154,15 +172,13 @@ class Dataset:
     split_seed: int = 0
 
     def __post_init__(self):
-        X = validate_matrix(self.schema, self.X, "dataset")
-        y = np.asarray(self.y, dtype=int)
+        X = validate_matrix(self.schema, readonly_array(self.X, float), "dataset")
+        y = readonly_array(self.y, int)
         if y.ndim != 1 or y.shape[0] != X.shape[0]:
             raise ValidationError("y must be 1-D and aligned with X")
         object.__setattr__(self, "class_labels", tuple(self.class_labels))
         if len(y) and (y.min() < 0 or y.max() >= len(self.class_labels)):
             raise ValidationError("class id out of range")
-        X.flags.writeable = False
-        y.flags.writeable = False
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
 
@@ -198,12 +214,11 @@ class ConfusionCounts:
     per_class: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.per_class, dtype=np.int64)
+        m = readonly_array(self.per_class, np.int64)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError("per_class must be a square matrix")
         if (m < 0).any():
             raise ValidationError("counts must be non-negative")
-        m.flags.writeable = False
         object.__setattr__(self, "per_class", m)
 
     @property

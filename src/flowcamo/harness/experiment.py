@@ -23,6 +23,7 @@ from ..core import (
     ConfusionCounts,
     Dataset,
     DeviceClass,
+    UnreachableTargetError,
     ValidationError,
     identification_rate,
     split_dataset,
@@ -178,6 +179,7 @@ def _substitute(cfg: ExperimentConfig, results: dict, out) -> None:
         probes = probe_rng.uniform(
             pool_schema.lows, pool_schema.highs, size=(n_probe, len(pool_schema))
         )
+        probes.flags.writeable = False  # so each oracle's corpus shares it, uncopied
     oracles = results["oracles"] = {}
     corpora = results["corpora"] = {}
     probe_corpora = results["probe_corpora"] = {}
@@ -291,19 +293,22 @@ def _spoof(cfg: ExperimentConfig, results: dict, out) -> None:
                     delta_scale=cfg.delta_scale,
                     seed=cfg.seed + 600 + i * 20 + j + 5000 * t,
                 )
-                train_generator(
-                    g, sub, src_train, spoof(target_cls),
-                    epochs=cfg.generator_epochs,
-                    seed=cfg.seed + 700 + i * 20 + j + 5000 * t,
-                    lr=trial_lr, lr_decay=cfg.spoof_lr_decay,
-                    bce_weight=cfg.spoof_bce_weight, gate_success=True,
-                    anchor_X=train_pool.X, anchor_weight=cfg.spoof_anchor_weight,
-                    # Success-rate quantisation on a few thousand rows is
-                    # coarser than the default plateau delta; a looser delta
-                    # lets stuck trials stop early so the budget goes to the
-                    # next restart instead.
-                    plateau_delta=2e-3,
-                )
+                try:
+                    train_generator(
+                        g, sub, src_train, spoof(target_cls),
+                        epochs=cfg.generator_epochs,
+                        seed=cfg.seed + 700 + i * 20 + j + 5000 * t,
+                        lr=trial_lr, lr_decay=cfg.spoof_lr_decay,
+                        bce_weight=cfg.spoof_bce_weight, gate_success=True,
+                        anchor_X=train_pool.X, anchor_weight=cfg.spoof_anchor_weight,
+                        # Success-rate quantisation on a few thousand rows is
+                        # coarser than the default plateau delta; a looser
+                        # delta lets stuck trials stop early so the budget
+                        # goes to the next restart instead.
+                        plateau_delta=2e-3,
+                    )
+                except UnreachableTargetError:
+                    break  # every trial shares the substitute and the anchor rows
                 check = evaluate_attack(
                     g, oracle, src_train, spoof(target_cls),
                     seed=cfg.seed + 750 + i * 20 + j,
@@ -312,6 +317,9 @@ def _spoof(cfg: ExperimentConfig, results: dict, out) -> None:
                     best_g, best_rate = g, check.attacked_rate
                 if best_rate >= cfg.spoof_accept:
                     break
+            if best_g is None:  # unreachable cell: reported with no rate
+                spoof_rows.append([kind, src, dst, target_cls.label, ""])
+                continue
             rep = evaluate_attack(
                 best_g, target, src_test, spoof(target_cls),
                 seed=cfg.seed + 800 + i * 20 + j,

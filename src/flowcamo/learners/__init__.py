@@ -2,6 +2,7 @@ from .base import KINDS, ClassifierModel, Scaler, fit
 from .knn import KnnClassifier
 from .mlp import (
     Net,
+    bce_dlogits,
     bce_loss_and_dlogits,
     mlp_input_gradient,
     mlp_loss_and_gradients,
@@ -22,6 +23,7 @@ __all__ = [
     "fit",
     "KnnClassifier",
     "Net",
+    "bce_dlogits",
     "bce_loss_and_dlogits",
     "mlp_input_gradient",
     "mlp_loss_and_gradients",

@@ -19,11 +19,12 @@ _LOGIT_CLIP = 30.0
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
+    """1/(1+e^-z) for z >= 0 and e^z/(1+e^z) below, so exp never overflows."""
     pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    e = np.exp(np.where(pos, -z, z))  # not -|z|: that would flip a NaN's sign bit
+    out = np.where(pos, 1.0, e)
+    e += 1.0
+    out /= e
     return out
 
 
@@ -67,9 +68,10 @@ class Net:
         h = X
         last = len(self.weights) - 1
         for i, (W, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ W + b
+            h = h @ W
+            h += b
             if i != last:
-                h = np.maximum(h, 0.0)
+                np.maximum(h, 0.0, out=h)
                 acts.append(h)
         if not np.isfinite(h).all():
             raise NumericError("non-finite network output")
@@ -79,20 +81,26 @@ class Net:
         return z
 
     def backward(self, cache: List[np.ndarray], d_logits: np.ndarray):
-        """Backprop from d(loss)/d(logits); returns (dWs, dbs, dX)."""
-        d = np.asarray(d_logits, dtype=float)
-        if d.ndim == 1:
-            d = d[None, :]
+        """Parameter gradients from d(loss)/d(logits); returns (dWs, dbs)."""
+        d = np.atleast_2d(np.asarray(d_logits, dtype=float))
         dWs = [None] * len(self.weights)
         dbs = [None] * len(self.biases)
         for i in range(len(self.weights) - 1, -1, -1):
-            a = cache[i]
-            dWs[i] = a.T @ d
+            dWs[i] = cache[i].T @ d
             dbs[i] = d.sum(axis=0)
+            if i > 0:
+                d = d @ self.weights[i].T
+                d *= cache[i] > 0
+        return dWs, dbs
+
+    def input_grad(self, cache: List[np.ndarray], d_logits: np.ndarray) -> np.ndarray:
+        """d(loss)/d(input) from d(loss)/d(logits); no parameter gradients."""
+        d = np.atleast_2d(np.asarray(d_logits, dtype=float))
+        for i in range(len(self.weights) - 1, -1, -1):
             d = d @ self.weights[i].T
             if i > 0:
-                d = d * (cache[i] > 0)
-        return dWs, dbs, d
+                d *= cache[i] > 0
+        return d
 
     def scores(self, X: np.ndarray) -> np.ndarray:
         """Per-class sigmoid scores, each strictly in (0, 1)."""
@@ -129,6 +137,20 @@ class Net:
             b -= lr * db
 
 
+def bce_dlogits(z: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Gradient of ``bce_loss_and_dlogits``'s loss w.r.t. the logits only."""
+    z = np.atleast_2d(np.asarray(z, dtype=float))
+    t = np.atleast_2d(np.asarray(targets, dtype=float))
+    if z.shape != t.shape:
+        raise ValidationError(f"logit/target shape mismatch {z.shape} vs {t.shape}")
+    if not np.isfinite(z).all() or not np.isfinite(t).all():
+        raise NumericError("non-finite loss inputs")
+    dz = sigmoid(z)
+    dz -= t
+    dz /= z.shape[0]
+    return dz
+
+
 def bce_loss_and_dlogits(z: np.ndarray, targets: np.ndarray):
     """Per-class binary cross-entropy against sigmoid(z).
 
@@ -137,16 +159,12 @@ def bce_loss_and_dlogits(z: np.ndarray, targets: np.ndarray):
     log-sum-exp form so the loss and gradient stay finite for any finite
     logits. Gradient is w.r.t. the logits.
     """
+    dz = bce_dlogits(z, targets)
     z = np.atleast_2d(np.asarray(z, dtype=float))
     t = np.atleast_2d(np.asarray(targets, dtype=float))
-    if z.shape != t.shape:
-        raise ValidationError(f"logit/target shape mismatch {z.shape} vs {t.shape}")
-    if not np.isfinite(z).all() or not np.isfinite(t).all():
-        raise NumericError("non-finite loss inputs")
     # softplus(z) - t*z  ==  -t*log(s) - (1-t)*log(1-s)
     softplus = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
     loss = float(np.sum(softplus - t * z) / z.shape[0])
-    dz = (sigmoid(z) - t) / z.shape[0]
     return loss, dz
 
 
@@ -157,8 +175,7 @@ def mlp_loss_and_gradients(net: Net, X: np.ndarray, targets: np.ndarray):
         raise ValidationError("empty batch")
     z, cache = net.forward_logits(X, want_cache=True)
     loss, dz = bce_loss_and_dlogits(z, targets)
-    dWs, dbs, _ = net.backward(cache, dz)
-    return loss, (dWs, dbs)
+    return loss, net.backward(cache, dz)
 
 
 def mlp_input_gradient(
@@ -178,7 +195,7 @@ def mlp_input_gradient(
     _, ds = objective(s[0] if single else s)
     ds = np.atleast_2d(np.asarray(ds, dtype=float))
     dz = ds * s * (1.0 - s)
-    _, _, dX = net.backward(cache, dz)
+    dX = net.input_grad(cache, dz)
     if not np.isfinite(dX).all():
         raise NumericError("non-finite input gradient")
     return dX[0] if single else dX
@@ -186,7 +203,6 @@ def mlp_input_gradient(
 
 @dataclass
 class TrainLog:
-    losses: list = field(default_factory=list)
     eval_curve: list = field(default_factory=list)
 
 
@@ -210,13 +226,11 @@ def train_net(
     cur_lr = lr
     for epoch in range(epochs):
         order = rng.permutation(n)
-        total = 0.0
         for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
-            loss, (dWs, dbs) = mlp_loss_and_gradients(net, X[idx], targets[idx])
+            z, cache = net.forward_logits(X[idx], want_cache=True)
+            dWs, dbs = net.backward(cache, bce_dlogits(z, targets[idx]))
             net.sgd_step(dWs, dbs, cur_lr)
-            total += loss * idx.size
-        log.losses.append(total / n)
         if eval_fn is not None:
             log.eval_curve.append(eval_fn(epoch))
         cur_lr *= lr_decay

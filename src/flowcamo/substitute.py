@@ -304,9 +304,12 @@ def load_substitute(path: str) -> SubstituteModel:
 
 
 def scan_to_csv_rows(scan: List[PerformanceGainPoint]) -> List[list]:
+    """Header plus one row per point; the wall-clock columns are fixed-width
+    (``.6e``/``+.6e``) so the file size does not depend on timing noise."""
     header = ["L", "agreement", "overhead_s", "gain", "undefined_flag"]
     rows = [
-        [p.L, p.agreement, p.overhead_s, "" if p.undefined else p.gain, int(p.undefined)]
+        [p.L, p.agreement, f"{p.overhead_s:.6e}", "" if p.undefined else f"{p.gain:+.6e}",
+         int(p.undefined)]
         for p in scan
     ]
     return [header] + rows

@@ -77,3 +77,19 @@ class TestCorpus:
         corpus = oracle.collect(train_pool.X[:40])
         assert len(corpus) == 40
         assert corpus.n_classes == len(train_pool.class_labels)
+
+    def test_collect_leaves_caller_array_writeable(self, oracle_setup):
+        oracle, _, train_pool = oracle_setup
+        X = train_pool.X[:40].copy()
+        corpus = oracle.collect(X)
+        assert X.flags.writeable
+        assert not corpus.X.flags.writeable and not corpus.y.flags.writeable
+        X[:] = train_pool.X[40:80]
+        np.testing.assert_array_equal(corpus.X, train_pool.X[:40])
+
+    def test_corpus_copies_writeable_labels(self, pool_schema, small_dataset):
+        X, y = small_dataset.X[:5].copy(), np.zeros(5, dtype=int)
+        corpus = EavesdropCorpus(pool_schema, X, y, ("a", "b"))
+        assert X.flags.writeable and y.flags.writeable
+        y[:] = 1
+        np.testing.assert_array_equal(corpus.y, np.zeros(5, dtype=int))

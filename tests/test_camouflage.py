@@ -16,7 +16,12 @@ from flowcamo.camouflage import (
     spoof,
     train_generator,
 )
-from flowcamo.core import ContractViolationError, DeviceClass, ValidationError
+from flowcamo.core import (
+    ContractViolationError,
+    DeviceClass,
+    UnreachableTargetError,
+    ValidationError,
+)
 from flowcamo.learners import fit
 from flowcamo.substitute import train_substitute
 
@@ -172,13 +177,13 @@ class TestTraining:
         sub, _, _ = trained_sub
         train_pool, _ = small_split
         g = build_generator(pool_schema, train_pool.X, seed=10)
-        tgt = spoof(DeviceClass(0, train_pool.class_labels[0]))
-        # Anchor reference that the substitute never labels as class 0.
+        # Identical anchor rows get one label; target any other class.
         far = np.tile(pool_schema.highs, (8, 1))
-        if not np.any(sub.predict_ids_pool(far) == 0):
-            with pytest.raises(ValidationError):
-                train_generator(g, sub, train_pool, tgt, epochs=1,
-                                anchor_X=far, anchor_weight=1.0)
+        tid = min(set(range(sub.n_classes)) - set(sub.predict_ids_pool(far).tolist()))
+        tgt = spoof(DeviceClass(tid, train_pool.class_labels[tid]))
+        with pytest.raises(UnreachableTargetError):
+            train_generator(g, sub, train_pool, tgt, epochs=1,
+                            anchor_X=far, anchor_weight=1.0)
 
     def test_attack_mode_validation(self):
         with pytest.raises(ValidationError):

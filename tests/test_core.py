@@ -10,6 +10,7 @@ from flowcamo.core import (
     StratificationError,
     ValidationError,
     identification_rate,
+    readonly_array,
     split_dataset,
     spoofing_rate,
     validate_matrix,
@@ -84,6 +85,15 @@ class TestValidateMatrix:
         np.testing.assert_array_equal(out, X)
 
 
+class TestConfusionCounts:
+    def test_caller_matrix_stays_writeable_and_unshared(self):
+        m = np.array([[2, 1], [0, 3]], dtype=np.int64)
+        counts = ConfusionCounts(m)
+        assert m.flags.writeable and not counts.per_class.flags.writeable
+        m[0, 0] = 99
+        assert counts.correct == 5
+
+
 class TestRates:
     def test_identification_rate_hand_counted(self):
         # [TRIVIAL] 3 correct out of 5.
@@ -132,6 +142,24 @@ class TestSplit:
             split_dataset(small_dataset, 1.0, seed=0)
 
 
+class TestReadonlyArray:
+    def test_writeable_input_or_view_is_copied(self):
+        a = np.arange(6.0).reshape(2, 3)
+        for src in (a, a[0]):
+            r = readonly_array(src, float)
+            assert src.flags.writeable and not r.flags.writeable
+            assert not np.shares_memory(a, r)
+
+    def test_readonly_input_and_fresh_conversion_are_not_copied(self):
+        a = np.arange(4.0)
+        a.flags.writeable = False
+        assert readonly_array(a, float) is a
+        ints = np.arange(4)
+        r = readonly_array(ints, float)
+        assert r.dtype == float and not r.flags.writeable and r.base is None
+        assert ints.flags.writeable
+
+
 class TestDataset:
     def test_project_keeps_rows(self, small_dataset, target_schema):
         ds = small_dataset.project(target_schema)
@@ -145,6 +173,16 @@ class TestDataset:
         sub = small_dataset.take(idx)
         np.testing.assert_array_equal(sub.X, small_dataset.X[:5])
         np.testing.assert_array_equal(sub.y, small_dataset.y[:5])
+
+    def test_caller_arrays_stay_writeable_and_unshared(self, small_dataset):
+        X, y = small_dataset.X.copy(), small_dataset.y.copy()
+        ds = Dataset(small_dataset.schema, X, y, small_dataset.class_labels)
+        assert X.flags.writeable and y.flags.writeable
+        assert not ds.X.flags.writeable and not ds.y.flags.writeable
+        X[0, 0] += 1.0
+        y[0] = (y[0] + 1) % ds.n_classes
+        np.testing.assert_array_equal(ds.X, small_dataset.X)
+        np.testing.assert_array_equal(ds.y, small_dataset.y)
 
     def test_label_mismatch_rejected(self, pool_schema):
         X = np.clip(np.ones((4, len(pool_schema))), pool_schema.lows, pool_schema.highs)

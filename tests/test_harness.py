@@ -162,6 +162,24 @@ class TestPipeline:
             assert f"output.{name}={tmp_path / name}" in manifest
         assert not any(line.startswith("failed_stage=") for line in manifest)
 
+    def test_unreachable_spoof_cell_is_reported_not_fatal(self, tmp_path):
+        """Seed 5 with an 8-epoch substitute leaves some spoof targets with no
+        anchor row: those cells get an empty rate and the run reaches fig4."""
+        cfg = ExperimentConfig(
+            seed=5, n_classes=8, rows_per_class=80, substitute_epochs=8,
+            generator_epochs=6, defense_rounds=3, defense_per_device=5,
+            defense_train_per_device=12, out_dir=str(tmp_path),
+        )
+        results = run_experiment(cfg)
+        assert (tmp_path / "fig4.csv").is_file()
+        lines = (tmp_path / "table3.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines if not line.startswith("#")][1:]
+        empty = {tuple(r[:3]) for r in rows if r[4] == ""}
+        rated = {tuple(r[:3]) for r in rows if r[4] != ""}
+        assert empty and rated
+        assert set(results["spoof_rates"]) == rated
+        assert "failed_stage" not in (tmp_path / "manifest.txt").read_text()
+
     def test_stage_failure_writes_partial_manifest(self, tmp_path, monkeypatch):
         monkeypatch.setattr(experiment, "train_generator", _explode)
         cfg = ExperimentConfig(out_dir=str(tmp_path), **TINY_RUN)

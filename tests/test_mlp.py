@@ -1,6 +1,8 @@
 """Finite-difference verification of every analytic gradient in the package."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowcamo.core import NumericError, ValidationError
 from flowcamo.learners import (
@@ -167,3 +169,119 @@ class TestNetPlumbing:
         np.testing.assert_array_equal(
             T, [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
         )
+
+
+def masked_sigmoid(z):
+    """[DERIVED] the earlier masked-index sigmoid, kept as the reference."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def full_forward(net, X):
+    """[DERIVED] the earlier out-of-place forward: (logits, layer inputs)."""
+    X = np.asarray(X, dtype=float)
+    h = X[None, :] if X.ndim == 1 else X
+    acts = [h]
+    for i, (W, b) in enumerate(zip(net.weights, net.biases)):
+        h = h @ W + b
+        if i != len(net.weights) - 1:
+            h = np.maximum(h, 0.0)
+            acts.append(h)
+    return (h[0] if X.ndim == 1 else h), acts
+
+
+def full_backward(net, cache, d_logits):
+    """[DERIVED] the earlier single backward pass: (dWs, dbs, dX)."""
+    d = np.asarray(d_logits, dtype=float)
+    if d.ndim == 1:
+        d = d[None, :]
+    dWs = [None] * len(net.weights)
+    dbs = [None] * len(net.biases)
+    for i in range(len(net.weights) - 1, -1, -1):
+        dWs[i] = cache[i].T @ d
+        dbs[i] = d.sum(axis=0)
+        d = d @ net.weights[i].T
+        if i > 0:
+            d = d * (cache[i] > 0)
+    return dWs, dbs, d
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and np.array_equal(
+        a.view(np.uint64), b.view(np.uint64)
+    )
+
+
+@st.composite
+def net_cases(draw):
+    """A net (one linear layer up to four), its input and a logit gradient.
+
+    ``rows == 0`` means a single 1-D input vector. Biases are random so
+    the ReLU masks cut through every hidden layer.
+    """
+    sizes = draw(st.lists(st.integers(1, 7), min_size=2, max_size=5))
+    rows = draw(st.integers(0, 6))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    net = Net(sizes, seed=seed)
+    for b in net.biases:
+        b[:] = rng.normal(0, 0.5, size=b.shape)
+    shape = (sizes[0],) if rows == 0 else (rows, sizes[0])
+    X = rng.normal(0, 1, size=shape)
+    d = rng.normal(0, 1, size=shape[:-1] + (sizes[-1],))
+    return net, X, d
+
+
+class TestAgainstEarlierAlgorithms:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(
+        st.integers(0, 2**64 - 1),
+        st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True).map(
+            lambda f: int(np.float64(f).view(np.uint64))),
+        st.integers(0, 2**52 - 1).map(lambda m: 0xFFF0000000000000 | max(m, 1)),
+    ), min_size=1, max_size=40))
+    def test_sigmoid_bits_match_masked_reference(self, bits):
+        """Any float64 bit pattern: +-0, +-inf, NaN payloads of either sign,
+        subnormals."""
+        z = np.array(bits, dtype=np.uint64).view(np.float64)
+        with np.errstate(all="ignore"):
+            assert same_bits(sigmoid(z), masked_sigmoid(z))
+            assert same_bits(sigmoid(z.reshape(1, -1)), masked_sigmoid(z.reshape(1, -1)))
+
+    def test_sigmoid_special_values(self):
+        z = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 30.0, -30.0,
+                      5e-324, -5e-324, 1e300, -1e300])
+        with np.errstate(all="ignore"):
+            assert same_bits(sigmoid(z), masked_sigmoid(z))
+
+    @settings(max_examples=200, deadline=None)
+    @given(net_cases())
+    def test_split_backprop_matches_full_backward(self, case):
+        net, X, d = case
+        z, cache = net.forward_logits(X, want_cache=True)
+        z_ref, cache_ref = full_forward(net, X)
+        assert same_bits(z, z_ref)
+        assert len(cache) == len(cache_ref)
+        assert all(same_bits(a, b) for a, b in zip(cache, cache_ref))
+        dWs_ref, dbs_ref, dX_ref = full_backward(net, cache_ref, d)
+        dWs, dbs = net.backward(cache, d)
+        assert all(same_bits(a, b) for a, b in zip(dWs, dWs_ref))
+        assert all(same_bits(a, b) for a, b in zip(dbs, dbs_ref))
+        assert same_bits(net.input_grad(cache, d), dX_ref)
+
+    def test_single_layer_net(self):
+        """[in, out]: no hidden layer, so no ReLU mask anywhere."""
+        net = Net([3, 2], seed=4)
+        X = np.random.default_rng(5).normal(size=(4, 3))
+        d = np.random.default_rng(6).normal(size=(4, 2))
+        _, cache = net.forward_logits(X, want_cache=True)
+        dWs, dbs, dX = full_backward(net, cache, d)
+        got_W, got_b = net.backward(cache, d)
+        assert same_bits(got_W[0], dWs[0]) and same_bits(got_b[0], dbs[0])
+        assert same_bits(net.input_grad(cache, d), dX)
+        assert same_bits(net.input_grad(cache, d), d @ net.weights[0].T)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from flowcamo.blackbox import EavesdropCorpus, make_oracle
 from flowcamo.core import DegenerateTrainingError, ValidationError
 from flowcamo.harness import synth
+from flowcamo.harness.csvio import write_report_csv
 from flowcamo.learners import fit
 from flowcamo.substitute import (
     PerformanceGainPoint,
@@ -18,6 +19,7 @@ from flowcamo.substitute import (
     performance_gain,
     performance_gain_scan,
     save_substitute,
+    scan_to_csv_rows,
     select_subset,
     top_l_indices,
     train_substitute,
@@ -195,6 +197,33 @@ class TestScanAndSelect:
     def test_select_rejects_empty(self):
         with pytest.raises(ValidationError):
             select_subset([])
+
+
+class TestScanCsv:
+    def test_timing_does_not_change_the_byte_count(self, tmp_path):
+        """Two scans that differ only in their wall-clock columns."""
+        fast = [
+            PerformanceGainPoint(4, 0.75, 0.001, float("nan"), True),
+            PerformanceGainPoint(8, 0.9375, 0.0015, 0.25, False),
+            PerformanceGainPoint(16, 0.96875, 0.002, -0.8947368421052632, False),
+        ]
+        slow = [
+            PerformanceGainPoint(4, 0.75, 0.00123456789012345, float("nan"), True),
+            PerformanceGainPoint(8, 0.9375, 0.1, -3.0, False),
+            PerformanceGainPoint(16, 0.96875, 12.5, 1.0 / 3.0, False),
+        ]
+        sizes = []
+        for name, scan in (("fast", fast), ("slow", slow)):
+            rows = scan_to_csv_rows(scan)
+            path = tmp_path / f"{name}.csv"
+            write_report_csv(str(path), rows[0], rows[1:], {"selected_L": "8"})
+            sizes.append(len(path.read_bytes()))
+        assert sizes[0] == sizes[1]
+
+    def test_columns_parse_back(self):
+        rows = scan_to_csv_rows([PerformanceGainPoint(8, 0.9375, 0.0015, -0.25, False)])
+        assert rows[1][2] == "1.500000e-03" and rows[1][3] == "-2.500000e-01"
+        assert float(rows[1][2]) == 0.0015 and float(rows[1][3]) == -0.25
 
 
 class TestPersistence:
