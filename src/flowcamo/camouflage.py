@@ -28,6 +28,7 @@ from .core import (
     spoofing_rate,
 )
 from .learners import ClassifierModel, Net, bce_dlogits, one_hot
+from .learners.io import load_archive, save_archive
 from .substitute import SubstituteModel
 
 
@@ -120,6 +121,27 @@ class Generator:
         dU = self.amp * (1.0 - T ** 2) * np.where(blocked, 0.0, dHp)
         return self.net.backward(cache, dU)
 
+    def to_arrays(self) -> dict:
+        return {
+            "schema_json": np.asarray(self.schema.to_json()),
+            "mu": self.mu,
+            "sd": self.sd,
+            "amp": self.amp,
+            "trained": np.asarray(int(self.trained)),
+            "training_curve": np.asarray(self.training_curve, dtype=float),
+            **self.net.to_arrays("net_"),
+        }
+
+    @classmethod
+    def from_arrays(cls, data) -> "Generator":
+        g = cls(FeatureSchema.from_json(str(data["schema_json"])),
+                np.array(data["mu"]), np.array(data["sd"]))
+        g.net = Net.from_arrays(data, "net_")
+        g.amp = np.array(data["amp"])
+        g.trained = bool(int(data["trained"]))
+        g.training_curve = [float(v) for v in data["training_curve"]]
+        return g
+
 
 def build_generator(
     schema: FeatureSchema,
@@ -134,32 +156,11 @@ def build_generator(
 
 
 def save_generator(g: Generator, path: str) -> None:
-    from .learners.io import atomic_savez, net_to_arrays, schema_to_json
-
-    atomic_savez(
-        path,
-        format_version=np.asarray(1),
-        schema_json=np.asarray(schema_to_json(g.schema)),
-        mu=g.mu,
-        sd=g.sd,
-        amp=g.amp,
-        trained=np.asarray(int(g.trained)),
-        training_curve=np.asarray(g.training_curve, dtype=float),
-        **net_to_arrays(g.net, "net_"),
-    )
+    save_archive(g, path)
 
 
 def load_generator(path: str) -> Generator:
-    from .learners.io import net_from_arrays, schema_from_json
-
-    with np.load(path, allow_pickle=False) as data:
-        schema = schema_from_json(str(data["schema_json"]))
-        g = Generator(schema, np.array(data["mu"]), np.array(data["sd"]))
-        g.net = net_from_arrays(data, "net_")
-        g.amp = np.array(data["amp"])
-        g.trained = bool(int(data["trained"]))
-        g.training_curve = [float(v) for v in data["training_curve"]]
-        return g
+    return load_archive(path, Generator.from_arrays, "generator")
 
 
 def _success_metric(

@@ -5,7 +5,8 @@ read-only across workers; the metric functions are pure.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import json
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Sequence, Union
 
@@ -113,6 +114,15 @@ class FeatureSchema:
         Raises ValidationError if ``other`` is not a (name-wise) subset.
         """
         return np.array([self.index(n) for n in other.names], dtype=int)
+
+    def to_json(self) -> str:
+        return json.dumps([asdict(f) for f in self.features])
+
+    @classmethod
+    def from_json(cls, text: str) -> "FeatureSchema":
+        return cls(tuple(
+            Feature(d["name"], d["unit"], float(d["lo"]), float(d["hi"]), bool(d["mutable"]))
+            for d in json.loads(text)))
 
 
 @dataclass(frozen=True)
@@ -257,27 +267,40 @@ def spoofing_rate(predictions, target) -> float:
     return float(np.mean(ids == tid))
 
 
-def split_dataset(ds: Dataset, train_fraction: float, seed: int):
-    """Stratified-by-class split; deterministic for a fixed seed.
+def stratified_split(y: np.ndarray, train_fraction: float, seed: int):
+    """Sorted ``(train_idx, test_idx)`` stratified by label; deterministic per seed.
 
-    Every class keeps at least one row on each side, so any class with
-    fewer than 2 rows raises StratificationError.
+    Each class's rows are shuffled and ``round(train_fraction * n)`` of
+    them, clamped to ``1..n-1``, go to train. A class with a single row
+    goes to train whole.
     """
     if not 0.0 < train_fraction < 1.0:
         raise ValidationError(f"train_fraction must be in (0,1), got {train_fraction}")
     rng = np.random.default_rng(seed)
     train_idx, test_idx = [], []
-    for c in np.unique(ds.y):
-        rows = np.flatnonzero(ds.y == c)
+    for c in np.unique(y):
+        rows = rng.permutation(np.flatnonzero(y == c))
         if rows.size < 2:
-            raise StratificationError(
-                f"class {ds.class_labels[c]!r} has {rows.size} row(s); need >= 2"
-            )
-        rows = rng.permutation(rows)
-        n_train = int(round(train_fraction * rows.size))
-        n_train = min(max(n_train, 1), rows.size - 1)
+            train_idx.append(rows)
+            continue
+        n_train = min(max(int(round(train_fraction * rows.size)), 1), rows.size - 1)
         train_idx.append(rows[:n_train])
         test_idx.append(rows[n_train:])
     train_idx = np.sort(np.concatenate(train_idx))
-    test_idx = np.sort(np.concatenate(test_idx))
+    test_idx = np.sort(np.concatenate(test_idx)) if test_idx else np.array([], dtype=int)
+    return train_idx, test_idx
+
+
+def split_dataset(ds: Dataset, train_fraction: float, seed: int):
+    """``stratified_split`` of a dataset into train and test datasets.
+
+    Every class keeps at least one row on each side, so any class with
+    fewer than 2 rows raises StratificationError.
+    """
+    train_idx, test_idx = stratified_split(ds.y, train_fraction, seed)
+    single = np.flatnonzero(np.bincount(ds.y) == 1)
+    if single.size:
+        raise StratificationError(
+            f"class {ds.class_labels[single[0]]!r} has 1 row(s); need >= 2"
+        )
     return ds.take(train_idx, split_seed=seed), ds.take(test_idx, split_seed=seed)

@@ -23,9 +23,8 @@ from ..camouflage import (
     spoof,
     train_generator,
 )
-from ..core import DeviceClass, ValidationError, split_dataset
+from ..core import DeviceClass, FeatureSchema, ValidationError, split_dataset
 from ..learners import KINDS, fit, load_model, save_model
-from ..learners.io import schema_from_json, schema_to_json
 from ..profiler import evaluate_defense, fit_profiler, make_identities, signature_batch
 from ..substitute import (
     feature_weights,
@@ -47,7 +46,7 @@ def _load_schema(arg: str):
     if arg == "target":
         return synth.target_schema()
     with open(arg, encoding="utf-8") as fh:
-        return schema_from_json(fh.read())
+        return FeatureSchema.from_json(fh.read())
 
 
 def _ingest(path: str, schema_arg: str):
@@ -60,7 +59,7 @@ def cmd_gen_data(args) -> int:
     ds = synth.generate_dataset(profiles, args.rows_per_class, args.seed, schema)
     dataset_to_csv(ds, args.out, {"seed": str(args.seed)})
     if args.schema_out:
-        atomic_write_text(args.schema_out, schema_to_json(schema))
+        atomic_write_text(args.schema_out, schema.to_json())
     print(f"wrote {len(ds)} rows x {len(schema)} features to {args.out}")
     return 0
 

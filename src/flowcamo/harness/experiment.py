@@ -23,6 +23,7 @@ from ..core import (
     ConfusionCounts,
     Dataset,
     DeviceClass,
+    FeatureSchema,
     UnreachableTargetError,
     ValidationError,
     identification_rate,
@@ -42,7 +43,6 @@ from ..substitute import (
     select_subset,
     train_substitute,
 )
-from ..learners.io import schema_from_json
 from . import synth
 from .csvio import atomic_write_text, write_report_csv
 
@@ -83,8 +83,6 @@ class ExperimentConfig:
     spoof_lr_decay: float = 0.93
     spoof_anchor_weight: float = 1.0
     spoof_bce_weight: float = 0.1
-    attack_mode: str = "misidentify"
-    spoof_target_label: Optional[str] = None
     spoof_grid: bool = True
     run_scan: bool = False
     scan_L: Tuple[int, ...] = (2, 4, 6, 8, 12, 16, 20, 28)
@@ -146,7 +144,7 @@ def _rate(model, ds: Dataset) -> float:
 def _generate(cfg: ExperimentConfig, results: dict, out) -> None:
     if cfg.schema_path:
         with open(cfg.schema_path, encoding="utf-8") as fh:
-            pool_schema = schema_from_json(fh.read())
+            pool_schema = FeatureSchema.from_json(fh.read())
         tgt_schema = pool_schema  # external schema: no decoy split
     else:
         pool_schema = synth.attacker_pool_schema(cfg.n_decoys)

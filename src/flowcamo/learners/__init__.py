@@ -1,4 +1,4 @@
-from .base import KINDS, ClassifierModel, Scaler, fit
+from .base import ClassifierModel, Scaler
 from .knn import KnnClassifier
 from .mlp import (
     Net,
@@ -14,6 +14,7 @@ from .mlp import (
 from .mlp_classifier import MlpClassifier
 from .svm import LinearSvmClassifier
 from .trees import DecisionTreeClassifier, RandomForestClassifier, build_tree, tree_apply
+from .kinds import KINDS, fit
 from .io import load_model, save_model
 
 __all__ = [

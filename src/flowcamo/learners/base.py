@@ -1,8 +1,7 @@
-"""Common classifier surface and the kind-dispatching ``fit``."""
+"""Common classifier surface: the standardizing scaler and the model base."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
 
 import numpy as np
 
@@ -14,8 +13,6 @@ from ..core import (
     ValidationError,
     validate_matrix,
 )
-
-KINDS = ("knn", "decision_tree", "random_forest", "svm", "neural_net")
 
 
 @dataclass(frozen=True)
@@ -35,12 +32,20 @@ class Scaler:
     def transform(self, X: np.ndarray) -> np.ndarray:
         return (np.asarray(X, dtype=float) - self.mean) / self.scale
 
+    def to_arrays(self) -> dict:
+        return {"scaler_mean": self.mean, "scaler_scale": self.scale}
+
+    @classmethod
+    def from_arrays(cls, data) -> "Scaler":
+        return cls(np.array(data["scaler_mean"]), np.array(data["scaler_scale"]))
+
 
 class ClassifierModel:
     """Trained multi-class model; immutable after fit.
 
     Subclasses implement ``predict_scores``; ``predict`` is always the
-    score argmax, with ties broken toward the lowest class id.
+    score argmax, with ties broken toward the lowest class id. Each also
+    extends ``to_arrays`` and inverts it with ``from_arrays``.
     """
 
     kind: str = "abstract"
@@ -52,6 +57,20 @@ class ClassifierModel:
     @property
     def n_classes(self) -> int:
         return len(self.class_labels)
+
+    def to_arrays(self) -> dict:
+        """The archive arrays every classifier kind shares."""
+        return {
+            "kind": np.asarray(self.kind),
+            "schema_json": np.asarray(self.schema.to_json()),
+            "class_labels": np.asarray(self.class_labels),
+        }
+
+    @staticmethod
+    def header_from_arrays(data) -> tuple:
+        """``(schema, class_labels)`` read back from the shared arrays."""
+        return (FeatureSchema.from_json(str(data["schema_json"])),
+                tuple(str(s) for s in data["class_labels"]))
 
     def _check(self, X) -> np.ndarray:
         return validate_matrix(self.schema, X, f"{self.kind} input")
@@ -73,31 +92,3 @@ def check_trainable(train: Dataset) -> None:
         raise ValidationError("training dataset is empty")
     if np.unique(train.y).size < 2:
         raise DegenerateTrainingError("training data contains a single class")
-
-
-def fit(
-    kind: str,
-    train: Dataset,
-    hyperparams: Optional[Dict] = None,
-    seed: int = 0,
-) -> ClassifierModel:
-    """Train one of the five classifier families; deterministic per seed."""
-    from .knn import KnnClassifier
-    from .svm import LinearSvmClassifier
-    from .trees import DecisionTreeClassifier, RandomForestClassifier
-
-    from .mlp_classifier import MlpClassifier
-
-    check_trainable(train)
-    hp = dict(hyperparams or {})
-    if kind == "knn":
-        return KnnClassifier.fit(train, seed=seed, **hp)
-    if kind == "decision_tree":
-        return DecisionTreeClassifier.fit(train, seed=seed, **hp)
-    if kind == "random_forest":
-        return RandomForestClassifier.fit(train, seed=seed, **hp)
-    if kind == "svm":
-        return LinearSvmClassifier.fit(train, seed=seed, **hp)
-    if kind == "neural_net":
-        return MlpClassifier.fit(train, seed=seed, **hp)
-    raise ValidationError(f"unknown classifier kind {kind!r}; expected one of {KINDS}")

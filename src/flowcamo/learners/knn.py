@@ -36,6 +36,15 @@ class KnnClassifier(ClassifierModel):
         return cls(train.schema, train.class_labels, scaler,
                    scaler.transform(train.X), train.y.copy(), int(k))
 
+    def to_arrays(self) -> dict:
+        return {**super().to_arrays(), **self.scaler.to_arrays(),
+                "train_X": self.train_X, "train_y": self.train_y, "k": np.asarray(self.k)}
+
+    @classmethod
+    def from_arrays(cls, data) -> "KnnClassifier":
+        return cls(*cls.header_from_arrays(data), Scaler.from_arrays(data),
+                   np.array(data["train_X"]), np.array(data["train_y"]), int(data["k"]))
+
     def predict_scores(self, X) -> np.ndarray:
         """Vote fractions of each row's k nearest training rows.
 

@@ -136,6 +136,21 @@ class Net:
         for b, db in zip(self.biases, dbs):
             b -= lr * db
 
+    def to_arrays(self, prefix: str) -> dict:
+        out = {f"{prefix}sizes": np.asarray(self.layer_sizes, dtype=int)}
+        for i, (W, b) in enumerate(zip(self.weights, self.biases)):
+            out[f"{prefix}W{i}"] = W
+            out[f"{prefix}b{i}"] = b
+        return out
+
+    @classmethod
+    def from_arrays(cls, data, prefix: str) -> "Net":
+        net = cls(data[f"{prefix}sizes"].tolist(), seed=0)
+        for i in range(len(net.weights)):
+            net.weights[i] = np.array(data[f"{prefix}W{i}"])
+            net.biases[i] = np.array(data[f"{prefix}b{i}"])
+        return net
+
 
 def bce_dlogits(z: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Gradient of ``bce_loss_and_dlogits``'s loss w.r.t. the logits only."""

@@ -46,6 +46,14 @@ class MlpClassifier(ClassifierModel):
         )
         return cls(train.schema, train.class_labels, scaler, net)
 
+    def to_arrays(self) -> dict:
+        return {**super().to_arrays(), **self.scaler.to_arrays(), **self.net.to_arrays("net_")}
+
+    @classmethod
+    def from_arrays(cls, data) -> "MlpClassifier":
+        return cls(*cls.header_from_arrays(data), Scaler.from_arrays(data),
+                   Net.from_arrays(data, "net_"))
+
     def predict_scores(self, X) -> np.ndarray:
         X = self._check(X)
         return self.net.scores(self.scaler.transform(X))

@@ -50,6 +50,14 @@ class LinearSvmClassifier(ClassifierModel):
             b -= step * gb
         return cls(train.schema, train.class_labels, scaler, W, b)
 
+    def to_arrays(self) -> dict:
+        return {**super().to_arrays(), **self.scaler.to_arrays(), "W": self.W, "b": self.b}
+
+    @classmethod
+    def from_arrays(cls, data) -> "LinearSvmClassifier":
+        return cls(*cls.header_from_arrays(data), Scaler.from_arrays(data),
+                   np.array(data["W"]), np.array(data["b"]))
+
     def predict_scores(self, X) -> np.ndarray:
         X = self._check(X)
         margins = self.scaler.transform(X) @ self.W.T + self.b

@@ -18,6 +18,8 @@ _MIN_GAIN = 1e-12
 class _TreeArrays:
     """Flattened tree: feature < 0 marks a leaf."""
 
+    _FIELDS = ("feature", "threshold", "left", "right", "dist")
+
     def __init__(self):
         self.feature: list = []
         self.threshold: list = []
@@ -42,6 +44,16 @@ class _TreeArrays:
             [d if d is not None else np.zeros(n_classes) for d in self.dist]
         )
         return self
+
+    def to_arrays(self, prefix: str) -> dict:
+        return {f"{prefix}{name}": getattr(self, name) for name in self._FIELDS}
+
+    @classmethod
+    def from_arrays(cls, data, prefix: str) -> "_TreeArrays":
+        tree = cls()
+        for name in cls._FIELDS:
+            setattr(tree, name, np.array(data[f"{prefix}{name}"]))
+        return tree
 
 
 def _best_split(X, y, n_classes, feat_candidates):
@@ -160,6 +172,13 @@ class DecisionTreeClassifier(ClassifierModel):
         tree = build_tree(train.X, train.y, train.n_classes, max_depth, min_samples_leaf)
         return cls(train.schema, train.class_labels, tree)
 
+    def to_arrays(self) -> dict:
+        return {**super().to_arrays(), **self.tree.to_arrays("t_")}
+
+    @classmethod
+    def from_arrays(cls, data) -> "DecisionTreeClassifier":
+        return cls(*cls.header_from_arrays(data), _TreeArrays.from_arrays(data, "t_"))
+
     def predict_scores(self, X) -> np.ndarray:
         X = self._check(X)
         return self.tree.dist[tree_apply(self.tree, X)]
@@ -209,6 +228,17 @@ class RandomForestClassifier(ClassifierModel):
                 )
             )
         return cls(train.schema, train.class_labels, trees)
+
+    def to_arrays(self) -> dict:
+        out = {**super().to_arrays(), "n_trees": np.asarray(len(self.trees))}
+        for i, tree in enumerate(self.trees):
+            out.update(tree.to_arrays(f"t{i}_"))
+        return out
+
+    @classmethod
+    def from_arrays(cls, data) -> "RandomForestClassifier":
+        trees = [_TreeArrays.from_arrays(data, f"t{i}_") for i in range(int(data["n_trees"]))]
+        return cls(*cls.header_from_arrays(data), trees)
 
     def predict_scores(self, X) -> np.ndarray:
         X = self._check(X)

@@ -15,8 +15,9 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .blackbox import EavesdropCorpus
-from .core import DegenerateTrainingError, FeatureSchema, ValidationError
+from .core import DegenerateTrainingError, FeatureSchema, ValidationError, stratified_split
 from .learners import Net, Scaler, one_hot, train_net
+from .learners.io import load_archive, save_archive
 
 
 @dataclass(frozen=True)
@@ -78,22 +79,30 @@ class SubstituteModel:
     def predict_ids_pool(self, X_pool: np.ndarray) -> np.ndarray:
         return np.argmax(self.predict_scores_pool(X_pool), axis=1)
 
+    def to_arrays(self) -> dict:
+        return {
+            "pool_schema_json": np.asarray(self.pool_schema.to_json()),
+            "subset": np.asarray(self.subset, dtype=int),
+            **self.scaler.to_arrays(),
+            "class_labels": np.asarray(self.class_labels),
+            "training_curve": np.asarray(self.training_curve, dtype=float),
+            "holdout_idx": self.holdout_idx,
+            "seed": np.asarray(self.seed),
+            **self.net.to_arrays("net_"),
+        }
 
-def _holdout_split(y: np.ndarray, frac: float, seed: int):
-    """Stratified 80/20 over oracle labels; singleton labels go to train."""
-    rng = np.random.default_rng(seed)
-    train_idx, hold_idx = [], []
-    for c in np.unique(y):
-        rows = rng.permutation(np.flatnonzero(y == c))
-        if rows.size < 2:
-            train_idx.append(rows)
-            continue
-        n_train = min(max(int(round(frac * rows.size)), 1), rows.size - 1)
-        train_idx.append(rows[:n_train])
-        hold_idx.append(rows[n_train:])
-    train_idx = np.sort(np.concatenate(train_idx))
-    hold_idx = np.sort(np.concatenate(hold_idx)) if hold_idx else np.array([], dtype=int)
-    return train_idx, hold_idx
+    @classmethod
+    def from_arrays(cls, data) -> "SubstituteModel":
+        return cls(
+            FeatureSchema.from_json(str(data["pool_schema_json"])),
+            tuple(int(i) for i in data["subset"]),
+            Scaler.from_arrays(data),
+            Net.from_arrays(data, "net_"),
+            tuple(str(s) for s in data["class_labels"]),
+            [float(v) for v in data["training_curve"]],
+            np.array(data["holdout_idx"]),
+            int(data["seed"]),
+        )
 
 
 def train_substitute(
@@ -119,7 +128,7 @@ def train_substitute(
     if np.unique(corpus.y).size < 2:
         raise DegenerateTrainingError("corpus labels cover a single class")
     subset = tuple(range(len(corpus.schema))) if subset is None else tuple(subset)
-    train_idx, hold_idx = _holdout_split(corpus.y, 0.8, seed)
+    train_idx, hold_idx = stratified_split(corpus.y, 0.8, seed)
     Xs = corpus.X[:, subset]
     X_tr, y_tr = Xs[train_idx], corpus.y[train_idx]
     if train_extra is not None:
@@ -269,38 +278,11 @@ def select_subset(
 
 
 def save_substitute(sub: SubstituteModel, path: str) -> None:
-    from .learners.io import atomic_savez, net_to_arrays, schema_to_json
-
-    atomic_savez(
-        path,
-        format_version=np.asarray(1),
-        pool_schema_json=np.asarray(schema_to_json(sub.pool_schema)),
-        subset=np.asarray(sub.subset, dtype=int),
-        scaler_mean=sub.scaler.mean,
-        scaler_scale=sub.scaler.scale,
-        class_labels=np.asarray(sub.class_labels),
-        training_curve=np.asarray(sub.training_curve, dtype=float),
-        holdout_idx=sub.holdout_idx,
-        seed=np.asarray(sub.seed),
-        **net_to_arrays(sub.net, "net_"),
-    )
+    save_archive(sub, path)
 
 
 def load_substitute(path: str) -> SubstituteModel:
-    from .learners.io import net_from_arrays, schema_from_json
-
-    with np.load(path, allow_pickle=False) as data:
-        pool_schema = schema_from_json(str(data["pool_schema_json"]))
-        return SubstituteModel(
-            pool_schema,
-            tuple(int(i) for i in data["subset"]),
-            Scaler(np.array(data["scaler_mean"]), np.array(data["scaler_scale"])),
-            net_from_arrays(data, "net_"),
-            tuple(str(s) for s in data["class_labels"]),
-            [float(v) for v in data["training_curve"]],
-            np.array(data["holdout_idx"]),
-            int(data["seed"]),
-        )
+    return load_archive(path, SubstituteModel.from_arrays, "substitute")
 
 
 def scan_to_csv_rows(scan: List[PerformanceGainPoint]) -> List[list]:

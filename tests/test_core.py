@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowcamo.core import (
     ConfusionCounts,
@@ -13,6 +15,7 @@ from flowcamo.core import (
     readonly_array,
     split_dataset,
     spoofing_rate,
+    stratified_split,
     validate_matrix,
 )
 
@@ -140,6 +143,61 @@ class TestSplit:
     def test_degenerate_fraction_rejected(self, small_dataset):
         with pytest.raises((ValidationError, StratificationError)):
             split_dataset(small_dataset, 1.0, seed=0)
+
+    def test_singleton_class_rejected(self):
+        ds = Dataset(make_schema(), np.zeros((5, 3)), [0, 0, 1, 2, 2], ("x", "y", "z"))
+        with pytest.raises(StratificationError, match="'y' has 1 row"):
+            split_dataset(ds, 0.8, seed=0)
+
+
+def _old_holdout_split(y, frac, seed):
+    """The substitute's former private split, kept as the reference."""
+    rng = np.random.default_rng(seed)
+    train_idx, hold_idx = [], []
+    for c in np.unique(y):
+        rows = rng.permutation(np.flatnonzero(y == c))
+        if rows.size < 2:
+            train_idx.append(rows)
+            continue
+        n_train = min(max(int(round(frac * rows.size)), 1), rows.size - 1)
+        train_idx.append(rows[:n_train])
+        hold_idx.append(rows[n_train:])
+    train_idx = np.sort(np.concatenate(train_idx))
+    hold_idx = np.sort(np.concatenate(hold_idx)) if hold_idx else np.array([], dtype=int)
+    return train_idx, hold_idx
+
+
+class TestStratifiedSplit:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        y=st.lists(st.integers(0, 6), min_size=1, max_size=60),
+        frac=st.floats(0.05, 0.95),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_former_substitute_split(self, y, frac, seed):
+        y = np.array(y)
+        got = stratified_split(y, frac, seed)
+        want = _old_holdout_split(y, frac, seed)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+            assert g.dtype == w.dtype
+        # split_dataset is the same split, or refuses a singleton class;
+        # column c carries each row's index.
+        X = np.zeros((y.size, 3))
+        X[:, 2] = np.arange(y.size)
+        ds = Dataset(make_schema(), X, y, tuple("abcdefg"))
+        if (np.bincount(y) == 1).any():
+            with pytest.raises(StratificationError):
+                split_dataset(ds, frac, seed)
+        else:
+            tr, te = split_dataset(ds, frac, seed)
+            np.testing.assert_array_equal(tr.X[:, 2], want[0])
+            np.testing.assert_array_equal(te.X[:, 2], want[1])
+
+    def test_singletons_go_to_train(self):
+        train_idx, test_idx = stratified_split(np.array([0, 1, 1, 1, 2]), 0.5, seed=3)
+        assert {0, 4} <= set(train_idx.tolist())
+        assert not {0, 4} & set(test_idx.tolist())
 
 
 class TestReadonlyArray:

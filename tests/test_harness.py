@@ -91,6 +91,15 @@ class TestExperimentConfig:
         assert again == cfg
         assert again.config_hash() == cfg.config_hash()
 
+    @pytest.mark.parametrize("key", ["attack_mode", "spoof_target_label"])
+    def test_removed_keys_rejected(self, key, tmp_path, capsys):
+        with pytest.raises(ValidationError, match="unknown config keys"):
+            ExperimentConfig.from_dict({key: None})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({key: "x"}))
+        assert main(["run", "--config", str(path), "--out-dir", str(tmp_path)]) == 1
+        assert "unknown config keys" in capsys.readouterr().err
+
     def test_hash_sensitive_to_fields(self):
         assert (
             ExperimentConfig(seed=1).config_hash()
