@@ -31,6 +31,11 @@ from .learners import ClassifierModel, Net, bce_dlogits, one_hot
 from .learners.io import load_archive, save_archive
 from .substitute import SubstituteModel
 
+BATCH_SIZE = 128
+# Training stops early once the success metric moved less than
+# ``plateau_delta`` over this many epochs.
+PLATEAU_WINDOW = 5
+
 
 @dataclass(frozen=True)
 class AttackMode:
@@ -182,14 +187,12 @@ def train_generator(
     epochs: int,
     seed: int = 0,
     lr: float = 0.01,
-    batch_size: int = 128,
     lr_decay: float = 1.0,
     bce_weight: float = 1.0,
     gate_success: bool = False,
     anchor_X: Optional[np.ndarray] = None,
     anchor_weight: float = 0.0,
     plateau_delta: float = 1e-4,
-    plateau_window: int = 5,
     plateau_min_epochs: int = 20,
 ) -> Generator:
     """Gradient-train the generator against a frozen substitute.
@@ -229,7 +232,7 @@ def train_generator(
         targets = one_hot(orig_labels, sub.n_classes)  # row i is sample i's target
     else:
         # Every row has the same target, so any batch uses a leading slice.
-        targets = one_hot(np.full(min(n, batch_size), mode.target.id), sub.n_classes)
+        targets = one_hot(np.full(min(n, BATCH_SIZE), mode.target.id), sub.n_classes)
         if anchor_X is not None and anchor_weight > 0.0:
             rows = anchor_X[sub.predict_ids_pool(anchor_X) == mode.target.id]
             if rows.shape[0] == 0:
@@ -247,8 +250,8 @@ def train_generator(
     for _epoch in range(epochs):
         S = sample_multipliers(g.schema, n, rng) * X
         order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            idx = order[start : start + batch_size]
+        for start in range(0, n, BATCH_SIZE):
+            idx = order[start : start + BATCH_SIZE]
             Hp, grad_cache = g.manipulate_batch(X[idx], S[idx], want_grad_cache=True)
             Xs = sub.scaler.transform(Hp[:, sub_cols])
             z, sub_cache = sub.net.forward_logits(Xs, want_cache=True)
@@ -270,10 +273,10 @@ def train_generator(
         g.training_curve.append(
             _success_metric(g, sub, X, mode, orig_labels, eval_rng)
         )
-        recent = g.training_curve[-plateau_window:]
+        recent = g.training_curve[-PLATEAU_WINDOW:]
         if (
             len(g.training_curve) > plateau_min_epochs
-            and len(recent) == plateau_window
+            and len(recent) == PLATEAU_WINDOW
             and max(recent) - min(recent) < plateau_delta
         ):
             break

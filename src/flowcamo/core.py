@@ -199,9 +199,6 @@ class Dataset:
     def n_classes(self) -> int:
         return len(self.class_labels)
 
-    def device_class(self, cid: int) -> DeviceClass:
-        return DeviceClass(int(cid), self.class_labels[int(cid)])
-
     def take(self, idx: np.ndarray, split_seed: Union[int, None] = None) -> "Dataset":
         return Dataset(
             self.schema,

@@ -1,8 +1,9 @@
 """Command-line surface.
 
 Subcommands: gen-data, ingest, train-target, train-substitute,
-scan-features, attack, spoof, defend, report, run. Every flag can also
-come from a JSON config file; precedence is flag > file > default.
+scan-features, attack, spoof, defend, report, run. Only ``run`` reads a
+JSON config file (``--config``, the fields of ``ExperimentConfig``); its
+flags override the file, and the file overrides the defaults.
 Exit codes: 0 ok, 1 validation error, 2 stage failure, 3 I/O error.
 """
 from __future__ import annotations
@@ -54,8 +55,8 @@ def _ingest(path: str, schema_arg: str):
 
 
 def cmd_gen_data(args) -> int:
-    schema = synth.attacker_pool_schema(args.n_decoys)
-    profiles = synth.default_profiles(schema, args.n_classes, args.separability)
+    schema = synth.attacker_pool_schema()
+    profiles = synth.default_profiles(schema, args.n_classes)
     ds = synth.generate_dataset(profiles, args.rows_per_class, args.seed, schema)
     dataset_to_csv(ds, args.out, {"seed": str(args.seed)})
     if args.schema_out:
@@ -77,7 +78,7 @@ def cmd_train_target(args) -> int:
     ds = _ingest(args.data, args.schema)
     if args.project_target:
         ds = ds.project(synth.target_schema())
-    train, test = split_dataset(ds, args.train_fraction, args.seed)
+    train, test = split_dataset(ds, 0.8, args.seed)
     model = fit(args.kind, train, seed=args.seed)
     save_model(model, args.out)
     acc = float(np.mean(model.predict_ids(test.X) == test.y))
@@ -192,7 +193,7 @@ def cmd_report(args) -> int:
 def cmd_run(args) -> int:
     overrides = {}
     for key in ("seed", "n_classes", "rows_per_class", "out_dir",
-                "substitute_epochs", "generator_epochs", "generator_lr"):
+                "substitute_epochs", "generator_epochs"):
         v = getattr(args, key, None)
         if v is not None:
             overrides[key] = v
@@ -226,8 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--schema-out")
     sp.add_argument("--n-classes", type=int, default=28)
     sp.add_argument("--rows-per-class", type=int, default=500)
-    sp.add_argument("--n-decoys", type=int, default=synth.N_DECOYS)
-    sp.add_argument("--separability", type=float, default=1.0)
     sp.add_argument("--seed", type=int, default=42)
 
     sp = add("ingest", cmd_ingest, help="validate and summarize a dataset CSV")
@@ -239,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--schema", default="pool")
     sp.add_argument("--kind", choices=KINDS, required=True)
     sp.add_argument("--out", required=True)
-    sp.add_argument("--train-fraction", type=float, default=0.8)
     sp.add_argument("--project-target", action=argparse.BooleanOptionalAction, default=True)
     sp.add_argument("--seed", type=int, default=42)
 
@@ -297,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rows-per-class", dest="rows_per_class", type=int)
     sp.add_argument("--substitute-epochs", dest="substitute_epochs", type=int)
     sp.add_argument("--generator-epochs", dest="generator_epochs", type=int)
-    sp.add_argument("--generator-lr", dest="generator_lr", type=float)
     sp.add_argument("--no-defense", action="store_true")
     sp.add_argument("--no-spoof", action="store_true")
     sp.add_argument("--scan", action="store_true")

@@ -23,7 +23,6 @@ from ..core import (
     ConfusionCounts,
     Dataset,
     DeviceClass,
-    FeatureSchema,
     UnreachableTargetError,
     ValidationError,
     identification_rate,
@@ -61,15 +60,10 @@ class ExperimentConfig:
     rows_per_class: int = 500
     separability: float = 1.0
     n_decoys: int = 4
-    schema_path: Optional[str] = None
     train_fraction: float = 0.8
     target_kinds: Tuple[str, ...] = KINDS
     substitute_epochs: int = 60
-    substitute_hidden: Tuple[int, ...] = (64, 64)
     generator_epochs: int = 60
-    generator_lr: float = 0.05
-    generator_hidden: Tuple[int, ...] = (64, 64)
-    delta_scale: float = 6.0
     # Oracle query corpus: uniform in-range probes added per clean row, so
     # the substitute also matches the victim away from the traffic manifold.
     query_augment: float = 3.0
@@ -80,9 +74,6 @@ class ExperimentConfig:
     # acceptance level is reached.
     spoof_trial_lrs: Tuple[float, ...] = (0.05, 0.1, 0.03, 0.15, 0.08, 0.07, 0.12)
     spoof_accept: float = 0.85
-    spoof_lr_decay: float = 0.93
-    spoof_anchor_weight: float = 1.0
-    spoof_bce_weight: float = 0.1
     spoof_grid: bool = True
     run_scan: bool = False
     scan_L: Tuple[int, ...] = (2, 4, 6, 8, 12, 16, 20, 28)
@@ -107,10 +98,7 @@ class ExperimentConfig:
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
         kwargs = dict(d)
-        for key in (
-            "target_kinds", "substitute_hidden", "generator_hidden", "scan_L",
-            "spoof_trial_lrs",
-        ):
+        for key in ("target_kinds", "scan_L", "spoof_trial_lrs"):
             if key in kwargs and kwargs[key] is not None:
                 kwargs[key] = tuple(kwargs[key])
         return cls(**kwargs)
@@ -142,13 +130,8 @@ def _rate(model, ds: Dataset) -> float:
 
 
 def _generate(cfg: ExperimentConfig, results: dict, out) -> None:
-    if cfg.schema_path:
-        with open(cfg.schema_path, encoding="utf-8") as fh:
-            pool_schema = FeatureSchema.from_json(fh.read())
-        tgt_schema = pool_schema  # external schema: no decoy split
-    else:
-        pool_schema = synth.attacker_pool_schema(cfg.n_decoys)
-        tgt_schema = synth.target_schema()
+    pool_schema = synth.attacker_pool_schema(cfg.n_decoys)
+    tgt_schema = synth.target_schema()
     profiles = synth.default_profiles(pool_schema, cfg.n_classes, cfg.separability)
     ds_pool = synth.generate_dataset(profiles, cfg.rows_per_class, cfg.seed, pool_schema)
     train_pool, test_pool = split_dataset(ds_pool, cfg.train_fraction, cfg.seed)
@@ -191,7 +174,6 @@ def _substitute(cfg: ExperimentConfig, results: dict, out) -> None:
             corpora[kind],
             epochs=cfg.substitute_epochs,
             seed=cfg.seed + 100 + i,
-            hidden=cfg.substitute_hidden,
             train_extra=probe_corpora[kind],
         )
         # Substitute's own identification rates against ground truth.
@@ -242,12 +224,11 @@ def _attack(cfg: ExperimentConfig, results: dict, out) -> None:
     attack_generators = results["attack_generators"] = {}
     for i, kind in enumerate(cfg.target_kinds):
         g = attack_generators[kind] = build_generator(
-            train_pool.schema, train_pool.X, hidden=cfg.generator_hidden,
-            delta_scale=cfg.delta_scale, seed=cfg.seed + 200 + i,
+            train_pool.schema, train_pool.X, seed=cfg.seed + 200 + i,
         )
         train_generator(
             g, results["substitutes"][kind], train_pool, misidentify(),
-            epochs=cfg.generator_epochs, seed=cfg.seed + 300 + i, lr=cfg.generator_lr,
+            epochs=cfg.generator_epochs, seed=cfg.seed + 300 + i, lr=0.05,
         )
         target = results["targets"][kind]
         rep_tr = evaluate_attack(g, target, train_pool, misidentify(), seed=cfg.seed + 400 + i)
@@ -287,8 +268,7 @@ def _spoof(cfg: ExperimentConfig, results: dict, out) -> None:
             best_g, best_rate = None, -1.0
             for t, trial_lr in enumerate(cfg.spoof_trial_lrs):
                 g = build_generator(
-                    train_pool.schema, train_pool.X, hidden=cfg.generator_hidden,
-                    delta_scale=cfg.delta_scale,
+                    train_pool.schema, train_pool.X,
                     seed=cfg.seed + 600 + i * 20 + j + 5000 * t,
                 )
                 try:
@@ -296,9 +276,8 @@ def _spoof(cfg: ExperimentConfig, results: dict, out) -> None:
                         g, sub, src_train, spoof(target_cls),
                         epochs=cfg.generator_epochs,
                         seed=cfg.seed + 700 + i * 20 + j + 5000 * t,
-                        lr=trial_lr, lr_decay=cfg.spoof_lr_decay,
-                        bce_weight=cfg.spoof_bce_weight, gate_success=True,
-                        anchor_X=train_pool.X, anchor_weight=cfg.spoof_anchor_weight,
+                        lr=trial_lr, lr_decay=0.93, bce_weight=0.1, gate_success=True,
+                        anchor_X=train_pool.X, anchor_weight=1.0,
                         # Success-rate quantisation on a few thousand rows is
                         # coarser than the default plateau delta; a looser
                         # delta lets stuck trials stop early so the budget

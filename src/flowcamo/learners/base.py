@@ -15,6 +15,12 @@ from ..core import (
 )
 
 
+def check_shape(what: str, a, shape: tuple) -> None:
+    """ValidationError unless ``a`` has exactly ``shape``."""
+    if np.shape(a) != shape:
+        raise ValidationError(f"{what} has shape {np.shape(a)}, expected {shape}")
+
+
 @dataclass(frozen=True)
 class Scaler:
     """Per-feature standardization fitted on training data."""
@@ -31,6 +37,10 @@ class Scaler:
 
     def transform(self, X: np.ndarray) -> np.ndarray:
         return (np.asarray(X, dtype=float) - self.mean) / self.scale
+
+    def check(self, n_features: int, what: str) -> None:
+        check_shape(f"{what} scaler_mean", self.mean, (n_features,))
+        check_shape(f"{what} scaler_scale", self.scale, (n_features,))
 
     def to_arrays(self) -> dict:
         return {"scaler_mean": self.mean, "scaler_scale": self.scale}

@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import Dataset, ValidationError
-from .base import ClassifierModel, Scaler, check_trainable
+from .base import ClassifierModel, Scaler, check_shape, check_trainable
 
 # Upper bound on query x train distance entries held at once.
 DISTANCE_CHUNK_ELEMENTS = 2_000_000
@@ -15,10 +15,10 @@ class KnnClassifier(ClassifierModel):
 
     def __init__(self, schema, class_labels, scaler, train_X, train_y, k):
         super().__init__(schema, class_labels)
-        if train_X.ndim != 2 or train_y.ndim != 1 or train_X.shape[0] != train_y.shape[0]:
-            raise ValidationError(
-                f"knn train_X {train_X.shape} and train_y {train_y.shape} do not match"
-            )
+        if train_y.ndim != 1:
+            raise ValidationError(f"knn train_y must be 1-D, got shape {train_y.shape}")
+        check_shape("knn train_X", train_X, (train_y.shape[0], len(schema)))
+        scaler.check(len(schema), "knn")
         if not 1 <= k <= train_y.shape[0]:
             raise ValidationError(f"k={k} outside 1..{train_y.shape[0]} (training size)")
         if (not np.issubdtype(train_y.dtype, np.integer)

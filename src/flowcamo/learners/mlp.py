@@ -146,9 +146,14 @@ class Net:
     @classmethod
     def from_arrays(cls, data, prefix: str) -> "Net":
         net = cls(data[f"{prefix}sizes"].tolist(), seed=0)
-        for i in range(len(net.weights)):
-            net.weights[i] = np.array(data[f"{prefix}W{i}"])
-            net.biases[i] = np.array(data[f"{prefix}b{i}"])
+        for i, (W, b) in enumerate(zip(net.weights, net.biases)):
+            Wi, bi = np.array(data[f"{prefix}W{i}"]), np.array(data[f"{prefix}b{i}"])
+            if (Wi.shape, bi.shape) != (W.shape, b.shape):
+                raise ValidationError(
+                    f"{prefix}W{i}/{prefix}b{i} have shapes {Wi.shape}/{bi.shape}, "
+                    f"expected {W.shape}/{b.shape} from the sizes"
+                )
+            net.weights[i], net.biases[i] = Wi, bi
         return net
 
 

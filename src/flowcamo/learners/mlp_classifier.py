@@ -15,6 +15,13 @@ class MlpClassifier(ClassifierModel):
 
     def __init__(self, schema, class_labels, scaler, net):
         super().__init__(schema, class_labels)
+        scaler.check(len(schema), "neural_net")
+        sizes = net.layer_sizes
+        if (sizes[0], sizes[-1]) != (len(schema), self.n_classes):
+            raise ValidationError(
+                f"neural_net sizes {list(sizes)} do not map {len(schema)} features "
+                f"to {self.n_classes} classes"
+            )
         self.scaler = scaler
         self.net = net
 
@@ -24,9 +31,6 @@ class MlpClassifier(ClassifierModel):
         train: Dataset,
         hidden: Sequence[int] = (64, 64),
         epochs: int = 40,
-        lr: float = 0.1,
-        batch_size: int = 128,
-        lr_decay: float = 0.97,
         seed: int = 0,
     ) -> "MlpClassifier":
         check_trainable(train)
@@ -39,10 +43,10 @@ class MlpClassifier(ClassifierModel):
             scaler.transform(train.X),
             one_hot(train.y, train.n_classes),
             epochs=epochs,
-            lr=lr,
-            batch_size=batch_size,
+            lr=0.1,
+            batch_size=128,
             seed=seed + 1,
-            lr_decay=lr_decay,
+            lr_decay=0.97,
         )
         return cls(train.schema, train.class_labels, scaler, net)
 

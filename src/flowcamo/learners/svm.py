@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import Dataset, ValidationError
-from .base import ClassifierModel, Scaler, check_trainable
+from .base import ClassifierModel, Scaler, check_shape, check_trainable
 from .mlp import stable_scores
 
 
@@ -13,6 +13,10 @@ class LinearSvmClassifier(ClassifierModel):
 
     def __init__(self, schema, class_labels, scaler, W, b):
         super().__init__(schema, class_labels)
+        k = len(schema)
+        scaler.check(k, "svm")
+        check_shape("svm W", W, (self.n_classes, k))
+        check_shape("svm b", b, (self.n_classes,))
         self.scaler = scaler
         self.W = W  # (n_classes, K)
         self.b = b  # (n_classes,)
@@ -21,15 +25,10 @@ class LinearSvmClassifier(ClassifierModel):
     def fit(
         cls,
         train: Dataset,
-        reg: float = 1e-5,
         epochs: int = 800,
-        lr: float = 5.0,
-        lr_decay: float = 0.005,
         seed: int = 0,
     ) -> "LinearSvmClassifier":
         check_trainable(train)
-        if reg <= 0:
-            raise ValidationError(f"regularization must be > 0, got {reg}")
         if epochs < 1:
             raise ValidationError(f"epochs must be >= 1, got {epochs}")
         scaler = Scaler.fit(train.X)
@@ -43,9 +42,9 @@ class LinearSvmClassifier(ClassifierModel):
         for t in range(1, epochs + 1):
             margins = Y * (X @ W.T + b)
             viol = (margins < 1.0).astype(float) * Y  # (n, nc)
-            gW = reg * W - (viol.T @ X) / n
+            gW = 1e-5 * W - (viol.T @ X) / n
             gb = -viol.mean(axis=0)
-            step = lr / (1.0 + lr_decay * t)
+            step = 5.0 / (1.0 + 0.005 * t)
             W -= step * gW
             b -= step * gb
         return cls(train.schema, train.class_labels, scaler, W, b)

@@ -10,7 +10,7 @@ from typing import Optional
 import numpy as np
 
 from ..core import Dataset, ValidationError
-from .base import ClassifierModel, check_trainable
+from .base import ClassifierModel, check_shape, check_trainable
 
 _MIN_GAIN = 1e-12
 
@@ -44,6 +44,29 @@ class _TreeArrays:
             [d if d is not None else np.zeros(n_classes) for d in self.dist]
         )
         return self
+
+    def check(self, n_features: int, n_classes: int, what: str) -> None:
+        """ValidationError unless the arrays form a tree over these sizes.
+
+        Every split node's children come after it, so routing always ends.
+        """
+        n = np.size(self.feature)
+        if n == 0:
+            raise ValidationError(f"{what} has no nodes")
+        for name in ("feature", "threshold", "left", "right"):
+            check_shape(f"{what} {name}", getattr(self, name), (n,))
+        check_shape(f"{what} dist", self.dist, (n, n_classes))
+        if not all(np.issubdtype(a.dtype, np.integer)
+                   for a in (self.feature, self.left, self.right)):
+            raise ValidationError(f"{what} feature, left and right must be integer arrays")
+        split = np.flatnonzero(self.feature >= 0)
+        if (self.feature[split] >= n_features).any():
+            raise ValidationError(f"{what} splits on a feature outside 0..{n_features - 1}")
+        for child in (self.left[split], self.right[split]):
+            if ((child <= split) | (child >= n)).any():
+                raise ValidationError(
+                    f"{what} has a child index not after its node or outside 0..{n - 1}"
+                )
 
     def to_arrays(self, prefix: str) -> dict:
         return {f"{prefix}{name}": getattr(self, name) for name in self._FIELDS}
@@ -93,7 +116,6 @@ def build_tree(
     y: np.ndarray,
     n_classes: int,
     max_depth: Optional[int] = None,
-    min_samples_leaf: int = 1,
     rng: Optional[np.random.Generator] = None,
     mtry: Optional[int] = None,
 ) -> _TreeArrays:
@@ -107,11 +129,7 @@ def build_tree(
         ys = y[idx]
         counts = np.bincount(ys, minlength=n_classes).astype(float)
         tree.dist[node] = counts / counts.sum()
-        if (
-            counts.max() == counts.sum()
-            or (max_depth is not None and depth >= max_depth)
-            or idx.size < 2 * min_samples_leaf
-        ):
+        if counts.max() == counts.sum() or (max_depth is not None and depth >= max_depth):
             continue
         if mtry is not None and mtry < k:
             cand = np.sort(rng.choice(k, size=mtry, replace=False))
@@ -122,8 +140,8 @@ def build_tree(
             continue
         f, t = split
         go_left = X[idx, f] <= t
-        if go_left.sum() < min_samples_leaf or (~go_left).sum() < min_samples_leaf:
-            continue
+        if go_left.all() or not go_left.any():
+            continue  # the midpoint of two adjacent floats can round onto the upper one
         tree.feature[node] = f
         tree.threshold[node] = t
         lid = tree.add_node()
@@ -154,6 +172,7 @@ class DecisionTreeClassifier(ClassifierModel):
 
     def __init__(self, schema, class_labels, tree):
         super().__init__(schema, class_labels)
+        tree.check(len(schema), self.n_classes, "decision_tree")
         self.tree = tree
 
     @classmethod
@@ -161,15 +180,12 @@ class DecisionTreeClassifier(ClassifierModel):
         cls,
         train: Dataset,
         max_depth: Optional[int] = None,
-        min_samples_leaf: int = 1,
         seed: int = 0,
     ) -> "DecisionTreeClassifier":
         check_trainable(train)
         if max_depth is not None and max_depth < 1:
             raise ValidationError(f"max_depth must be >= 1, got {max_depth}")
-        if min_samples_leaf < 1:
-            raise ValidationError("min_samples_leaf must be >= 1")
-        tree = build_tree(train.X, train.y, train.n_classes, max_depth, min_samples_leaf)
+        tree = build_tree(train.X, train.y, train.n_classes, max_depth)
         return cls(train.schema, train.class_labels, tree)
 
     def to_arrays(self) -> dict:
@@ -189,6 +205,10 @@ class RandomForestClassifier(ClassifierModel):
 
     def __init__(self, schema, class_labels, trees):
         super().__init__(schema, class_labels)
+        if not trees:
+            raise ValidationError("random_forest needs n_trees >= 1, got 0")
+        for i, tree in enumerate(trees):
+            tree.check(len(schema), self.n_classes, f"random_forest tree {i}")
         self.trees = trees
 
     @classmethod
@@ -197,8 +217,6 @@ class RandomForestClassifier(ClassifierModel):
         train: Dataset,
         n_trees: int = 20,
         max_depth: Optional[int] = None,
-        min_samples_leaf: int = 1,
-        mtry: Optional[int] = None,
         seed: int = 0,
     ) -> "RandomForestClassifier":
         check_trainable(train)
@@ -206,26 +224,15 @@ class RandomForestClassifier(ClassifierModel):
             raise ValidationError(f"n_trees must be >= 1, got {n_trees}")
         if max_depth is not None and max_depth < 1:
             raise ValidationError(f"max_depth must be >= 1, got {max_depth}")
-        k = len(train.schema)
-        if mtry is None:
-            mtry = max(1, int(round(np.sqrt(k))))
-        if not 1 <= mtry <= k:
-            raise ValidationError(f"mtry must be in [1, {k}], got {mtry}")
+        mtry = max(1, int(round(np.sqrt(len(train.schema)))))
         rng = np.random.default_rng(seed)
         trees = []
         n = len(train)
         for _ in range(n_trees):
             boot = rng.integers(0, n, size=n)
             trees.append(
-                build_tree(
-                    train.X[boot],
-                    train.y[boot],
-                    train.n_classes,
-                    max_depth,
-                    min_samples_leaf,
-                    rng=rng,
-                    mtry=mtry,
-                )
+                build_tree(train.X[boot], train.y[boot], train.n_classes, max_depth,
+                           rng=rng, mtry=mtry)
             )
         return cls(train.schema, train.class_labels, trees)
 

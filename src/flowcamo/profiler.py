@@ -61,11 +61,6 @@ class NoiseModel:
     phase_sigma_rad: float = 0.08
     csi_snr_sigma: float = 0.08  # relative to the local path gain
 
-    def scaled(self, factor: float) -> "NoiseModel":
-        return NoiseModel(*(factor * v for v in (
-            self.freq_sigma_hz, self.angle_sigma_rad, self.atten_sigma_db,
-            self.phase_sigma_rad, self.csi_snr_sigma)))
-
 
 DEFAULT_NOISE = NoiseModel()
 
@@ -104,8 +99,6 @@ def synthesize_signature(
     identity: HardwareIdentity,
     noise_seed: int,
     noise: NoiseModel = DEFAULT_NOISE,
-    carrier_hz: float = CARRIER_HZ,
-    path_loss_exponent: float = PATH_LOSS_EXPONENT,
 ) -> RfSignature:
     """One simulated observation; deterministic for a fixed (identity, seed)."""
     x, y = identity.location
@@ -115,14 +108,14 @@ def synthesize_signature(
     rng = np.random.default_rng(np.random.SeedSequence([int(identity.device_id), int(noise_seed)]))
     psi, rho, tau_s = _device_multipath(identity.device_id)
 
-    freq = carrier_hz * identity.cfo_ppm * 1e-6 + rng.normal(0.0, noise.freq_sigma_hz)
+    freq = CARRIER_HZ * identity.cfo_ppm * 1e-6 + rng.normal(0.0, noise.freq_sigma_hz)
 
     angle = np.arctan2(x, y) + rng.normal(0.0, noise.angle_sigma_rad)
     angle = float(np.clip(angle, -np.pi / 2 + 1e-9, np.pi / 2))
 
     mp_db = 20.0 * np.log10(abs(1.0 + rho * np.exp(1j * psi)))
     mp_db *= 1.0 + identity.iq_gain_imbalance
-    pl_db = PATH_LOSS_REF_DB + 10.0 * path_loss_exponent * np.log10(d)
+    pl_db = PATH_LOSS_REF_DB + 10.0 * PATH_LOSS_EXPONENT * np.log10(d)
     atten = pl_db + mp_db + rng.normal(0.0, noise.atten_sigma_db)
 
     phase = _wrap_pi(
@@ -144,13 +137,12 @@ def signature_batch(
     identities: Sequence[HardwareIdentity],
     per_device: int,
     noise_seed: int,
-    noise: NoiseModel = DEFAULT_NOISE,
 ):
     """Stacked (profiled, csi, class_id) arrays; seeds vary per observation."""
     P, C, y = [], [], []
     for ident in identities:
         for j in range(per_device):
-            sig = synthesize_signature(ident, noise_seed * 100003 + j, noise)
+            sig = synthesize_signature(ident, noise_seed * 100003 + j)
             P.append(sig.profiled)
             C.append(sig.csi)
             y.append(ident.device_id)
@@ -216,10 +208,6 @@ def fit_profiler(
     y: np.ndarray,
     seed: int = 0,
     class_labels: Optional[tuple] = None,
-    stage1_depth: int = 3,
-    stage2_hidden: Sequence[int] = (48,),
-    stage2_epochs: int = 60,
-    stage2_lr: float = 0.5,
 ) -> MultiStageClassifier:
     """Train the two-stage identifier on ``signature_batch``-shaped arrays.
 
@@ -241,7 +229,7 @@ def fit_profiler(
     if class_labels is None:
         class_labels = tuple(f"device_{i:02d}" for i in range(n_classes))
 
-    tree = build_tree(P, y, n_classes, max_depth=stage1_depth)
+    tree = build_tree(P, y, n_classes, max_depth=3)
     leaves = tree_apply(tree, P)
 
     # Parent map for the sibling-merge prune.
@@ -283,13 +271,13 @@ def fit_profiler(
             continue
         local = np.searchsorted(classes, y[rows])
         scaler = Scaler.fit(features[rows])
-        net = Net([features.shape[1], *stage2_hidden, classes.size], seed=seed + gidx)
+        net = Net([features.shape[1], 48, classes.size], seed=seed + gidx)
         train_net(
             net,
             scaler.transform(features[rows]),
             one_hot(local, classes.size),
-            epochs=stage2_epochs,
-            lr=stage2_lr,
+            epochs=60,
+            lr=0.5,
             batch_size=64,
             seed=seed + 1000 + gidx,
             lr_decay=0.97,
@@ -320,22 +308,24 @@ def evaluate_defense(
     identities: Sequence[HardwareIdentity],
     rounds: int = 30,
     per_device: int = 10,
-    noise: NoiseModel = DEFAULT_NOISE,
     seed: int = 0,
     traffic: Optional[np.ndarray] = None,
 ) -> DefenseReport:
     """Identification rate per attack-training round.
 
     The generator manipulates traffic features each round, but signatures
-    are re-synthesized from the unchanged hardware identities; the hash
-    pair proves the attack has no write path into the RF stream.
+    are re-synthesized from the unchanged hardware identities. Both streams
+    come from the same identities and noise seeds, so the hash pair and the
+    two rate columns agree by construction: they record that the generator
+    is not wired into the RF stream, not evidence that no attacker could
+    reach it (see ROADMAP item 3 for a falsifiable version).
     """
     epochs, clean_rates, attacked_rates = [], [], []
     clean_h = hashlib.sha256()
     atk_h = hashlib.sha256()
     rng = np.random.default_rng(seed)
     for r in range(rounds + 1):
-        P, Csi, y = signature_batch(identities, per_device, noise_seed=seed + 7919 * r, noise=noise)
+        P, Csi, y = signature_batch(identities, per_device, noise_seed=seed + 7919 * r)
         ids, _ = classifier.identify_batch(P, Csi)
         rate = float(np.mean(ids == y))
         clean_h.update(stream_hash(P, Csi).encode())
@@ -345,7 +335,7 @@ def evaluate_defense(
 
             S = sample_multipliers(generator.schema, traffic.shape[0], rng) * traffic
             generator.manipulate_batch(traffic, S)  # touches traffic only
-        P2, Csi2, y2 = signature_batch(identities, per_device, noise_seed=seed + 7919 * r, noise=noise)
+        P2, Csi2, y2 = signature_batch(identities, per_device, noise_seed=seed + 7919 * r)
         ids2, _ = classifier.identify_batch(P2, Csi2)
         atk_h.update(stream_hash(P2, Csi2).encode())
 

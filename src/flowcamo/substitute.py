@@ -20,24 +20,6 @@ from .learners import Net, Scaler, one_hot, train_net
 from .learners.io import load_archive, save_archive
 
 
-@dataclass(frozen=True)
-class FeaturePool:
-    """Full attacker pool with importance weights and the chosen subset."""
-
-    schema: FeatureSchema
-    weights: np.ndarray
-    selected: tuple
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.shape != (len(self.schema),):
-            raise ValidationError("one weight per pool feature required")
-        if not 1 <= len(self.selected) <= len(self.schema):
-            raise ValidationError("selected subset size out of range")
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "selected", tuple(int(i) for i in self.selected))
-
-
 def top_l_indices(weights: np.ndarray, L: int) -> tuple:
     """Top-L features by weight; ties broken toward the lower index."""
     weights = np.asarray(weights, dtype=float)
@@ -111,9 +93,6 @@ def train_substitute(
     epochs: int = 60,
     seed: int = 0,
     hidden: Sequence[int] = (64, 64),
-    lr: float = 0.1,
-    batch_size: int = 128,
-    lr_decay: float = 0.97,
     train_extra: Optional[EavesdropCorpus] = None,
 ) -> SubstituteModel:
     """Fit an MLP to the eavesdropped labels; records the per-epoch curve.
@@ -150,10 +129,10 @@ def train_substitute(
         scaler.transform(X_tr),
         one_hot(y_tr, corpus.n_classes),
         epochs=epochs,
-        lr=lr,
-        batch_size=batch_size,
+        lr=0.1,
+        batch_size=128,
         seed=seed + 1,
-        lr_decay=lr_decay,
+        lr_decay=0.97,
         eval_fn=agreement,
     )
     return SubstituteModel(
@@ -227,7 +206,6 @@ def performance_gain_scan(
     seed: int = 0,
     probe_size: int = 1000,
     timing_runs: int = 5,
-    hidden: Sequence[int] = (64, 64),
     train_extra: Optional[EavesdropCorpus] = None,
 ) -> List[PerformanceGainPoint]:
     """Retrain per subset size; timing runs are serialized by design."""
@@ -246,7 +224,7 @@ def performance_gain_scan(
     for L in L_values:
         sub = train_substitute(
             corpus, top_l_indices(weights, L), epochs=epochs, seed=seed,
-            hidden=hidden, train_extra=train_extra,
+            train_extra=train_extra,
         )
         overhead = _median_predict_time(sub, probe, runs=timing_runs)
         if prev is None:

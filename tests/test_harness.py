@@ -1,11 +1,15 @@
 """Data exchange, experiment configuration, synthesis, and the CLI."""
 import json
+import os
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flowcamo.core import ValidationError
+from flowcamo.core import Dataset, ValidationError
 from flowcamo.harness import experiment, synth
 from flowcamo.harness.cli import main
 from flowcamo.harness.csvio import CsvParseError, dataset_to_csv, ingest_csv
@@ -13,7 +17,31 @@ from flowcamo.harness.experiment import ExperimentConfig, StageFailure, run_expe
 from flowcamo.learners import load_model
 
 
+POOL = synth.attacker_pool_schema()
+
+
+def _in_range(lo, hi):
+    bounds = [lo, hi] + ([-0.0] if lo <= 0.0 <= hi else [])
+    return st.one_of(st.sampled_from(bounds), st.floats(lo, hi))
+
+
+POOL_ROW = st.tuples(*(_in_range(lo, hi) for lo, hi in zip(POOL.lows, POOL.highs)))
+
+
 class TestDatasetCsv:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(POOL_ROW, st.integers(0, 2)), min_size=1, max_size=4))
+    def test_round_trip_of_any_in_range_doubles(self, rows):
+        """Bit-exact, including both range bounds and -0.0."""
+        X, y = zip(*rows)
+        ds = Dataset(POOL, np.array(X), np.array(y), ("a", "b", "c"))
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "ds.csv")
+            dataset_to_csv(ds, path)
+            back = ingest_csv(path, POOL, ds.class_labels)
+        assert back.X.tobytes() == ds.X.tobytes()
+        assert back.y.tolist() == ds.y.tolist()
+
     def test_round_trip_bit_identical(self, small_dataset, tmp_path):
         path = str(tmp_path / "ds.csv")
         dataset_to_csv(small_dataset, path)
@@ -91,7 +119,11 @@ class TestExperimentConfig:
         assert again == cfg
         assert again.config_hash() == cfg.config_hash()
 
-    @pytest.mark.parametrize("key", ["attack_mode", "spoof_target_label"])
+    @pytest.mark.parametrize("key", [
+        "attack_mode", "spoof_target_label", "schema_path", "substitute_hidden",
+        "generator_hidden", "delta_scale", "generator_lr", "spoof_lr_decay",
+        "spoof_anchor_weight", "spoof_bce_weight",
+    ])
     def test_removed_keys_rejected(self, key, tmp_path, capsys):
         with pytest.raises(ValidationError, match="unknown config keys"):
             ExperimentConfig.from_dict({key: None})
@@ -293,3 +325,77 @@ class TestCli:
         rc = main(["train-target", "--data", missing, "--kind", "svm",
                    "--out", str(tmp_path / "m.npz")])
         assert rc != 0
+
+
+def _report(path):
+    """``(meta lines, header, data rows)`` of a report CSV."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    meta = [line for line in lines if line.startswith("# ")]
+    body = [line.split(",") for line in lines if not line.startswith("#")]
+    return meta, body[0], body[1:]
+
+
+class TestCliSuccess:
+    """Each analysis command on a 4-class, 30-row-per-class dataset."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("cli_inputs")
+        f = {n: str(d / n) for n in ("data.csv", "target.npz", "sub.npz")}
+        assert main(["gen-data", "--out", f["data.csv"], "--n-classes", "4",
+                     "--rows-per-class", "30", "--seed", "3"]) == 0
+        assert main(["train-target", "--data", f["data.csv"], "--kind", "decision_tree",
+                     "--out", f["target.npz"], "--seed", "3"]) == 0
+        assert main(["train-substitute", "--data", f["data.csv"], "--target", f["target.npz"],
+                     "--out", f["sub.npz"], "--epochs", "5", "--seed", "3"]) == 0
+        return ["--data", f["data.csv"], "--target", f["target.npz"], "--sub", f["sub.npz"]]
+
+    def test_scan_features(self, inputs, tmp_path, capsys):
+        out = tmp_path / "scan.csv"
+        assert main(["scan-features", *inputs, "--L", "2,8", "--epochs", "2",
+                     "--out", str(out)]) == 0
+        meta, header, rows = _report(out)
+        assert header == ["L", "agreement", "overhead_s", "gain", "undefined_flag"]
+        assert [r[0] for r in rows] == ["2", "8"]
+        chosen = meta[0].removeprefix("# selected_L=")
+        assert chosen in ("2", "8")
+        assert f"selected L={chosen}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command, extra, mode", [
+        ("attack", [], "misidentify"),
+        ("spoof", ["--target-class", "hub_00", "--source-type", "camera"], "spoof"),
+    ])
+    def test_attack_and_spoof(self, command, extra, mode, inputs, tmp_path, capsys):
+        out, gen = tmp_path / f"{command}.csv", tmp_path / "g.npz"
+        assert main([command, *inputs, "--epochs", "2", "--out", str(out),
+                     "--save-generator", str(gen), "--seed", "3", *extra]) == 0
+        meta, header, rows = _report(out)
+        assert meta == ["# seed=3"]
+        assert header == ["mode", "clean_rate", "attacked_rate", "success_rate", "rows"]
+        assert len(rows) == 1 and rows[0][0] == mode
+        assert gen.is_file()
+        assert capsys.readouterr().out.startswith(f"{mode}: clean ")
+
+    def test_defend(self, inputs, tmp_path, capsys):
+        gen, out = tmp_path / "g.npz", tmp_path / "defend.csv"
+        assert main(["attack", *inputs, "--epochs", "2", "--out", str(tmp_path / "a.csv"),
+                     "--save-generator", str(gen)]) == 0
+        assert main(["defend", "--generator", str(gen), "--data", inputs[1],
+                     "--n-devices", "4", "--rounds", "2", "--train-per-device", "10",
+                     "--out", str(out)]) == 0
+        meta, header, rows = _report(out)
+        assert [m.split("=")[0] for m in meta] == ["# clean_hash", "# attacked_hash"]
+        assert header == ["generator_epoch", "clean_rate", "under_attack_rate"]
+        assert [r[0] for r in rows] == ["0", "1", "2"]
+        assert "streams identical: True" in capsys.readouterr().out
+
+    def test_report(self, inputs, tmp_path, capsys):
+        assert main(["attack", *inputs, "--epochs", "2",
+                     "--out", str(tmp_path / "attack.csv")]) == 0
+        capsys.readouterr()
+        assert main(["report", "--dir", str(tmp_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == "== attack.csv =="
+        assert lines[2].split() == ["mode", "clean_rate", "attacked_rate", "success_rate",
+                                    "rows"]
+        assert lines[3].split()[0] == "misidentify"

@@ -18,6 +18,7 @@ from flowcamo.camouflage import (
 )
 from flowcamo.core import ValidationError
 from flowcamo.harness.cli import main
+from flowcamo.harness.csvio import dataset_to_csv
 from flowcamo.learners import KINDS, fit, load_model, save_model
 from flowcamo.learners.kinds import MODELS
 from flowcamo.substitute import load_substitute, save_substitute, train_substitute
@@ -133,6 +134,72 @@ class TestArchive:
             if other != own:
                 with pytest.raises(ValidationError, match=f"not a {other} archive"):
                     loader(path)
+
+
+def _set_first_split(key, value):
+    """Rewrite ``key`` of the tree ``t_``/``t0_`` at the first split node."""
+    def edit(a):
+        prefix = key[: key.index("_") + 1]
+        arr = a[key].copy()
+        arr[np.flatnonzero(a[f"{prefix}feature"] >= 0)[0]] = value
+        return {key: arr}
+    return edit
+
+
+def _grow_last_layer(a):
+    """A consistent net that scores one class more than the schema has."""
+    return {"net_sizes": a["net_sizes"] + np.eye(len(a["net_sizes"]), dtype=int)[-1],
+            "net_W1": np.hstack([a["net_W1"], a["net_W1"][:, :1]]),
+            "net_b1": np.append(a["net_b1"], 0.0)}
+
+
+# (kind, arrays to overwrite given the saved arrays, error the loader names)
+TAMPERED = {
+    "tree_child_loops_back": ("decision_tree", _set_first_split("t_left", 0), "child index"),
+    "tree_child_past_end": ("decision_tree", _set_first_split("t_right", 10**6), "child index"),
+    "tree_feature_past_schema": ("decision_tree", _set_first_split("t_feature", 10**6),
+                                 "feature outside"),
+    "tree_dist_misses_a_class": ("decision_tree", lambda a: {"t_dist": a["t_dist"][:, :-1]},
+                                 "dist has shape"),
+    "tree_threshold_short": ("decision_tree",
+                             lambda a: {"t_threshold": a["t_threshold"][:-1]},
+                             "threshold has shape"),
+    "forest_no_trees": ("random_forest", lambda a: {"n_trees": np.asarray(0)}, "n_trees >= 1"),
+    "forest_float_children": ("random_forest",
+                              lambda a: {"t1_left": a["t1_left"].astype(float)},
+                              "tree 1 feature, left and right must be integer"),
+    "svm_W_cut_to_3_columns": ("svm", lambda a: {"W": a["W"][:, :3]}, "svm W has shape"),
+    "svm_b_short": ("svm", lambda a: {"b": a["b"][:-1]}, "svm b has shape"),
+    "svm_scaler_short": ("svm", lambda a: {"scaler_scale": a["scaler_scale"][:-1]},
+                         "svm scaler_scale has shape"),
+    "mlp_W0_short": ("neural_net", lambda a: {"net_W0": a["net_W0"][:-1]}, "net_W0/net_b0"),
+    "mlp_extra_class": ("neural_net", _grow_last_layer, "do not map"),
+    "mlp_scaler_short": ("neural_net", lambda a: {"scaler_mean": a["scaler_mean"][:-1]},
+                         "neural_net scaler_mean has shape"),
+}
+
+
+@pytest.mark.parametrize("case", list(TAMPERED))
+def test_tampered_classifier_archive_rejected(case, saved, tmp_path):
+    kind, edit, message = TAMPERED[case]
+    src = saved[kind][1]
+    with np.load(src) as data:
+        changes = edit(dict(data))
+    path = str(tmp_path / f"{case}.npz")
+    _rewrite(src, path, **changes)
+    with pytest.raises(ValidationError, match=message):
+        load_model(path)
+
+
+def test_tampered_forest_target_is_a_validation_exit(saved, small_split, tmp_path, capsys):
+    data = str(tmp_path / "train.csv")
+    dataset_to_csv(small_split[0], data)
+    target = str(tmp_path / "forest.npz")
+    _rewrite(saved["random_forest"][1], target, n_trees=np.asarray(0))
+    rc = main(["train-substitute", "--data", data, "--target", target,
+               "--out", str(tmp_path / "sub.npz"), "--epochs", "2"])
+    assert rc == 1
+    assert "n_trees >= 1" in capsys.readouterr().err
 
 
 def test_unknown_kind_in_archive_rejected(saved, tmp_path):

@@ -202,8 +202,11 @@ class TestKnnArchiveValidation:
             lambda a: a.update(train_y=np.where(np.arange(len(a["train_y"])) == 0,
                                                 len(a["class_labels"]), a["train_y"])),
             lambda a: a.update(train_y=a["train_y"] - 1),
+            lambda a: a.update(train_X=a["train_X"][:, :-1]),
+            lambda a: a.update(scaler_mean=a["scaler_mean"][:-1]),
         ],
-        ids=["k_zero", "k_above_rows", "row_mismatch", "class_above_range", "negative_class"],
+        ids=["k_zero", "k_above_rows", "row_mismatch", "class_above_range", "negative_class",
+             "train_X_narrow", "scaler_short"],
     )
     def test_tampered_archive_rejected(self, tamper, tmp_path):
         path = str(tmp_path / "knn.npz")

@@ -21,7 +21,13 @@ from flowcamo.profiler import (
     synthesize_signature,
 )
 
-ZERO_NOISE = DEFAULT_NOISE.scaled(0.0)
+
+def scaled(noise: NoiseModel, factor: float) -> NoiseModel:
+    """Every noise level of ``noise`` times ``factor``."""
+    return NoiseModel(*(factor * getattr(noise, f.name) for f in dataclasses.fields(noise)))
+
+
+ZERO_NOISE = scaled(DEFAULT_NOISE, 0.0)
 
 
 @pytest.fixture(scope="module")
@@ -91,7 +97,7 @@ class TestSignaturePhysics:
             synthesize_signature(bad, 1)
 
     def test_noise_scaling(self):
-        half = DEFAULT_NOISE.scaled(0.5)
+        half = scaled(DEFAULT_NOISE, 0.5)
         assert half.freq_sigma_hz == DEFAULT_NOISE.freq_sigma_hz * 0.5
         assert half.csi_snr_sigma == DEFAULT_NOISE.csi_snr_sigma * 0.5
 
