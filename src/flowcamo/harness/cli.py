@@ -156,15 +156,16 @@ def cmd_spoof(args) -> int:
 
 
 def cmd_defend(args) -> int:
+    # The generator and traffic are checked but do not feed the RF stream:
+    # a traffic-feature attacker cannot rewrite radio signatures.
+    if args.generator:
+        load_generator(args.generator)
+    if args.data:
+        _ingest(args.data, args.schema)
     identities = make_identities(args.n_devices, seed=args.seed)
     P, Csi, y = signature_batch(identities, args.train_per_device, noise_seed=args.seed + 1)
     prof = fit_profiler(P, Csi, y, seed=args.seed)
-    g = load_generator(args.generator) if args.generator else None
-    traffic = None
-    if g is not None and args.data:
-        traffic = _ingest(args.data, args.schema).X
-    rep = evaluate_defense(prof, g, identities, rounds=args.rounds, seed=args.seed,
-                           traffic=traffic)
+    rep = evaluate_defense(prof, identities, rounds=args.rounds, seed=args.seed)
     rows = [[e, f"{c:.6f}", f"{a:.6f}"]
             for e, c, a in zip(rep.epochs, rep.clean_rates, rep.attacked_rates)]
     write_report_csv(args.out, ["generator_epoch", "clean_rate", "under_attack_rate"],
@@ -184,6 +185,10 @@ def cmd_report(args) -> int:
         with open(path, encoding="utf-8") as fh:
             rows = [r for r in _csv.reader(
                 line for line in fh if not line.startswith("#")) if r]
+        if not rows:
+            continue
+        if len({len(r) for r in rows}) > 1:
+            raise ValidationError(f"{path}: rows have differing column counts")
         widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
         for r in rows:
             print("  ".join(c.ljust(w) for c, w in zip(r, widths)))

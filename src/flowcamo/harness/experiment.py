@@ -7,7 +7,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -53,6 +53,25 @@ class StageFailure(RuntimeError):
         self.cause = cause
 
 
+def _typed(key: str, value, tp):
+    """``value`` checked as config field ``key`` of type ``tp``.
+
+    A bool is not an int, an int is accepted (as a float) for a float,
+    and a tuple field takes a list of its item type.
+    """
+    if get_origin(tp) is tuple:
+        item = get_args(tp)[0]
+        if not isinstance(value, (list, tuple)):
+            raise ValidationError(
+                f"config key {key!r} needs a list of {item.__name__}, got {value!r}")
+        return tuple(_typed(key, v, item) for v in value)
+    if tp is float and isinstance(value, int) and not isinstance(value, bool):
+        return float(value)
+    if isinstance(value, bool) != (tp is bool) or not isinstance(value, tp):
+        raise ValidationError(f"config key {key!r} needs {tp.__name__}, got {value!r}")
+    return value
+
+
 @dataclass
 class ExperimentConfig:
     seed: int = 42
@@ -93,15 +112,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - known
+        types = get_type_hints(cls)
+        unknown = set(d) - set(types)
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(d)
-        for key in ("target_kinds", "scan_L", "spoof_trial_lrs"):
-            if key in kwargs and kwargs[key] is not None:
-                kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
+        return cls(**{k: _typed(k, v, types[k]) for k, v in d.items()})
 
     @classmethod
     def from_file(cls, path: str, overrides: Optional[dict] = None) -> "ExperimentConfig":
@@ -311,20 +326,15 @@ def _spoof(cfg: ExperimentConfig, results: dict, out) -> None:
 
 
 def _defense(cfg: ExperimentConfig, results: dict, out) -> None:
-    """RF-signature profiler, scored while the first target's generator runs."""
+    """RF-signature profiler, scored on one signature stream per round."""
     identities = make_identities(cfg.n_classes, seed=cfg.seed + 900)
     P, Csi, y = signature_batch(
         identities, cfg.defense_train_per_device, noise_seed=cfg.seed + 901
     )
-    prof = fit_profiler(
-        P, Csi, y, seed=cfg.seed + 902,
-        class_labels=tuple(p.label for p in results["profiles"]),
-    )
-    g = results["attack_generators"][cfg.target_kinds[0]]
+    prof = fit_profiler(P, Csi, y, seed=cfg.seed + 902)
     report = evaluate_defense(
-        prof, g, identities, rounds=cfg.defense_rounds,
+        prof, identities, rounds=cfg.defense_rounds,
         per_device=cfg.defense_per_device, seed=cfg.seed + 903,
-        traffic=results["test_pool"].X,
     )
     out(
         "fig4.csv",

@@ -6,6 +6,8 @@ they are device- and location-specific but entirely independent of the
 traffic features the generator can touch. Identification is a shallow
 decision tree over the four profiled features routing into per-group
 neural scorers over profiled features plus simulated CSI magnitudes.
+The defense evaluation synthesises one signature stream per round and
+identifies it once; a traffic-feature attacker has no write path into it.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import DeviceClass, ValidationError
+from .core import ValidationError
 from .learners import Net, Scaler, build_tree, one_hot, train_net, tree_apply
 
 CARRIER_HZ = 2.4e9
@@ -35,22 +37,6 @@ class HardwareIdentity:
     iq_gain_imbalance: float
     iq_phase_skew_rad: float
     location: Tuple[float, float]  # meters; receiver array at origin, broadside +y
-
-
-@dataclass(frozen=True)
-class RfSignature:
-    amplitude_attenuation: float  # dB, > 0
-    phase_shift: float  # rad, (-pi, pi]
-    frequency_offset: float  # Hz
-    arrival_angle: float  # rad, (-pi/2, pi/2]
-    csi: np.ndarray  # per-subcarrier channel magnitudes
-
-    @property
-    def profiled(self) -> np.ndarray:
-        return np.array(
-            [self.amplitude_attenuation, self.phase_shift,
-             self.frequency_offset, self.arrival_angle]
-        )
 
 
 @dataclass(frozen=True)
@@ -91,46 +77,9 @@ def _device_multipath(device_id: int):
     return psi, rho, tau_s
 
 
-def _wrap_pi(x: float) -> float:
-    return float(np.angle(np.exp(1j * x)))
-
-
-def synthesize_signature(
-    identity: HardwareIdentity,
-    noise_seed: int,
-    noise: NoiseModel = DEFAULT_NOISE,
-) -> RfSignature:
-    """One simulated observation; deterministic for a fixed (identity, seed)."""
-    x, y = identity.location
-    d = float(np.hypot(x, y))
-    if d <= 0:
-        raise ValidationError("device cannot sit on the receiver")
-    rng = np.random.default_rng(np.random.SeedSequence([int(identity.device_id), int(noise_seed)]))
-    psi, rho, tau_s = _device_multipath(identity.device_id)
-
-    freq = CARRIER_HZ * identity.cfo_ppm * 1e-6 + rng.normal(0.0, noise.freq_sigma_hz)
-
-    angle = np.arctan2(x, y) + rng.normal(0.0, noise.angle_sigma_rad)
-    angle = float(np.clip(angle, -np.pi / 2 + 1e-9, np.pi / 2))
-
-    mp_db = 20.0 * np.log10(abs(1.0 + rho * np.exp(1j * psi)))
-    mp_db *= 1.0 + identity.iq_gain_imbalance
-    pl_db = PATH_LOSS_REF_DB + 10.0 * PATH_LOSS_EXPONENT * np.log10(d)
-    atten = pl_db + mp_db + rng.normal(0.0, noise.atten_sigma_db)
-
-    phase = _wrap_pi(
-        -2.0 * np.pi * d / WAVELENGTH_M
-        + identity.iq_phase_skew_rad
-        + rng.normal(0.0, noise.phase_sigma_rad)
-    )
-
-    gain = 10.0 ** (-pl_db / 20.0)
-    k = np.arange(N_SUBCARRIERS) - N_SUBCARRIERS / 2
-    ray = 1.0 + rho * np.exp(1j * (psi + 2.0 * np.pi * tau_s * k * SUBCARRIER_SPACING_HZ))
-    csi = gain * np.abs(ray) * (1.0 + identity.iq_gain_imbalance)
-    csi = csi + rng.normal(0.0, noise.csi_snr_sigma * gain, size=N_SUBCARRIERS)
-
-    return RfSignature(float(atten), phase, float(freq), angle, csi)
+def _wrap_pi(x):
+    """Angle(s) ``x`` wrapped onto (-pi, pi]."""
+    return np.angle(np.exp(1j * x))
 
 
 def signature_batch(
@@ -138,15 +87,52 @@ def signature_batch(
     per_device: int,
     noise_seed: int,
 ):
-    """Stacked (profiled, csi, class_id) arrays; seeds vary per observation."""
-    P, C, y = [], [], []
+    """Stacked (profiled, csi, class_id) arrays; seeds vary per observation.
+
+    Row ``j`` of a device is one simulated observation whose noise comes
+    from its own generator, seeded by ``(device_id, noise_seed * 100003 + j)``,
+    so every row is deterministic on its own. The channel terms that depend
+    only on the device are computed once per device. Profiled columns are
+    amplitude attenuation (dB), phase shift (rad, wrapped), frequency
+    offset (Hz) and arrival angle (rad, clipped to (-pi/2, pi/2]).
+    """
+    noise = DEFAULT_NOISE
+    k = np.arange(N_SUBCARRIERS) - N_SUBCARRIERS / 2
+    P, C = [], []
     for ident in identities:
-        for j in range(per_device):
-            sig = synthesize_signature(ident, noise_seed * 100003 + j)
-            P.append(sig.profiled)
-            C.append(sig.csi)
-            y.append(ident.device_id)
-    return np.vstack(P), np.vstack(C), np.asarray(y, dtype=int)
+        x, y = ident.location
+        d = float(np.hypot(x, y))
+        if d <= 0:
+            raise ValidationError("device cannot sit on the receiver")
+        psi, rho, tau_s = _device_multipath(ident.device_id)
+        mp_db = 20.0 * np.log10(abs(1.0 + rho * np.exp(1j * psi)))
+        mp_db *= 1.0 + ident.iq_gain_imbalance
+        pl_db = PATH_LOSS_REF_DB + 10.0 * PATH_LOSS_EXPONENT * np.log10(d)
+        gain = 10.0 ** (-pl_db / 20.0)
+        ray = 1.0 + rho * np.exp(1j * (psi + 2.0 * np.pi * tau_s * k * SUBCARRIER_SPACING_HZ))
+        csi = gain * np.abs(ray) * (1.0 + ident.iq_gain_imbalance)
+
+        # Per-row noise, drawn in the order freq, angle, atten, phase, csi.
+        sigmas = np.concatenate([
+            [noise.freq_sigma_hz, noise.angle_sigma_rad, noise.atten_sigma_db,
+             noise.phase_sigma_rad],
+            np.full(N_SUBCARRIERS, noise.csi_snr_sigma * gain),
+        ])
+        z = np.array([
+            np.random.default_rng(
+                np.random.SeedSequence([int(ident.device_id), int(noise_seed * 100003 + j)])
+            ).normal(0.0, sigmas)
+            for j in range(per_device)
+        ]).reshape(per_device, sigmas.size)
+
+        freq = CARRIER_HZ * ident.cfo_ppm * 1e-6 + z[:, 0]
+        angle = np.clip(np.arctan2(x, y) + z[:, 1], -np.pi / 2 + 1e-9, np.pi / 2)
+        atten = pl_db + mp_db + z[:, 2]
+        phase = _wrap_pi(-2.0 * np.pi * d / WAVELENGTH_M + ident.iq_phase_skew_rad + z[:, 3])
+        P.append(np.column_stack([atten, phase, freq, angle]))
+        C.append(csi + z[:, 4:])
+    ids = np.repeat([ident.device_id for ident in identities], per_device).astype(int)
+    return np.vstack(P), np.vstack(C), ids
 
 
 @dataclass
@@ -164,12 +150,10 @@ class _StageTwo:
 class MultiStageClassifier:
     """Stage-1 tree over profiled features routes to per-group stage-2 nets."""
 
-    def __init__(self, tree, leaf_to_group: Dict[int, int], stages: List[_StageTwo],
-                 class_labels: tuple):
+    def __init__(self, tree, leaf_to_group: Dict[int, int], stages: List[_StageTwo]):
         self.tree = tree
         self.leaf_to_group = dict(leaf_to_group)
         self.stages = stages
-        self.class_labels = tuple(class_labels)
 
     def route(self, profiled: np.ndarray) -> np.ndarray:
         leaves = tree_apply(self.tree, np.atleast_2d(profiled))
@@ -191,10 +175,6 @@ class MultiStageClassifier:
             scores[rows] = s[np.arange(rows.size), local]
         return ids, scores
 
-    def identify(self, sig: RfSignature):
-        ids, scores = self.identify_batch(sig.profiled[None, :], sig.csi[None, :])
-        return DeviceClass(int(ids[0]), self.class_labels[int(ids[0])]), float(scores[0])
-
 
 def _subtree_leaves(tree, node: int) -> List[int]:
     if tree.feature[node] < 0:
@@ -207,7 +187,6 @@ def fit_profiler(
     Csi: np.ndarray,
     y: np.ndarray,
     seed: int = 0,
-    class_labels: Optional[tuple] = None,
 ) -> MultiStageClassifier:
     """Train the two-stage identifier on ``signature_batch``-shaped arrays.
 
@@ -226,8 +205,6 @@ def fit_profiler(
     if (counts < 10).any():
         bad = int(np.argmin(counts))
         raise ValidationError(f"class {bad} has {counts[bad]} signatures; need >= 10")
-    if class_labels is None:
-        class_labels = tuple(f"device_{i:02d}" for i in range(n_classes))
 
     tree = build_tree(P, y, n_classes, max_depth=3)
     leaves = tree_apply(tree, P)
@@ -283,7 +260,7 @@ def fit_profiler(
             lr_decay=0.97,
         )
         stages.append(_StageTwo(classes, scaler, net))
-    return MultiStageClassifier(tree, leaf_to_group, stages, class_labels)
+    return MultiStageClassifier(tree, leaf_to_group, stages)
 
 
 def stream_hash(P: np.ndarray, Csi: np.ndarray) -> str:
@@ -304,45 +281,26 @@ class DefenseReport:
 
 def evaluate_defense(
     classifier: MultiStageClassifier,
-    generator,
     identities: Sequence[HardwareIdentity],
     rounds: int = 30,
     per_device: int = 10,
     seed: int = 0,
-    traffic: Optional[np.ndarray] = None,
 ) -> DefenseReport:
-    """Identification rate per attack-training round.
+    """Identification rate per evaluation round, one signature stream per round.
 
-    The generator manipulates traffic features each round, but signatures
-    are re-synthesized from the unchanged hardware identities. Both streams
-    come from the same identities and noise seeds, so the hash pair and the
-    two rate columns agree by construction: they record that the generator
-    is not wired into the RF stream, not evidence that no attacker could
-    reach it (see ROADMAP item 3 for a falsifiable version).
+    Each round synthesises one batch from the unchanged hardware identities
+    and identifies it once. The ``attacked_*`` fields repeat the clean ones:
+    an attacker who rewrites only traffic features leaves the RF stream as
+    it is, so under such an attack the profiler sees the clean stream. The
+    equal rates and hashes hold by construction, not as evidence that no
+    attacker could reach the stream (see ROADMAP item 3 for RF attackers).
     """
-    epochs, clean_rates, attacked_rates = [], [], []
-    clean_h = hashlib.sha256()
-    atk_h = hashlib.sha256()
-    rng = np.random.default_rng(seed)
+    rates = []
+    h = hashlib.sha256()
     for r in range(rounds + 1):
         P, Csi, y = signature_batch(identities, per_device, noise_seed=seed + 7919 * r)
         ids, _ = classifier.identify_batch(P, Csi)
-        rate = float(np.mean(ids == y))
-        clean_h.update(stream_hash(P, Csi).encode())
-
-        if generator is not None and traffic is not None:
-            from .camouflage import sample_multipliers
-
-            S = sample_multipliers(generator.schema, traffic.shape[0], rng) * traffic
-            generator.manipulate_batch(traffic, S)  # touches traffic only
-        P2, Csi2, y2 = signature_batch(identities, per_device, noise_seed=seed + 7919 * r)
-        ids2, _ = classifier.identify_batch(P2, Csi2)
-        atk_h.update(stream_hash(P2, Csi2).encode())
-
-        epochs.append(r)
-        clean_rates.append(rate)
-        attacked_rates.append(float(np.mean(ids2 == y2)))
-    return DefenseReport(
-        tuple(epochs), tuple(clean_rates), tuple(attacked_rates),
-        clean_h.hexdigest(), atk_h.hexdigest(),
-    )
+        rates.append(float(np.mean(ids == y)))
+        h.update(stream_hash(P, Csi).encode())
+    rates, digest = tuple(rates), h.hexdigest()
+    return DefenseReport(tuple(range(rounds + 1)), rates, rates, digest, digest)

@@ -2,6 +2,8 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowcamo.blackbox import make_oracle
 from flowcamo.camouflage import (
@@ -19,6 +21,8 @@ from flowcamo.camouflage import (
 from flowcamo.core import (
     ContractViolationError,
     DeviceClass,
+    Feature,
+    FeatureSchema,
     UnreachableTargetError,
     ValidationError,
 )
@@ -52,7 +56,42 @@ class TestMultipliers:
         assert S.max() <= 10.0 and S.min() >= 0.0
 
 
+@st.composite
+def generator_cases(draw):
+    """A 1-8 feature schema (some with ``lo == hi``, at least one mutable),
+    rows that include values exactly on the bounds, and weight settings."""
+    k = draw(st.integers(1, 8))
+    features = []
+    for i in range(k):
+        lo = draw(st.floats(-1e3, 1e3))
+        width = draw(st.one_of(st.just(0.0), st.floats(0.0, 1e3)))
+        features.append(Feature(f"f{i}", "u", lo, lo + width, draw(st.booleans())))
+    keep = draw(st.integers(0, k - 1))
+    features[keep] = Feature(features[keep].name, "u", features[keep].lo,
+                             features[keep].hi, True)
+    schema = FeatureSchema(tuple(features))
+    n = draw(st.integers(1, 6))
+    X = np.array([[draw(st.one_of(st.sampled_from([f.lo, f.hi]), st.floats(f.lo, f.hi)))
+                   for f in features] for _ in range(n)])
+    return schema, X, draw(st.integers(0, 2**16)), draw(st.sampled_from([0.5, 3.0, 1e3]))
+
+
 class TestFunctionalityPreservation:
+    @settings(max_examples=150, deadline=None)
+    @given(generator_cases())
+    def test_contract_on_arbitrary_schemas(self, case):
+        """Immutable columns stay bit-equal and every value stays in range."""
+        schema, X, seed, scale = case
+        g = build_generator(schema, X, hidden=(8,), seed=seed)
+        rng = np.random.default_rng(seed)
+        for W in g.net.weights:  # leave the identity map, so rows really move
+            W[:] = scale * rng.normal(size=W.shape)
+        S = sample_multipliers(schema, X.shape[0], rng) * X
+        Hp = g.manipulate_batch(X, S)
+        imm = ~schema.mutable_mask
+        assert Hp[:, imm].view(np.uint64).tolist() == X[:, imm].view(np.uint64).tolist()
+        assert np.all(Hp >= schema.lows) and np.all(Hp <= schema.highs)
+
     def test_immutables_bit_equal_and_in_range(self, pool_schema, small_dataset):
         """Even with wrecked weights the output respects the contract."""
         g = build_generator(pool_schema, small_dataset.X, seed=2)

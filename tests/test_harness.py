@@ -132,6 +132,28 @@ class TestExperimentConfig:
         assert main(["run", "--config", str(path), "--out-dir", str(tmp_path)]) == 1
         assert "unknown config keys" in capsys.readouterr().err
 
+    def test_default_config_round_trips(self):
+        cfg = ExperimentConfig()
+        assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+
+    @pytest.mark.parametrize("key, value", [
+        ("n_classes", "4"), ("target_kinds", "knn"), ("seed", True),
+    ])
+    def test_wrong_value_type_rejected(self, key, value, tmp_path, capsys):
+        with pytest.raises(ValidationError, match=key):
+            ExperimentConfig.from_dict({key: value})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({key: value}))
+        assert main(["run", "--config", str(path), "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and key in err[0]
+
+    def test_int_accepted_for_float_field(self):
+        cfg = ExperimentConfig.from_dict({"query_augment": 3, "spoof_trial_lrs": [1, 0.5]})
+        assert cfg == ExperimentConfig(query_augment=3.0, spoof_trial_lrs=(1.0, 0.5))
+        assert cfg.config_hash() == ExperimentConfig(
+            query_augment=3.0, spoof_trial_lrs=(1.0, 0.5)).config_hash()
+
     def test_hash_sensitive_to_fields(self):
         assert (
             ExperimentConfig(seed=1).config_hash()
@@ -319,6 +341,17 @@ class TestCli:
         txt = capsys.readouterr().out
         for name in ("table1.csv", "table2.csv", "manifest.txt"):
             assert name in txt
+
+    def test_report_of_empty_csv_prints_only_its_heading(self, tmp_path, capsys):
+        (tmp_path / "empty.csv").write_text("")
+        assert main(["report", "--dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.splitlines() == ["", "== empty.csv =="]
+
+    def test_report_of_ragged_csv_is_a_validation_exit(self, tmp_path, capsys):
+        (tmp_path / "ragged.csv").write_text("a,b\n1\n")
+        assert main(["report", "--dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "ragged.csv" in err[0]
 
     def test_bad_input_is_an_error_exit(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.csv")

@@ -12,7 +12,9 @@ from flowcamo.core import (
 )
 from flowcamo.learners import (
     KINDS,
+    DecisionTreeClassifier,
     KnnClassifier,
+    RandomForestClassifier,
     fit,
     load_model,
     save_model,
@@ -232,6 +234,59 @@ class TestTreePurity:
         ds = blob_dataset(n_classes=4, n_per=50, seed=12)
         model = fit("random_forest", ds, seed=0)
         assert float(np.mean(model.predict_ids(ds.X) == ds.y)) >= 0.98
+
+
+@st.composite
+def tree_tie_cases(draw):
+    """Small integer grids, so split gains and feature values tie often."""
+    n_feat = draw(st.integers(1, 4))
+    cell = st.integers(-3, 3).map(float)
+    rows = draw(st.lists(st.lists(cell, min_size=n_feat, max_size=n_feat),
+                         min_size=2, max_size=30))
+    n_classes = draw(st.integers(2, 4))
+    y = np.array(draw(st.lists(st.integers(0, n_classes - 1),
+                               min_size=len(rows), max_size=len(rows))))
+    y[:2] = [0, 1]  # fit needs two classes present
+    labels = tuple(f"c{i}" for i in range(n_classes))
+    return np.array(rows), y, labels, draw(st.permutations(range(len(rows))))
+
+
+def _arrays_equal(a: dict, b: dict) -> bool:
+    return a.keys() == b.keys() and all(
+        np.asarray(a[k]).dtype == np.asarray(b[k]).dtype
+        and np.asarray(a[k]).tobytes() == np.asarray(b[k]).tobytes() for k in a
+    )
+
+
+class TestTreeTieDeterminism:
+    @settings(max_examples=100, deadline=None)
+    @given(tree_tie_cases())
+    def test_row_order_does_not_change_the_tree(self, case):
+        X, y, labels, perm = case
+        k = X.shape[1]
+        a = DecisionTreeClassifier.fit(Dataset(toy_schema(k), X, y, labels))
+        b = DecisionTreeClassifier.fit(Dataset(toy_schema(k), X[perm], y[perm], labels))
+        assert _arrays_equal(a.to_arrays(), b.to_arrays())
+
+    @settings(max_examples=100, deadline=None)
+    @given(tree_tie_cases(), st.data())
+    def test_never_splits_on_a_later_duplicate_column(self, case, data):
+        X, y, labels, _ = case
+        k = X.shape[1]
+        col = data.draw(st.integers(0, k - 1))
+        at = data.draw(st.integers(col + 1, k))
+        X2 = np.insert(X, at, X[:, col], axis=1)
+        model = DecisionTreeClassifier.fit(Dataset(toy_schema(k + 1), X2, y, labels))
+        assert at not in model.tree.feature.tolist()
+
+    @settings(max_examples=40, deadline=None)
+    @given(tree_tie_cases(), st.integers(0, 2**16))
+    def test_forest_is_bit_equal_for_one_seed(self, case, seed):
+        X, y, labels, _ = case
+        ds = Dataset(toy_schema(X.shape[1]), X, y, labels)
+        a = RandomForestClassifier.fit(ds, n_trees=5, seed=seed)
+        b = RandomForestClassifier.fit(ds, n_trees=5, seed=seed)
+        assert _arrays_equal(a.to_arrays(), b.to_arrays())
 
 
 class TestSvmLinearity:
