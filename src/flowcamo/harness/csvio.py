@@ -7,6 +7,7 @@ Dataset format: UTF-8, optional ``#`` comment lines, header
 from __future__ import annotations
 
 import csv
+from array import array
 from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
@@ -38,6 +39,14 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _write_lines(path: str, header: Sequence[str], lines: Iterable[str],
+                 meta: Optional[Dict[str, str]]) -> None:
+    out = [f"# {k}={v}" for k, v in (meta or {}).items()]
+    out.append(",".join(header))
+    out.extend(lines)
+    atomic_write_text(path, "\n".join(out) + "\n")
+
+
 def write_report_csv(
     path: str,
     header: Sequence[str],
@@ -45,19 +54,54 @@ def write_report_csv(
     meta: Optional[Dict[str, str]] = None,
 ) -> None:
     """Report CSV with ``# key=value`` comment lines up top."""
-    lines = [f"# {k}={v}" for k, v in (meta or {}).items()]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_lines(path, header, (",".join(_fmt(v) for v in row) for row in rows), meta)
 
 
 def dataset_to_csv(ds: Dataset, path: str, meta: Optional[Dict[str, str]] = None) -> None:
     header = [f"f_{n}" for n in ds.schema.names] + ["class"]
-    rows = (
-        list(ds.X[i]) + [ds.class_labels[ds.y[i]]] for i in range(len(ds))
+    labels = [_fmt(lab) for lab in ds.class_labels]
+    lines = (",".join(map(repr, x)) + "," + labels[c]
+             for x, c in zip(ds.X.tolist(), ds.y.tolist()))
+    _write_lines(path, header, lines, meta)
+
+
+def _range_error(X: np.ndarray, linenos: Sequence[int],
+                 schema: FeatureSchema) -> Optional[CsvParseError]:
+    """The first cell of ``X`` outside (or NaN against) its range, in file order.
+
+    Row ``r`` of ``X`` came from line ``linenos[r]`` and holds the first
+    ``X.shape[1]`` features of ``schema``.
+    """
+    k = X.shape[1]
+    lows, highs = schema.lows[:k], schema.highs[:k]
+    bad = ~((X >= lows) & (X <= highs))
+    if not bad.any():
+        return None
+    r, i = divmod(int(np.argmax(bad)), k)
+    return CsvParseError(
+        f"value {float(X[r, i])} out of range [{schema.lows[i]}, {schema.highs[i]}]",
+        line=linenos[r], column=schema.names[i],
     )
-    write_report_csv(path, header, rows, meta)
+
+
+def _row_error(cells: Sequence[str], lineno: int, schema: FeatureSchema) -> CsvParseError:
+    """The error of a data row that does not parse: its field count, or its
+    first cell that is not a number, unless a cell before that one is out
+    of range.
+    """
+    if len(cells) != len(schema) + 1:
+        return CsvParseError(f"expected {len(schema) + 1} fields, got {len(cells)}",
+                             line=lineno)
+    vals: List[float] = []
+    for cell in cells[:-1]:
+        try:
+            vals.append(float(cell))
+        except ValueError:
+            break
+    j = len(vals)
+    return _range_error(np.array([vals]).reshape(1, j), [lineno], schema) or CsvParseError(
+        f"value {cells[j]!r} is not a number", line=lineno, column=schema.names[j]
+    )
 
 
 def ingest_csv(
@@ -68,18 +112,23 @@ def ingest_csv(
     """Load and validate a dataset CSV against a schema.
 
     With ``class_labels`` given, unseen labels are rejected; otherwise the
-    label set is inferred from the file (sorted order).
+    label set is inferred from the file (sorted order). Of the cells that
+    fail to parse or lie out of range, the first in file order is reported.
     """
     expected = [f"f_{n}" for n in schema.names] + ["class"]
-    rows_x: List[List[float]] = []
+    k = len(schema)
+    values = array("d")  # every feature cell, row after row
+    linenos = array("q")
     rows_label: List[str] = []
     header_seen = False
     with open(path, encoding="utf-8", newline="") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n").rstrip("\r")
-            if not line.strip() or line.lstrip().startswith("#"):
+            text = line.lstrip()
+            if not text or text[0] == "#":
                 continue
-            cells = next(csv.reader([line]))
+            # Without quotes the csv module splits on commas and nothing else.
+            cells = next(csv.reader([line])) if '"' in line else line.split(",")
             if not header_seen:
                 if cells != expected:
                     raise CsvParseError(
@@ -87,27 +136,22 @@ def ingest_csv(
                     )
                 header_seen = True
                 continue
-            if len(cells) != len(expected):
-                raise CsvParseError(
-                    f"expected {len(expected)} fields, got {len(cells)}", line=lineno
-                )
-            vals = []
-            for i, cell in enumerate(cells[:-1]):
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise CsvParseError(
-                        f"value {cell!r} is not a number", line=lineno,
-                        column=schema.names[i],
-                    ) from None
-                if not schema.lows[i] <= v <= schema.highs[i]:
-                    raise CsvParseError(
-                        f"value {v} out of range [{schema.lows[i]}, {schema.highs[i]}]",
-                        line=lineno, column=schema.names[i],
-                    )
-                vals.append(v)
-            rows_x.append(vals)
+            start = len(values)
+            try:
+                if len(cells) != k + 1:
+                    raise ValueError  # _row_error reports the field count
+                values.extend(map(float, cells[:-1]))
+            except ValueError:
+                del values[start:]
+                earlier = np.frombuffer(values).reshape(-1, k)
+                raise (_range_error(earlier, linenos, schema)
+                       or _row_error(cells, lineno, schema)) from None
             rows_label.append(cells[-1])
+            linenos.append(lineno)
+    X = np.array(values, dtype=float).reshape(-1, k)
+    error = _range_error(X, linenos, schema)
+    if error:
+        raise error
     if not header_seen:
         raise CsvParseError(f"{path}: no header row found")
     if class_labels is None:
@@ -119,6 +163,5 @@ def ingest_csv(
         if lab not in index:
             raise ValidationError(f"unknown class label {lab!r} in {path}")
         y.append(index[lab])
-    X = np.asarray(rows_x, dtype=float) if rows_x else np.zeros((0, len(schema)))
     return Dataset(schema, X, np.asarray(y, dtype=int), labels)
 

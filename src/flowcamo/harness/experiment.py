@@ -72,6 +72,25 @@ def _typed(key: str, value, tp):
     return value
 
 
+# (fields, test, what the test asks) for every config value.
+_VALUE_RULES = (
+    (("n_classes", "rows_per_class"), lambda v: v >= 2, ">= 2"),
+    (("seed", "n_decoys"), lambda v: v >= 0, ">= 0"),
+    (("substitute_epochs", "generator_epochs", "scan_epochs", "defense_rounds",
+      "defense_per_device", "defense_train_per_device"), lambda v: v >= 1, ">= 1"),
+    (("separability",), lambda v: 0 < v < np.inf, "positive and finite"),
+    (("query_augment",), lambda v: 0 <= v < np.inf, ">= 0 and finite"),
+    (("train_fraction",), lambda v: 0 < v < 1, "in (0, 1)"),
+    (("spoof_accept",), lambda v: 0 < v <= 1, "in (0, 1]"),
+    (("target_kinds",), lambda v: 0 < len(v) == len(set(v)) and set(v) <= set(KINDS),
+     f"a non-empty list of distinct kinds from {list(KINDS)}"),
+    (("spoof_trial_lrs",), lambda v: len(v) > 0 and all(0 < lr < np.inf for lr in v),
+     "a non-empty list of positive, finite learning rates"),
+    (("scan_L",), lambda v: len(v) > 0 and list(v) == sorted(v) and v[0] >= 1,
+     "a non-empty ascending list of sizes >= 1"),
+)
+
+
 @dataclass
 class ExperimentConfig:
     seed: int = 42
@@ -102,6 +121,14 @@ class ExperimentConfig:
     defense_per_device: int = 10
     defense_train_per_device: int = 40
     out_dir: str = "out"
+
+    def __post_init__(self):
+        """ValidationError naming the first field whose value no run can use."""
+        for keys, ok, need in _VALUE_RULES:
+            for key in keys:
+                value = getattr(self, key)
+                if not ok(value):
+                    raise ValidationError(f"config key {key!r} must be {need}, got {value!r}")
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)

@@ -13,6 +13,10 @@ from ..core import Dataset, ValidationError
 from .base import ClassifierModel, check_shape, check_trainable
 
 _MIN_GAIN = 1e-12
+# The gain ranked from exact integer statistics and the float gain differ by
+# about 1e-14; every cut ranked within this much gain of the best is
+# re-scored with the float gain.
+_RESCORE_MARGIN = 1e-9
 
 
 class _TreeArrays:
@@ -79,36 +83,67 @@ class _TreeArrays:
         return tree
 
 
-def _best_split(X, y, n_classes, feat_candidates):
-    """Return (feature, threshold) or None if no split reduces impurity."""
-    n = y.size
-    total = np.bincount(y, minlength=n_classes).astype(float)
-    gini_parent = 1.0 - np.sum((total / n) ** 2)
-    best_gain = _MIN_GAIN
-    best = None
-    for f in feat_candidates:
-        col = X[:, f]
-        order = np.argsort(col, kind="stable")
-        xs = col[order]
-        cut = np.flatnonzero(xs[:-1] < xs[1:])
-        if cut.size == 0:
-            continue
-        onehot = np.zeros((n, n_classes))
-        onehot[np.arange(n), y[order]] = 1.0
-        cum = np.cumsum(onehot, axis=0)
+def _best_split(cols, y, n_classes, features):
+    """Return (feature, threshold) or None if no split reduces impurity.
+
+    ``cols`` is ``(m, n)``: row ``j`` holds feature ``features[j]`` of the
+    node's ``n`` rows, whose classes are ``y``. Every cut of every feature
+    is ranked at once from exact integer class statistics; the cuts that
+    rank within ``_RESCORE_MARGIN`` of the best are then scored with the
+    float Gini gain, so the choice and its tie policy are fixed by that one
+    expression.
+    """
+    m, n = cols.shape
+    rows = np.arange(m)[:, None]
+    counts = np.bincount(y, minlength=n_classes)
+    # Rows of equal value are never split apart, so their order is free.
+    order = cols.argsort(axis=1)
+    xs = cols[rows, order]
+    # Moving a row of class c to the left side raises sum_c lc^2 by
+    # 2 lc + 1, where lc is the row's rank among that class's earlier rows.
+    # Sorted stably by class, every feature row reads counts[0] zeros, then
+    # counts[1] ones, ..., so a row's rank is its offset in its class's run.
+    by_class = y[order].argsort(axis=1, kind="stable")
+    start = counts.cumsum() - counts
+    step = np.empty((m, n), dtype=np.intp)
+    step[rows, by_class] = 2 * (np.arange(n) - np.repeat(start, counts)) + 1
+    sq_left = step.cumsum(axis=1)[:, :-1]
+    dot_left = counts[y][order].cumsum(axis=1)[:, :-1]  # sum_c t_c lc
+    sq_total = counts @ counts
+    sq_right = sq_total - 2 * dot_left + sq_left
+    nl = np.arange(1, n)
+    # n * (gain - gini_parent + 1) = n * gain + sq_total / n, up to rounding
+    score = sq_left / nl + sq_right / (n - nl)
+    score[~(xs[:, :-1] < xs[:, 1:])] = -np.inf
+    top = score.max()
+    if top == -np.inf:
+        return None
+    # Candidates in feature-major order: lowest feature, then lowest cut.
+    row, cut = np.divmod(np.flatnonzero(score >= top - n * _RESCORE_MARGIN), n - 1)
+    i = 0
+    # A single candidate clearly above _MIN_GAIN is the choice whatever its
+    # float gain; otherwise that gain decides.
+    if row.size > 1 or top - sq_total / n <= n * (_MIN_GAIN + _RESCORE_MARGIN):
+        # Left class counts at the candidate cuts: each row's sorted keys,
+        # ordered by (feature row, class, position), binary-searched per class.
+        keys = ((rows * n_classes + np.repeat(np.arange(n_classes), counts)) * n
+                + by_class).ravel()
+        below = (row[:, None] * n_classes + np.arange(n_classes)) * n + cut[:, None]
+        left_counts = (np.searchsorted(keys, below, side="right")
+                       - (row[:, None] * n + start)).astype(float)
+        total = counts.astype(float)
+        gini_parent = 1.0 - np.sum((total / n) ** 2)
         nl = (cut + 1).astype(float)
         nr = n - nl
-        left_counts = cum[cut]
         right_counts = total[None, :] - left_counts
         gini_l = 1.0 - np.sum((left_counts / nl[:, None]) ** 2, axis=1)
         gini_r = 1.0 - np.sum((right_counts / nr[:, None]) ** 2, axis=1)
         gain = gini_parent - (nl * gini_l + nr * gini_r) / n
-        i = int(np.argmax(gain))  # first max -> lowest threshold
-        if gain[i] > best_gain:
-            best_gain = gain[i]
-            thresh = 0.5 * (xs[cut[i]] + xs[cut[i] + 1])
-            best = (int(f), float(thresh))
-    return best
+        i = int(np.argmax(gain))  # first max -> lowest feature, then lowest threshold
+        if not gain[i] > _MIN_GAIN:
+            return None
+    f, c = row[i], cut[i]
+    return int(features[f]), float(0.5 * (xs[f, c] + xs[f, c + 1]))
 
 
 def build_tree(
@@ -123,6 +158,8 @@ def build_tree(
     tree = _TreeArrays()
     root = tree.add_node()
     k = X.shape[1]
+    XT = np.ascontiguousarray(X.T)
+    y = y.astype(np.min_scalar_type(n_classes - 1))  # a radix-sortable class id
     stack = [(root, np.arange(X.shape[0]), 0)]
     while stack:
         node, idx, depth = stack.pop()
@@ -135,11 +172,11 @@ def build_tree(
             cand = np.sort(rng.choice(k, size=mtry, replace=False))
         else:
             cand = np.arange(k)
-        split = _best_split(X[idx], ys, n_classes, cand)
+        split = _best_split(XT[cand[:, None], idx], ys, n_classes, cand)
         if split is None:
             continue
         f, t = split
-        go_left = X[idx, f] <= t
+        go_left = XT[f, idx] <= t
         if go_left.all() or not go_left.any():
             continue  # the midpoint of two adjacent floats can round onto the upper one
         tree.feature[node] = f

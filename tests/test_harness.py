@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowcamo.core import Dataset, ValidationError
+from flowcamo.core import Dataset, Feature, FeatureSchema, ValidationError
 from flowcamo.harness import experiment, synth
 from flowcamo.harness.cli import main
 from flowcamo.harness.csvio import CsvParseError, dataset_to_csv, ingest_csv
@@ -28,6 +28,32 @@ def _in_range(lo, hi):
 POOL_ROW = st.tuples(*(_in_range(lo, hi) for lo, hi in zip(POOL.lows, POOL.highs)))
 
 
+WIDE = FeatureSchema(tuple(Feature(f"w{i}", "u", -1e300, 1e300, True) for i in range(3)))
+# -0.0, subnormals, the smallest normal, and both sides of repr's switch to
+# exponent notation (at 1e16 and below 1e-4).
+EDGE_VALUES = (-0.0, 0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+               9999999999999998.0, 1e16, -1e16, 1.0000000000000002e16, 1e22, 0.0001, 9.9e-05)
+WIDE_CELL = st.one_of(st.sampled_from(EDGE_VALUES),
+                      st.floats(-1e300, 1e300, allow_subnormal=True))
+
+
+def _reference_fmt(v) -> str:
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    return str(v)
+
+
+def _reference_dataset_csv(ds, meta) -> str:
+    """The per-cell dataset writer that dataset_to_csv replaced, kept verbatim."""
+    header = [f"f_{n}" for n in ds.schema.names] + ["class"]
+    rows = (list(ds.X[i]) + [ds.class_labels[ds.y[i]]] for i in range(len(ds)))
+    lines = [f"# {k}={v}" for k, v in (meta or {}).items()]
+    lines.append(",".join(header))
+    for row in rows:
+        lines.append(",".join(_reference_fmt(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
 class TestDatasetCsv:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(POOL_ROW, st.integers(0, 2)), min_size=1, max_size=4))
@@ -41,6 +67,21 @@ class TestDatasetCsv:
             back = ingest_csv(path, POOL, ds.class_labels)
         assert back.X.tobytes() == ds.X.tobytes()
         assert back.y.tolist() == ds.y.tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.tuples(WIDE_CELL, WIDE_CELL, WIDE_CELL), st.integers(0, 1)),
+                    min_size=1, max_size=5),
+           st.lists(st.text(st.characters(blacklist_categories=("Cs", "Cc")), min_size=1,
+                            max_size=4), min_size=2, max_size=2, unique=True))
+    def test_writer_bytes_match_the_per_cell_writer(self, rows, labels):
+        X, y = zip(*rows)
+        ds = Dataset(WIDE, np.array(X), np.array(y), tuple(labels))
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "ds.csv")
+            dataset_to_csv(ds, path, {"seed": "3"})
+            with open(path, "rb") as fh:
+                written = fh.read()
+        assert written == _reference_dataset_csv(ds, {"seed": "3"}).encode("utf-8")
 
     def test_round_trip_bit_identical(self, small_dataset, tmp_path):
         path = str(tmp_path / "ds.csv")
@@ -87,6 +128,71 @@ class TestDatasetCsv:
         with pytest.raises(CsvParseError) as err:
             ingest_csv(str(path), small_dataset.schema)
         assert err.value.column == small_dataset.schema.names[0]
+
+    @staticmethod
+    def _edit_cells(path, edits):
+        """Rewrite ``{(line index, cell index): text}`` in a written dataset CSV."""
+        lines = path.read_text().splitlines()
+        for (li, ci), text in edits.items():
+            cells = lines[li].split(",")
+            cells[ci] = text
+            lines[li] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("edits, line, column, message", [
+        # range error on an earlier line than the parse error
+        ({(3, 2): "1e9", (5, 0): "oops"}, 4, 2, "out of range"),
+        # parse error on an earlier line than the range error
+        ({(3, 2): "oops", (5, 0): "1e9"}, 4, 2, "is not a number"),
+        # same line: the earlier column wins either way
+        ({(4, 1): "1e9", (4, 3): "oops"}, 5, 1, "out of range"),
+        ({(4, 1): "oops", (4, 3): "1e9"}, 5, 1, "is not a number"),
+        # a range error comes before a later line's wrong field count
+        ({(3, 0): "-1e9", (6, -1): "a,b"}, 4, 0, "out of range"),
+    ])
+    def test_first_bad_cell_in_file_order_is_reported(self, small_dataset, tmp_path,
+                                                      edits, line, column, message):
+        path = tmp_path / "ds.csv"
+        dataset_to_csv(small_dataset, str(path))
+        self._edit_cells(path, edits)
+        with pytest.raises(CsvParseError, match=message) as err:
+            ingest_csv(str(path), small_dataset.schema)
+        assert err.value.line == line
+        assert err.value.column == small_dataset.schema.names[column]
+
+    def test_wrong_field_count_reports_line(self, small_dataset, tmp_path):
+        path = tmp_path / "ds.csv"
+        dataset_to_csv(small_dataset, str(path))
+        self._edit_cells(path, {(2, 0): "1.0,2.0"})
+        with pytest.raises(CsvParseError, match=r"expected \d+ fields, got \d+ \(line 3\)"):
+            ingest_csv(str(path), small_dataset.schema)
+
+    @pytest.mark.parametrize("cell, shown", [
+        ("nan", "nan"), ("inf", "inf"), ("-inf", "-inf"), ("NaN", "nan"),
+    ])
+    def test_non_finite_cell_is_out_of_range(self, small_dataset, tmp_path, cell, shown):
+        path = tmp_path / "ds.csv"
+        dataset_to_csv(small_dataset, str(path))
+        self._edit_cells(path, {(2, 1): cell})
+        schema = small_dataset.schema
+        with pytest.raises(CsvParseError) as err:
+            ingest_csv(str(path), schema)
+        assert str(err.value) == (
+            f"value {shown} out of range [{schema.lows[1]}, {schema.highs[1]}]"
+            f" (line 3, column {schema.names[1]})")
+
+    def test_quoted_label_with_a_comma_parses(self, small_dataset, tmp_path):
+        ds = Dataset(small_dataset.schema, small_dataset.X[:4], np.array([0, 1, 0, 1]),
+                     ("iot, cam", 'say "hi"'))
+        path = tmp_path / "ds.csv"
+        path.write_text("\n".join(
+            [",".join(f"f_{n}" for n in ds.schema.names) + ",class"]
+            + [",".join(map(repr, x)) + ',"iot, cam"' if c == 0
+               else ",".join(f'"{v!r}"' for v in x) + ',"say ""hi"""'
+               for x, c in zip(ds.X.tolist(), ds.y.tolist())]) + "\n")
+        back = ingest_csv(str(path), ds.schema, ds.class_labels)
+        assert back.X.tobytes() == ds.X.tobytes()
+        assert back.y.tolist() == [0, 1, 0, 1]
 
     def test_unknown_label_rejected(self, small_dataset, tmp_path):
         path = str(tmp_path / "ds.csv")
@@ -147,6 +253,33 @@ class TestExperimentConfig:
         assert main(["run", "--config", str(path), "--out-dir", str(tmp_path)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and key in err[0]
+
+    @pytest.mark.parametrize("cfg, key", [
+        ({"target_kinds": ["knnx"], "n_classes": 4, "rows_per_class": 30}, "target_kinds"),
+        ({"n_classes": -3}, "n_classes"),
+        ({"rows_per_class": 1}, "rows_per_class"),
+        ({"substitute_epochs": 0}, "substitute_epochs"),
+        ({"train_fraction": 1.0}, "train_fraction"),
+        ({"spoof_accept": 0.0}, "spoof_accept"),
+        ({"spoof_trial_lrs": []}, "spoof_trial_lrs"),
+        ({"target_kinds": ["knn", "knn"]}, "target_kinds"),
+        ({"scan_L": [8, 4]}, "scan_L"),
+    ])
+    def test_unusable_value_is_a_validation_exit(self, cfg, key, tmp_path, capsys):
+        with pytest.raises(ValidationError, match=key):
+            ExperimentConfig.from_dict(cfg)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(path), "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: config key {key!r} must be")
+        assert not os.path.exists(tmp_path / "manifest.json")  # no stage ran
+
+    def test_values_are_checked_on_construction(self):
+        with pytest.raises(ValidationError, match="n_classes"):
+            ExperimentConfig(n_classes=-3)
+        with pytest.raises(ValidationError, match="target_kinds"):
+            ExperimentConfig(target_kinds=("knnx",))
 
     def test_int_accepted_for_float_field(self):
         cfg = ExperimentConfig.from_dict({"query_augment": 3, "spoof_trial_lrs": [1, 0.5]})

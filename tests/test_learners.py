@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowcamo.core import (
@@ -20,6 +20,7 @@ from flowcamo.learners import (
     save_model,
 )
 from flowcamo.learners import knn as knn_module
+from flowcamo.learners import trees as trees_module
 
 
 def toy_schema(k=4):
@@ -287,6 +288,118 @@ class TestTreeTieDeterminism:
         a = RandomForestClassifier.fit(ds, n_trees=5, seed=seed)
         b = RandomForestClassifier.fit(ds, n_trees=5, seed=seed)
         assert _arrays_equal(a.to_arrays(), b.to_arrays())
+
+
+def _reference_best_split(X, y, n_classes, feat_candidates):
+    """The per-feature split search the batched one replaced, kept verbatim."""
+    n = y.size
+    total = np.bincount(y, minlength=n_classes).astype(float)
+    gini_parent = 1.0 - np.sum((total / n) ** 2)
+    best_gain = trees_module._MIN_GAIN
+    best = None
+    for f in feat_candidates:
+        col = X[:, f]
+        order = np.argsort(col, kind="stable")
+        xs = col[order]
+        cut = np.flatnonzero(xs[:-1] < xs[1:])
+        if cut.size == 0:
+            continue
+        onehot = np.zeros((n, n_classes))
+        onehot[np.arange(n), y[order]] = 1.0
+        cum = np.cumsum(onehot, axis=0)
+        nl = (cut + 1).astype(float)
+        nr = n - nl
+        left_counts = cum[cut]
+        right_counts = total[None, :] - left_counts
+        gini_l = 1.0 - np.sum((left_counts / nl[:, None]) ** 2, axis=1)
+        gini_r = 1.0 - np.sum((right_counts / nr[:, None]) ** 2, axis=1)
+        gain = gini_parent - (nl * gini_l + nr * gini_r) / n
+        i = int(np.argmax(gain))  # first max -> lowest threshold
+        if gain[i] > best_gain:
+            best_gain = gain[i]
+            thresh = 0.5 * (xs[cut[i]] + xs[cut[i] + 1])
+            best = (int(f), float(thresh))
+    return best
+
+
+def _batched_split(X, y, n_classes, cand):
+    return trees_module._best_split(np.ascontiguousarray(X[:, cand].T), y, n_classes, cand)
+
+
+@st.composite
+def split_nodes(draw):
+    """A node as build_tree sees it: tie-prone values, repeated rows, a column subset.
+
+    Small integer grids give many cuts of equal exact gain in different
+    features, whose float gains then differ in the last bits.
+    """
+    n_classes = draw(st.integers(2, 28))
+    k = draw(st.integers(1, 10))
+    n = draw(st.integers(2, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = draw(st.sampled_from(["integer", "integer", "binary", "float", "distinct"]))
+    if values == "integer":
+        X = rng.integers(-3, 4, size=(n, k)).astype(float)
+    elif values == "binary":
+        X = rng.integers(0, 2, size=(n, k)).astype(float)
+    elif values == "float":
+        X = rng.uniform(-100.0, 100.0, size=(n, k))
+    else:
+        X = np.tile(np.arange(n, dtype=float)[:, None], (1, k))
+    y = rng.integers(0, n_classes, size=n)
+    for _ in range(draw(st.integers(0, 2))):  # duplicated columns
+        X[:, rng.integers(k)] = X[:, rng.integers(k)]
+    if draw(st.booleans()):  # a bootstrap sample: rows repeat
+        boot = rng.integers(0, n, size=n)
+        X, y = X[boot], y[boot]
+    mtry = draw(st.integers(1, k))
+    cand = np.sort(rng.choice(k, size=mtry, replace=False))
+    return X, y, n_classes, cand
+
+
+def _equal_gain_node():
+    """Two binary features whose cuts have the same exact Gini gain.
+
+    Feature 0 cuts 6 | 6 rows, feature 1 cuts 9 | 3; the integer-statistics
+    scores of the two differ in the last bit, their float gains do not, so
+    the lower feature must win.
+    """
+    y = np.array([0, 0, 1, 1, 2, 2, 3, 4, 5, 6, 7, 8])
+    f0 = np.isin(np.arange(12), [2, 3, 5, 9, 10, 11]).astype(float)
+    f1 = (np.arange(12) >= 9).astype(float)
+    return np.stack([f0, f1], axis=1), y, 9, np.arange(2)
+
+
+def _one_row_per_class_node():
+    """Every cut has the same exact gain; the float gains alone tell them apart."""
+    return np.arange(10, dtype=float)[:, None], np.arange(10), 10, np.arange(1)
+
+
+class TestBatchedSplitSearch:
+    @settings(max_examples=400, deadline=None)
+    @given(split_nodes())
+    @example(_equal_gain_node())
+    @example(_one_row_per_class_node())
+    def test_matches_the_per_feature_search(self, node):
+        X, y, n_classes, cand = node
+        assert _batched_split(X, y, n_classes, cand) == _reference_best_split(
+            X, y, n_classes, cand)
+
+    @settings(max_examples=30, deadline=None)
+    @given(tree_tie_cases(), st.integers(0, 2**16))
+    def test_forest_equals_one_grown_with_the_reference_search(self, case, seed):
+        X, y, labels, _ = case
+        ds = Dataset(toy_schema(X.shape[1]), X, y, labels)
+        batched = RandomForestClassifier.fit(ds, n_trees=4, seed=seed)
+
+        def reference(cols, ys, n_classes, features):
+            best = _reference_best_split(cols.T, ys, n_classes, range(len(features)))
+            return None if best is None else (int(features[best[0]]), best[1])
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(trees_module, "_best_split", reference)
+            old = RandomForestClassifier.fit(ds, n_trees=4, seed=seed)
+        assert _arrays_equal(batched.to_arrays(), old.to_arrays())
 
 
 class TestSvmLinearity:
