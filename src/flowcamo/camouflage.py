@@ -27,7 +27,7 @@ from .core import (
     identification_rate,
     spoofing_rate,
 )
-from .learners import ClassifierModel, Net, bce_dlogits, one_hot
+from .learners import ClassifierModel, Net, bce_dlogits_unchecked, one_hot
 from .learners.io import load_archive, save_archive
 from .substitute import SubstituteModel
 
@@ -88,28 +88,39 @@ class Generator:
         self.trained = False
         self.training_curve: List[float] = []
 
-    def _inputs(self, H: np.ndarray, S: np.ndarray) -> np.ndarray:
-        return np.hstack([(H - self.mu) / self.sd, S / self.sd])
+    def _input_buffer(self, H: np.ndarray) -> np.ndarray:
+        """Network input for ``H``: its normalised features, then room for
+        the normalised noise, which the caller fills."""
+        k = len(self.schema)
+        Z = np.empty(H.shape[:-1] + (2 * k,))
+        np.subtract(H, self.mu, out=Z[..., :k])
+        Z[..., :k] /= self.sd
+        return Z
 
     def manipulate_batch(self, H: np.ndarray, S: np.ndarray, want_grad_cache: bool = False):
         H = np.asarray(H, dtype=float)
         S = np.asarray(S, dtype=float)
         if S.shape != H.shape:
             raise ValidationError("noise must match the feature matrix shape")
-        Z = self._inputs(H, S)
+        Z = self._input_buffer(H)
+        np.divide(S, self.sd, out=Z[..., len(self.schema):])
+        return self._manipulate(H, Z, want_grad_cache)
+
+    def _manipulate(self, H: np.ndarray, Z: np.ndarray, want_grad_cache: bool = False):
+        """``manipulate_batch`` of ``H`` given its network input ``Z``."""
         U, cache = self.net.forward_logits(Z, want_cache=True)
-        T = np.tanh(U)
-        raw = H + self.amp * T
+        T = np.tanh(U, out=U)
+        raw = self.amp * T
+        raw += H
         lo, hi = self.schema.lows, self.schema.highs
-        Hp = np.clip(raw, lo, hi)
-        imm = ~self.schema.mutable_mask
-        Hp[:, imm] = H[:, imm]  # bit-exact functionality projection
+        Hp = np.maximum(raw, lo)
+        np.minimum(Hp, hi, out=Hp)
+        # Bit-exact functionality projection.
+        np.copyto(Hp, H, where=~self.schema.mutable_mask)
         if not np.isfinite(Hp).all():
             raise NumericError("non-finite manipulated output")
         if want_grad_cache:
-            at_lo = raw <= lo
-            at_hi = raw >= hi
-            return Hp, (cache, T, at_lo, at_hi)
+            return Hp, (cache, T, raw <= lo, raw >= hi)
         return Hp
 
     def backward_to_params(self, grad_cache, dHp: np.ndarray):
@@ -123,7 +134,10 @@ class Generator:
         """
         cache, T, at_lo, at_hi = grad_cache
         blocked = (at_lo & (dHp >= 0)) | (at_hi & (dHp <= 0))
-        dU = self.amp * (1.0 - T ** 2) * np.where(blocked, 0.0, dHp)
+        dU = np.square(T)
+        np.subtract(1.0, dU, out=dU)
+        dU *= self.amp
+        dU *= np.where(blocked, 0.0, dHp)
         return self.net.backward(cache, dU)
 
     def to_arrays(self) -> dict:
@@ -169,11 +183,14 @@ def load_generator(path: str) -> Generator:
 
 
 def _success_metric(
-    g: Generator, sub: SubstituteModel, X: np.ndarray, mode: AttackMode,
-    orig_labels: np.ndarray, rng: np.random.Generator,
+    g: Generator, sub: SubstituteModel, X: np.ndarray, Z: np.ndarray, mode: AttackMode,
+    orig_labels: Optional[np.ndarray], rng: np.random.Generator,
 ) -> float:
-    S = sample_multipliers(g.schema, X.shape[0], rng) * X
-    pred = sub.predict_ids_pool(g.manipulate_batch(X, S))
+    """Substitute success on ``X`` under fresh noise; ``Z`` is ``X``'s
+    network input, whose noise half this overwrites."""
+    np.divide(sample_multipliers(g.schema, X.shape[0], rng) * X, g.sd,
+              out=Z[:, len(g.schema):])
+    pred = sub.predict_ids_pool(g._manipulate(X, Z))
     if mode.mode == "misidentify":
         return float(np.mean(pred != orig_labels))
     return float(np.mean(pred == mode.target.id))
@@ -223,12 +240,14 @@ def train_generator(
         raise ValidationError("spoof target id outside the substitute's classes")
 
     X = train.X
-    n = X.shape[0]
+    n, k = X.shape
     rng = np.random.default_rng(seed)
     eval_rng = np.random.default_rng(seed + 1)
-    orig_labels = sub.predict_ids_pool(X)  # frozen clean labels
+    misidentify_mode = mode.mode == "misidentify"
+    orig_labels = None
     anchor = None
-    if mode.mode == "misidentify":
+    if misidentify_mode:
+        orig_labels = sub.predict_ids_pool(X)  # frozen clean labels
         targets = one_hot(orig_labels, sub.n_classes)  # row i is sample i's target
     else:
         # Every row has the same target, so any batch uses a leading slice.
@@ -244,34 +263,45 @@ def train_generator(
             mut = g.schema.mutable_mask
 
     sub_cols = np.asarray(sub.subset, dtype=int)
+    # Network input of every training row. Its noise half is refilled once
+    # per epoch and once per plateau probe; batches gather their rows.
+    Z = g._input_buffer(X)
+    noise = Z[:, k:]
     g.training_curve = [
-        _success_metric(g, sub, X, mode, orig_labels, eval_rng)
+        _success_metric(g, sub, X, Z, mode, orig_labels, eval_rng)
     ]
     for _epoch in range(epochs):
-        S = sample_multipliers(g.schema, n, rng) * X
+        np.divide(sample_multipliers(g.schema, n, rng) * X, g.sd, out=noise)
         order = rng.permutation(n)
         for start in range(0, n, BATCH_SIZE):
             idx = order[start : start + BATCH_SIZE]
-            Hp, grad_cache = g.manipulate_batch(X[idx], S[idx], want_grad_cache=True)
+            Hp, grad_cache = g._manipulate(X[idx], Z[idx], want_grad_cache=True)
             Xs = sub.scaler.transform(Hp[:, sub_cols])
             z, sub_cache = sub.net.forward_logits(Xs, want_cache=True)
-            if mode.mode == "misidentify":
-                dz = bce_dlogits(z, targets[idx])
+            if misidentify_mode:
+                dz = bce_dlogits_unchecked(z, targets[idx])
                 np.negative(dz, out=dz)  # ascend the loss against the frozen labels
             else:
-                dz = bce_dlogits(z, targets[: idx.size])
+                dz = bce_dlogits_unchecked(z, targets[: idx.size])
                 if gate_success:
                     dz[np.argmax(z, axis=1) == mode.target.id] = 0.0
             dXs = sub.net.input_grad(sub_cache, dz)
+            dXs *= bce_weight
+            dXs /= sub.scaler.scale
             dHp = np.zeros_like(Hp)
-            dHp[:, sub_cols] = bce_weight * dXs / sub.scaler.scale
+            dHp[:, sub_cols] = dXs
             if anchor is not None:
-                dHp += anchor_weight * 2.0 * (Hp - anchor) * mut / anchor_scale2 / idx.size
+                pull = Hp - anchor
+                pull *= anchor_weight * 2.0
+                pull *= mut
+                pull /= anchor_scale2
+                pull /= idx.size
+                dHp += pull
             dWs, dbs = g.backward_to_params(grad_cache, dHp)
             g.net.sgd_step(dWs, dbs, lr)
         lr *= lr_decay
         g.training_curve.append(
-            _success_metric(g, sub, X, mode, orig_labels, eval_rng)
+            _success_metric(g, sub, X, Z, mode, orig_labels, eval_rng)
         )
         recent = g.training_curve[-PLATEAU_WINDOW:]
         if (

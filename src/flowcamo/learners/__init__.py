@@ -3,6 +3,7 @@ from .knn import KnnClassifier
 from .mlp import (
     Net,
     bce_dlogits,
+    bce_dlogits_unchecked,
     bce_loss_and_dlogits,
     mlp_input_gradient,
     mlp_loss_and_gradients,
@@ -25,6 +26,7 @@ __all__ = [
     "KnnClassifier",
     "Net",
     "bce_dlogits",
+    "bce_dlogits_unchecked",
     "bce_loss_and_dlogits",
     "mlp_input_gradient",
     "mlp_loss_and_gradients",

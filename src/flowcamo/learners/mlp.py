@@ -165,8 +165,16 @@ def bce_dlogits(z: np.ndarray, targets: np.ndarray) -> np.ndarray:
         raise ValidationError(f"logit/target shape mismatch {z.shape} vs {t.shape}")
     if not np.isfinite(z).all() or not np.isfinite(t).all():
         raise NumericError("non-finite loss inputs")
+    return bce_dlogits_unchecked(z, t)
+
+
+def bce_dlogits_unchecked(z: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """``bce_dlogits`` of 2-D float arrays, without its shape and finiteness
+    checks: for training loops whose targets are checked or built once and
+    whose ``z`` comes from ``Net.forward_logits``, which rejects non-finite
+    logits."""
     dz = sigmoid(z)
-    dz -= t
+    dz -= targets
     dz /= z.shape[0]
     return dz
 
@@ -242,6 +250,14 @@ def train_net(
         raise ValidationError(f"epochs must be >= 1, got {epochs}")
     rng = np.random.default_rng(seed)
     n = X.shape[0]
+    # Targets are checked once here, not per batch.
+    targets = np.asarray(targets, dtype=float)
+    if targets.shape != (n, net.layer_sizes[-1]):
+        raise ValidationError(
+            f"targets have shape {targets.shape}, expected {(n, net.layer_sizes[-1])}"
+        )
+    if not np.isfinite(targets).all():
+        raise NumericError("non-finite loss inputs")
     log = TrainLog()
     cur_lr = lr
     for epoch in range(epochs):
@@ -249,7 +265,7 @@ def train_net(
         for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
             z, cache = net.forward_logits(X[idx], want_cache=True)
-            dWs, dbs = net.backward(cache, bce_dlogits(z, targets[idx]))
+            dWs, dbs = net.backward(cache, bce_dlogits_unchecked(z, targets[idx]))
             net.sgd_step(dWs, dbs, cur_lr)
         if eval_fn is not None:
             log.eval_curve.append(eval_fn(epoch))

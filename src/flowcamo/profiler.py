@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -82,6 +83,146 @@ def _wrap_pi(x):
     return np.angle(np.exp(1j * x))
 
 
+# numpy's SeedSequence mixing and PCG64 seeding, which NEP 19 keeps stable
+# across releases; ``_pcg64_states`` reproduces them for many seeds at once.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32 = (1 << 32) - 1
+_MASK128 = (1 << 128) - 1
+
+
+def _uint32_words(n: int) -> List[int]:
+    """Little-endian 32-bit words of a non-negative int, as SeedSequence splits it."""
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _MASK32]
+    n >>= 32
+    while n:
+        words.append(n & _MASK32)
+        n >>= 32
+    return words
+
+
+def _hash_constants(init: int, mult: int, count: int):
+    """``(xor, mult)`` constants of ``count`` successive SeedSequence hashmix
+    calls, each as a (count, 1) uint32 column."""
+    h = [init]
+    for _ in range(count):
+        h.append((h[-1] * mult) & _MASK32)
+    h = np.array(h, dtype=np.uint32)[:, None]
+    return h[:-1], h[1:]
+
+
+def _hashmix(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    value = value ^ xor
+    value *= mult
+    value ^= value >> np.uint32(16)
+    return value
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    out ^= out >> np.uint32(16)
+    return out
+
+
+def _seed_state(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(row).generate_state(4, uint64)`` of each (m, L) uint32
+    row, as a (4, m) uint64 array.
+
+    Within one mixing step every destination word hashes the same source
+    word with its own constant, so each step is one pass over the rows.
+    """
+    m, width = entropy.shape
+    extra = max(width - _POOL_SIZE, 0)
+    xor, mult = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE**2 + extra * _POOL_SIZE)
+    head = np.zeros((_POOL_SIZE, m), dtype=np.uint32)  # short entropy is zero-padded
+    head[: min(width, _POOL_SIZE)] = entropy[:, :_POOL_SIZE].T
+    pool = _hashmix(head, xor[:_POOL_SIZE], mult[:_POOL_SIZE])
+    t = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        dst = [d for d in range(_POOL_SIZE) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], xor[t : t + 3], mult[t : t + 3]))
+        t += 3
+    for src in range(_POOL_SIZE, width):
+        pool = _mix(pool, _hashmix(entropy[:, src], xor[t : t + 4], mult[t : t + 4]))
+        t += 4
+    xor, mult = _hash_constants(_INIT_B, _MULT_B, 8)
+    words = _hashmix(np.concatenate([pool, pool]), xor, mult).astype(np.uint64)
+    return words[0::2] | (words[1::2] << np.uint64(32))
+
+
+def _by_word_count(values: Sequence[int]):
+    """``(indices, (n, words) uint32 matrix)`` per 32-bit word count of ``values``."""
+    groups: Dict[int, List[int]] = {}
+    words = [_uint32_words(v) for v in values]
+    for i, w in enumerate(words):
+        groups.setdefault(len(w), []).append(i)
+    return [(np.array(idx), np.array([words[i] for i in idx], dtype=np.uint32))
+            for idx in groups.values()]
+
+
+def _pcg64_states(keys: Sequence[int], seeds: Sequence[int]) -> Tuple[list, list]:
+    """``state`` and ``inc`` of ``PCG64(SeedSequence([key, seed]))`` for every
+    key and seed, key-major.
+
+    Keys and seeds are grouped by their number of 32-bit words, and each
+    pair of groups is mixed in one vectorised pass.
+    """
+    n_seeds = len(seeds)
+    seeded = np.empty((4, len(keys) * n_seeds), dtype=np.uint64)
+    for k_idx, k_words in _by_word_count(keys):
+        for s_idx, s_words in _by_word_count(seeds):
+            rows = (k_idx[:, None] * n_seeds + s_idx).ravel()
+            entropy = np.hstack([np.repeat(k_words, s_idx.size, axis=0),
+                                 np.tile(s_words, (k_idx.size, 1))])
+            seeded[:, rows] = _seed_state(entropy)
+    # PCG64 seeds from the 128-bit (initstate, initseq) = (s0 s1, s2 s3).
+    s0, s1, s2, s3 = seeded.astype(object)
+    inc = ((s2 << 65) | (s3 << 1) | 1) & _MASK128
+    state = ((((s0 << 64) | s1) + inc) * _PCG64_MULT + inc) & _MASK128
+    return state.tolist(), inc.tolist()
+
+
+@lru_cache(maxsize=256)
+def _channel(ident: HardwareIdentity, noise: NoiseModel):
+    """A device's fixed channel terms and its per-column noise sigmas.
+
+    Scalar expressions per device, so each value has the same bits as
+    in a per-row synthesis; the arrays are read-only because they are
+    shared by every batch of the device.
+    """
+    x, y = ident.location
+    d = float(np.hypot(x, y))
+    if d <= 0:
+        raise ValidationError("device cannot sit on the receiver")
+    psi, rho, tau_s = _device_multipath(ident.device_id)
+    mp_db = 20.0 * np.log10(abs(1.0 + rho * np.exp(1j * psi)))
+    mp_db *= 1.0 + ident.iq_gain_imbalance
+    pl_db = PATH_LOSS_REF_DB + 10.0 * PATH_LOSS_EXPONENT * np.log10(d)
+    gain = 10.0 ** (-pl_db / 20.0)
+    k = np.arange(N_SUBCARRIERS) - N_SUBCARRIERS / 2
+    ray = 1.0 + rho * np.exp(1j * (psi + 2.0 * np.pi * tau_s * k * SUBCARRIER_SPACING_HZ))
+    csi = gain * np.abs(ray) * (1.0 + ident.iq_gain_imbalance)
+    # Profiled columns before noise: attenuation, phase, frequency, angle.
+    base = np.array([pl_db + mp_db,
+                     -2.0 * np.pi * d / WAVELENGTH_M + ident.iq_phase_skew_rad,
+                     CARRIER_HZ * ident.cfo_ppm * 1e-6,
+                     np.arctan2(x, y)])
+    # Noise is drawn in the order freq, angle, atten, phase, csi.
+    sigmas = np.concatenate([
+        [noise.freq_sigma_hz, noise.angle_sigma_rad, noise.atten_sigma_db,
+         noise.phase_sigma_rad],
+        np.full(N_SUBCARRIERS, noise.csi_snr_sigma * gain),
+    ])
+    for a in (base, csi, sigmas):
+        a.flags.writeable = False
+    return base, csi, sigmas
+
+
 def signature_batch(
     identities: Sequence[HardwareIdentity],
     per_device: int,
@@ -91,48 +232,43 @@ def signature_batch(
 
     Row ``j`` of a device is one simulated observation whose noise comes
     from its own generator, seeded by ``(device_id, noise_seed * 100003 + j)``,
-    so every row is deterministic on its own. The channel terms that depend
-    only on the device are computed once per device. Profiled columns are
-    amplitude attenuation (dB), phase shift (rad, wrapped), frequency
-    offset (Hz) and arrival angle (rad, clipped to (-pi/2, pi/2]).
+    so every row is deterministic on its own. Every row's PCG64 state is
+    derived in one vectorised pass over the seeds and set on one reused
+    generator, which draws the row's noise. A device's fixed channel terms
+    are computed once per (identity, noise model) and cached across calls.
+    Profiled columns are amplitude attenuation (dB), phase shift (rad,
+    wrapped), frequency offset (Hz) and arrival angle (rad, clipped to
+    (-pi/2, pi/2]).
     """
-    noise = DEFAULT_NOISE
-    k = np.arange(N_SUBCARRIERS) - N_SUBCARRIERS / 2
-    P, C = [], []
-    for ident in identities:
-        x, y = ident.location
-        d = float(np.hypot(x, y))
-        if d <= 0:
-            raise ValidationError("device cannot sit on the receiver")
-        psi, rho, tau_s = _device_multipath(ident.device_id)
-        mp_db = 20.0 * np.log10(abs(1.0 + rho * np.exp(1j * psi)))
-        mp_db *= 1.0 + ident.iq_gain_imbalance
-        pl_db = PATH_LOSS_REF_DB + 10.0 * PATH_LOSS_EXPONENT * np.log10(d)
-        gain = 10.0 ** (-pl_db / 20.0)
-        ray = 1.0 + rho * np.exp(1j * (psi + 2.0 * np.pi * tau_s * k * SUBCARRIER_SPACING_HZ))
-        csi = gain * np.abs(ray) * (1.0 + ident.iq_gain_imbalance)
+    if len(identities) == 0:
+        raise ValidationError("signature_batch needs at least one device")
+    if per_device < 1:
+        raise ValidationError(f"per_device must be >= 1, got {per_device}")
+    channels = [_channel(ident, DEFAULT_NOISE) for ident in identities]
+    base = np.repeat([c[0] for c in channels], per_device, axis=0)
+    csi = np.repeat([c[1] for c in channels], per_device, axis=0)
+    sigmas = np.repeat([c[2] for c in channels], per_device, axis=0)
 
-        # Per-row noise, drawn in the order freq, angle, atten, phase, csi.
-        sigmas = np.concatenate([
-            [noise.freq_sigma_hz, noise.angle_sigma_rad, noise.atten_sigma_db,
-             noise.phase_sigma_rad],
-            np.full(N_SUBCARRIERS, noise.csi_snr_sigma * gain),
-        ])
-        z = np.array([
-            np.random.default_rng(
-                np.random.SeedSequence([int(ident.device_id), int(noise_seed * 100003 + j)])
-            ).normal(0.0, sigmas)
-            for j in range(per_device)
-        ]).reshape(per_device, sigmas.size)
+    states, incs = _pcg64_states([int(ident.device_id) for ident in identities],
+                                 [int(noise_seed * 100003 + j) for j in range(per_device)])
+    bitgen = np.random.PCG64(0)
+    rng = np.random.Generator(bitgen)
+    pcg = {"state": 0, "inc": 0}
+    full = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    z = np.empty(sigmas.shape)
+    for row, state, inc in zip(z, states, incs):
+        pcg["state"], pcg["inc"] = state, inc
+        bitgen.state = full
+        rng.standard_normal(out=row)
+    z *= sigmas  # normal(0.0, sigmas) is 0.0 + sigmas * z
+    z += 0.0
 
-        freq = CARRIER_HZ * ident.cfo_ppm * 1e-6 + z[:, 0]
-        angle = np.clip(np.arctan2(x, y) + z[:, 1], -np.pi / 2 + 1e-9, np.pi / 2)
-        atten = pl_db + mp_db + z[:, 2]
-        phase = _wrap_pi(-2.0 * np.pi * d / WAVELENGTH_M + ident.iq_phase_skew_rad + z[:, 3])
-        P.append(np.column_stack([atten, phase, freq, angle]))
-        C.append(csi + z[:, 4:])
+    atten = base[:, 0] + z[:, 2]
+    phase = _wrap_pi(base[:, 1] + z[:, 3])
+    freq = base[:, 2] + z[:, 0]
+    angle = np.clip(base[:, 3] + z[:, 1], -np.pi / 2 + 1e-9, np.pi / 2)
     ids = np.repeat([ident.device_id for ident in identities], per_device).astype(int)
-    return np.vstack(P), np.vstack(C), ids
+    return np.column_stack([atten, phase, freq, angle]), csi + z[:, 4:], ids
 
 
 @dataclass
@@ -295,6 +431,8 @@ def evaluate_defense(
     equal rates and hashes hold by construction, not as evidence that no
     attacker could reach the stream (see ROADMAP item 3 for RF attackers).
     """
+    if rounds < 0:
+        raise ValidationError(f"rounds must be >= 0, got {rounds}")
     rates = []
     h = hashlib.sha256()
     for r in range(rounds + 1):

@@ -1,9 +1,19 @@
-"""Shared fixtures: a small, fast benchmark reused across unit tests."""
+"""Shared fixtures: a small, fast benchmark reused across unit tests.
+
+``HYPOTHESIS_PROFILE=ci`` selects the CI profile: derandomised examples, no
+deadline, and a reproduction blob printed with every failure.
+"""
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from flowcamo.core import split_dataset
 from flowcamo.harness import synth
+
+settings.register_profile("ci", derandomize=True, deadline=None, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

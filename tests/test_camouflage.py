@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowcamo.blackbox import make_oracle
+from flowcamo.blackbox import EavesdropCorpus, make_oracle
 from flowcamo.camouflage import (
+    BATCH_SIZE,
+    PLATEAU_WINDOW,
     AttackMode,
     Generator,
     build_generator,
@@ -20,14 +22,101 @@ from flowcamo.camouflage import (
 )
 from flowcamo.core import (
     ContractViolationError,
+    Dataset,
     DeviceClass,
     Feature,
     FeatureSchema,
     UnreachableTargetError,
     ValidationError,
 )
-from flowcamo.learners import fit
+from flowcamo.learners import bce_dlogits, fit, one_hot
 from flowcamo.substitute import train_substitute
+
+
+# ---- reference: the training loop before the shared network input -----------
+
+
+def _reference_manipulate(g, H, S, want_grad_cache=False):
+    Z = np.hstack([(H - g.mu) / g.sd, S / g.sd])
+    U, cache = g.net.forward_logits(Z, want_cache=True)
+    T = np.tanh(U)
+    raw = H + g.amp * T
+    lo, hi = g.schema.lows, g.schema.highs
+    Hp = np.clip(raw, lo, hi)
+    imm = ~g.schema.mutable_mask
+    Hp[:, imm] = H[:, imm]
+    if want_grad_cache:
+        return Hp, (cache, T, raw <= lo, raw >= hi)
+    return Hp
+
+
+def reference_backward_to_params(g, grad_cache, dHp):
+    cache, T, at_lo, at_hi = grad_cache
+    blocked = (at_lo & (dHp >= 0)) | (at_hi & (dHp <= 0))
+    dU = g.amp * (1.0 - T ** 2) * np.where(blocked, 0.0, dHp)
+    return g.net.backward(cache, dU)
+
+
+def _reference_success(g, sub, X, mode, orig_labels, rng):
+    S = sample_multipliers(g.schema, X.shape[0], rng) * X
+    pred = sub.predict_ids_pool(_reference_manipulate(g, X, S))
+    if mode.mode == "misidentify":
+        return float(np.mean(pred != orig_labels))
+    return float(np.mean(pred == mode.target.id))
+
+
+def reference_train_generator(g, sub, train, mode, epochs, seed=0, lr=0.01, lr_decay=1.0,
+                              bce_weight=1.0, gate_success=False, anchor_X=None,
+                              anchor_weight=0.0, plateau_delta=1e-4, plateau_min_epochs=20):
+    X = train.X
+    n = X.shape[0]
+    rng = np.random.default_rng(seed)
+    eval_rng = np.random.default_rng(seed + 1)
+    orig_labels = sub.predict_ids_pool(X)
+    anchor = None
+    if mode.mode == "misidentify":
+        targets = one_hot(orig_labels, sub.n_classes)
+    else:
+        targets = one_hot(np.full(min(n, BATCH_SIZE), mode.target.id), sub.n_classes)
+        if anchor_X is not None and anchor_weight > 0.0:
+            anchor = anchor_X[sub.predict_ids_pool(anchor_X) == mode.target.id].mean(axis=0)
+            anchor_scale2 = g.sd**2
+            mut = g.schema.mutable_mask
+    sub_cols = np.asarray(sub.subset, dtype=int)
+    g.training_curve = [_reference_success(g, sub, X, mode, orig_labels, eval_rng)]
+    for _epoch in range(epochs):
+        S = sample_multipliers(g.schema, n, rng) * X
+        order = rng.permutation(n)
+        for start in range(0, n, BATCH_SIZE):
+            idx = order[start : start + BATCH_SIZE]
+            Hp, grad_cache = _reference_manipulate(g, X[idx], S[idx], want_grad_cache=True)
+            Xs = sub.scaler.transform(Hp[:, sub_cols])
+            z, sub_cache = sub.net.forward_logits(Xs, want_cache=True)
+            if mode.mode == "misidentify":
+                dz = -bce_dlogits(z, targets[idx])
+            else:
+                dz = bce_dlogits(z, targets[: idx.size])
+                if gate_success:
+                    dz[np.argmax(z, axis=1) == mode.target.id] = 0.0
+            dXs = sub.net.input_grad(sub_cache, dz)
+            dHp = np.zeros_like(Hp)
+            dHp[:, sub_cols] = bce_weight * dXs / sub.scaler.scale
+            if anchor is not None:
+                dHp += anchor_weight * 2.0 * (Hp - anchor) * mut / anchor_scale2 / idx.size
+            dWs, dbs = reference_backward_to_params(g, grad_cache, dHp)
+            g.net.sgd_step(dWs, dbs, lr)
+        lr *= lr_decay
+        g.training_curve.append(_reference_success(g, sub, X, mode, orig_labels, eval_rng))
+        recent = g.training_curve[-PLATEAU_WINDOW:]
+        if (len(g.training_curve) > plateau_min_epochs and len(recent) == PLATEAU_WINDOW
+                and max(recent) - min(recent) < plateau_delta):
+            break
+    g.trained = True
+    return g
+
+
+def _flat_bits(arrays):
+    return [np.asarray(a).tobytes() for a in arrays]
 
 
 @pytest.fixture(scope="module")
@@ -229,6 +318,93 @@ class TestTraining:
             AttackMode("spoof", None)
         with pytest.raises(ValidationError):
             AttackMode("nonsense", None)
+
+
+class TestTrainingMatchesReference:
+    """train_generator gives the reference loop's weights and curve, bit for
+    bit, and changes none of its inputs."""
+
+    def check(self, schema, sub, train, mode, **kw):
+        X_before = train.X.tobytes()
+        anchor_X = kw.get("anchor_X")
+        anchor_before = None if anchor_X is None else anchor_X.tobytes()
+        got = build_generator(schema, train.X, seed=21)
+        want = build_generator(schema, train.X, seed=21)
+        train_generator(got, sub, train, mode, seed=5, **kw)
+        reference_train_generator(want, sub, train, mode, seed=5, **kw)
+        assert got.training_curve == want.training_curve
+        assert _flat_bits(got.net.weights + got.net.biases) == \
+            _flat_bits(want.net.weights + want.net.biases)
+        assert train.X.tobytes() == X_before
+        if anchor_X is not None:
+            assert anchor_X.tobytes() == anchor_before
+        return got
+
+    def test_misidentify(self, pool_schema, trained_sub, small_split):
+        sub, _, _ = trained_sub
+        train_pool, _ = small_split
+        g = self.check(pool_schema, sub, train_pool, misidentify(), epochs=4, lr=0.05,
+                       lr_decay=0.9, plateau_min_epochs=4)
+        assert len(g.training_curve) == 5
+
+    def test_spoof_with_anchor_and_gate(self, pool_schema, trained_sub, small_split):
+        sub, _, _ = trained_sub
+        train_pool, test_pool = small_split
+        # 300 rows: the last batch of 44 is not a power of two, so per-row
+        # divisions by the batch size are not exact.
+        train = train_pool.take(np.arange(300))
+        anchor_X = test_pool.X.copy()
+        tid = int(np.bincount(sub.predict_ids_pool(anchor_X)).argmax())
+        mode = spoof(DeviceClass(tid, train_pool.class_labels[tid]))
+        # A plateau band wider than any rate change stops training early.
+        g = self.check(pool_schema, sub, train, mode, epochs=9, lr=0.05,
+                       gate_success=True, anchor_X=anchor_X, anchor_weight=0.5,
+                       bce_weight=2.0, plateau_delta=2.0, plateau_min_epochs=3)
+        assert len(g.training_curve) == PLATEAU_WINDOW
+
+    def test_substitute_on_a_feature_subset(self, pool_schema, trained_sub, small_split):
+        _, _, oracle = trained_sub
+        train_pool, _ = small_split
+        subset = (7, 2, 11, 0, 5)
+        sub = train_substitute(oracle.collect(train_pool.X), subset=subset, epochs=3, seed=4)
+        mode = spoof(DeviceClass(1, train_pool.class_labels[1]))
+        self.check(pool_schema, sub, train_pool, mode, epochs=3, lr=0.05,
+                   plateau_min_epochs=3)
+
+    def test_schema_with_a_fixed_value_feature(self, pool_schema, small_split):
+        train_pool, _ = small_split
+        j = int(np.flatnonzero(pool_schema.mutable_mask)[0])
+        f = pool_schema.features[j]
+        features = list(pool_schema.features)
+        features[j] = Feature(f.name, f.unit, f.lo, f.lo, True)
+        schema = FeatureSchema(tuple(features))
+        X = train_pool.X.copy()
+        X[:, j] = f.lo
+        train = Dataset(schema, X, train_pool.y, train_pool.class_labels)
+        sub = train_substitute(EavesdropCorpus(schema, X, train.y, train.class_labels),
+                               epochs=3, seed=6)
+        self.check(schema, sub, train, misidentify(), epochs=3, lr=0.5,
+                   plateau_min_epochs=3)
+
+    def test_backward_to_params_matches_reference_and_keeps_inputs(
+            self, pool_schema, small_dataset):
+        g = build_generator(pool_schema, small_dataset.X, seed=13)
+        rng = np.random.default_rng(13)
+        for W in g.net.weights:
+            W[:] = rng.normal(0, 0.5, size=W.shape)
+        X = small_dataset.X[:40]
+        S = sample_multipliers(pool_schema, 40, rng) * X
+        Hp, cache = g.manipulate_batch(X, S, want_grad_cache=True)
+        ref_Hp, ref_cache = _reference_manipulate(g, X, S, want_grad_cache=True)
+        assert Hp.tobytes() == ref_Hp.tobytes()
+        layer_acts, T, at_lo, at_hi = cache
+        assert at_lo.any() or at_hi.any(), "need some clipped coordinates"
+        dHp = rng.normal(size=Hp.shape)
+        before = _flat_bits([dHp, T, at_lo, at_hi, *layer_acts])
+        got = g.backward_to_params(cache, dHp)
+        assert _flat_bits([dHp, T, at_lo, at_hi, *layer_acts]) == before
+        want = reference_backward_to_params(g, ref_cache, dHp)
+        assert _flat_bits(got[0] + got[1]) == _flat_bits(want[0] + want[1])
 
 
 class TestEvaluateAndIo:

@@ -493,6 +493,25 @@ class TestCli:
         assert rc != 0
 
 
+class TestCliDefendBadInput:
+    """Each bad ``defend`` size exits 1 with one error line and writes no file."""
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--rounds", "-1", "rounds must be >= 0"),
+        ("--n-devices", "0", "at least one device"),
+        ("--train-per-device", "0", "per_device must be >= 1"),
+    ])
+    def test_exit_1_and_no_report(self, flag, value, message, tmp_path, capsys):
+        sizes = {"--n-devices": "3", "--rounds": "1", "--train-per-device": "10"}
+        sizes[flag] = value
+        out = tmp_path / "defend.csv"
+        argv = ["defend", *(x for kv in sizes.items() for x in kv), "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0], err
+        assert list(tmp_path.iterdir()) == []
+
+
 def _report(path):
     """``(meta lines, header, data rows)`` of a report CSV."""
     lines = path.read_text(encoding="utf-8").splitlines()

@@ -12,6 +12,7 @@ from flowcamo.learners import (
     mlp_loss_and_gradients,
     one_hot,
     sigmoid,
+    train_net,
 )
 
 
@@ -163,6 +164,19 @@ class TestNetPlumbing:
     def test_single_layer_rejected(self):
         with pytest.raises(ValidationError):
             Net([5], seed=0)
+
+    @pytest.mark.parametrize("targets, error", [
+        (np.zeros((6, 2)), ValidationError),  # one class short
+        (np.zeros((5, 3)), ValidationError),  # one row short
+        (np.where(np.eye(6, 3) > 0, np.nan, 0.0), NumericError),
+    ])
+    def test_train_net_checks_targets_once_up_front(self, targets, error):
+        net = Net([4, 5, 3], seed=0)
+        before = net.get_flat_params()
+        X = np.random.default_rng(0).normal(size=(6, 4))
+        with pytest.raises(error):
+            train_net(net, X, targets, epochs=2, lr=0.1, batch_size=4, seed=0)
+        np.testing.assert_array_equal(net.get_flat_params(), before)
 
     def test_one_hot(self):
         T = one_hot(np.array([1, 0, 2]), 3)

@@ -22,6 +22,7 @@ from flowcamo.profiler import (
     HardwareIdentity,
     NoiseModel,
     _device_multipath,
+    _pcg64_states,
     _wrap_pi,
     evaluate_defense,
     fit_profiler,
@@ -81,11 +82,11 @@ def synthesize_signature(identity, noise_seed, noise=DEFAULT_NOISE):
     return np.array([float(atten), phase, float(freq), angle]), csi
 
 
-def reference_batch(identities, per_device, noise_seed):
+def reference_batch(identities, per_device, noise_seed, noise=DEFAULT_NOISE):
     P, C, y = [], [], []
     for ident in identities:
         for j in range(per_device):
-            profiled, csi = synthesize_signature(ident, noise_seed * 100003 + j)
+            profiled, csi = synthesize_signature(ident, noise_seed * 100003 + j, noise)
             P.append(profiled)
             C.append(csi)
             y.append(ident.device_id)
@@ -125,19 +126,73 @@ def no_noise(monkeypatch):
     monkeypatch.setattr(profiler_module, "DEFAULT_NOISE", ZERO_NOISE)
 
 
+def assert_same_bits(got, want):
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     idents=st.lists(IDENTITY, min_size=1, max_size=4),
     per_device=st.integers(1, 12),
-    noise_seed=st.integers(0, 10**6),
+    # Row seeds of one, two and three 32-bit words.
+    noise_seed=st.one_of(st.integers(0, 10**6), st.integers(0, 2**66)),
 )
 def test_signature_batch_matches_per_row_reference(idents, per_device, noise_seed):
     """Per-device synthesis gives the per-row reference's bits, row for row."""
-    got = signature_batch(idents, per_device, noise_seed)
-    want = reference_batch(idents, per_device, noise_seed)
-    for g, w in zip(got, want):
-        assert g.dtype == w.dtype and g.shape == w.shape
-        assert g.tobytes() == w.tobytes()
+    assert_same_bits(signature_batch(idents, per_device, noise_seed),
+                     reference_batch(idents, per_device, noise_seed))
+
+
+class TestBulkSeeding:
+    """The one-pass seeding gives numpy's own PCG64 state for every row."""
+
+    # Seeds just below and at 2**32 and 2**64, so entropy of 1, 2 and 3 words.
+    SEEDS = (0, 1, 2**32 - 1, 2**32, 2**32 + 7, 2**64 - 1, 2**64, 2**64 + 9, 2**96 + 3)
+
+    def test_states_match_numpy(self):
+        devices = (0, 1, 27, 2**32 + 5)
+        pairs = [(d, s) for d in devices for s in self.SEEDS]
+        states, incs = _pcg64_states(devices, self.SEEDS)
+        for (d, s), state, inc in zip(pairs, states, incs):
+            want = np.random.default_rng(np.random.SeedSequence([d, s]))
+            assert want.bit_generator.state["state"] == {"state": state, "inc": inc}, (d, s)
+
+    def test_batches_at_each_seed_width(self):
+        """Row seeds of one, two and three words, each just past a boundary."""
+        idents = make_identities(3, seed=4)
+        for noise_seed in (2**32 // 100003, 2**32 // 100003 + 1, 2**64 // 100003 + 1):
+            assert_same_bits(signature_batch(idents, 5, noise_seed),
+                             reference_batch(idents, 5, noise_seed))
+
+    def test_seeds_crossing_2_64_within_one_batch(self):
+        """The last two of a device's rows have three-word seeds, the rest two."""
+        ident = make_identities(1, seed=4)
+        noise_seed = 2**64 // 100003
+        per_device = 2**64 - noise_seed * 100003 + 2
+        assert_same_bits(signature_batch(ident, per_device, noise_seed),
+                         reference_batch(ident, per_device, noise_seed))
+
+    def test_negative_seed_rejected(self, identities):
+        with pytest.raises(ValueError, match="non-negative"):
+            signature_batch(identities, 2, -1)
+
+    def test_cache_keys_on_the_noise_model(self, monkeypatch):
+        """Synthesising under one noise model and then under another gives
+        each model's own bits, so cached channel terms are per noise model."""
+        idents = make_identities(3, seed=99)
+        with monkeypatch.context() as m:
+            m.setattr(profiler_module, "DEFAULT_NOISE", ZERO_NOISE)
+            quiet = signature_batch(idents, 4, 12)
+        loud = signature_batch(idents, 4, 12)
+        assert_same_bits(quiet, reference_batch(idents, 4, 12, ZERO_NOISE))
+        assert_same_bits(loud, reference_batch(idents, 4, 12))
+
+    @pytest.mark.parametrize("idents, per_device", [([], 3), (None, 0), (None, -2)])
+    def test_empty_batch_rejected(self, identities, idents, per_device):
+        with pytest.raises(ValidationError):
+            signature_batch(identities if idents is None else idents, per_device, 1)
 
 
 class TestSignaturePhysics:
@@ -241,6 +296,10 @@ class TestDefense:
         assert rep.clean_rates == rep.attacked_rates
         assert min(rep.clean_rates) >= 0.95
         assert rep.epochs == tuple(range(6))
+
+    def test_negative_rounds_rejected(self, profiler, identities):
+        with pytest.raises(ValidationError, match="rounds"):
+            evaluate_defense(profiler, identities, rounds=-1)
 
     def test_no_generator_baseline_matches(self, profiler, identities):
         a = evaluate_defense(profiler, identities, rounds=2, per_device=8, seed=4)
