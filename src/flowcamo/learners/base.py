@@ -41,6 +41,10 @@ class Scaler:
     def check(self, n_features: int, what: str) -> None:
         check_shape(f"{what} scaler_mean", self.mean, (n_features,))
         check_shape(f"{what} scaler_scale", self.scale, (n_features,))
+        if not np.isfinite(self.mean).all():
+            raise ValidationError(f"{what} scaler_mean holds non-finite values")
+        if not (np.isfinite(self.scale) & (self.scale > 0)).all():
+            raise ValidationError(f"{what} scaler_scale must be finite and positive")
 
     def to_arrays(self) -> dict:
         return {"scaler_mean": self.mean, "scaler_scale": self.scale}

@@ -6,8 +6,21 @@ import numpy as np
 from ..core import Dataset, ValidationError
 from .base import ClassifierModel, Scaler, check_shape, check_trainable
 
-# Upper bound on query x train distance entries held at once.
-DISTANCE_CHUNK_ELEMENTS = 2_000_000
+# Upper bound on query x train distance entries held at once: 2 MiB of
+# float64, so predict's working set stays a few MB at any query count.
+DISTANCE_CHUNK_ELEMENTS = 2**18
+
+
+def _blocks(n: int, rows: int) -> list:
+    """``(start, stop)`` of consecutive blocks of ``rows`` rows covering ``n``.
+
+    A one-row product takes BLAS's matrix-vector path, which can round
+    differently, so a one-row tail joins the block before it.
+    """
+    starts = list(range(0, n, rows))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [n]))
 
 
 class KnnClassifier(ClassifierModel):
@@ -18,6 +31,8 @@ class KnnClassifier(ClassifierModel):
         if train_y.ndim != 1:
             raise ValidationError(f"knn train_y must be 1-D, got shape {train_y.shape}")
         check_shape("knn train_X", train_X, (train_y.shape[0], len(schema)))
+        if not np.isfinite(train_X).all():
+            raise ValidationError("knn train_X holds non-finite values")
         scaler.check(len(schema), "knn")
         if not 1 <= k <= train_y.shape[0]:
             raise ValidationError(f"k={k} outside 1..{train_y.shape[0]} (training size)")
@@ -28,6 +43,12 @@ class KnnClassifier(ClassifierModel):
         self.train_X = train_X
         self.train_y = train_y
         self.k = k
+        # Per-model distance terms. Scaling by -2 is exact, so q.q - 2 q.t + t.t
+        # is built in place with the same rounding as the plain expression.
+        self._train_sq = np.einsum("ij,ij->i", train_X, train_X)
+        self._neg2_train_T = -2.0 * train_X.T
+        self._train_sq.flags.writeable = False
+        self._neg2_train_T.flags.writeable = False
 
     @classmethod
     def fit(cls, train: Dataset, k: int = 5, seed: int = 0) -> "KnnClassifier":
@@ -55,22 +76,25 @@ class KnnClassifier(ClassifierModel):
         """
         X = self._check(X)
         Xs = self.scaler.transform(X)
-        n, k = Xs.shape[0], self.k
+        n, m, k = Xs.shape[0], self.train_X.shape[0], self.k
         counts = np.zeros((n, self.n_classes), dtype=np.int64)
-        chunk = max(1, DISTANCE_CHUNK_ELEMENTS // self.train_X.shape[0])
-        tr_sq = np.einsum("ij,ij->i", self.train_X, self.train_X)
-        # Scaling by -2 is exact, so q.q - 2 q.t + t.t is built in place
-        # with the same rounding as the plain expression.
-        neg2_train_T = -2.0 * self.train_X.T
-        for start in range(0, n, chunk):
-            Q = Xs[start : start + chunk]
-            d2 = Q @ neg2_train_T
+        per_block = max(2, DISTANCE_CHUNK_ELEMENTS // m)
+        # One distance block, partition scratch and mask, reused by every block.
+        size = min(n, per_block + 1)
+        d2_buf, part_buf = np.empty((size, m)), np.empty((size, m))
+        mask_buf = np.empty((size, m), dtype=bool)
+        for start, stop in _blocks(n, per_block):
+            Q = Xs[start:stop]
+            d2 = np.matmul(Q, self._neg2_train_T, out=d2_buf[: stop - start])
             d2 += np.einsum("ij,ij->i", Q, Q)[:, None]
-            d2 += tr_sq
+            d2 += self._train_sq
             # Candidates are every entry at or below the row's k-th distance,
             # listed row by row in train order.
-            kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
-            rows, cols = np.divmod(np.flatnonzero(d2 <= kth), d2.shape[1])
+            part = part_buf[: stop - start]
+            np.copyto(part, d2)
+            part.partition(k - 1, axis=1)
+            mask = np.less_equal(d2, part[:, k - 1 : k], out=mask_buf[: stop - start])
+            rows, cols = np.divmod(np.flatnonzero(mask), m)
             order = np.lexsort((cols, d2[rows, cols], rows))
             rows, cols = rows[order], cols[order]
             # Each row has >= k candidates; its first k are the neighbours.

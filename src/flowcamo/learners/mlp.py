@@ -20,9 +20,17 @@ _LOGIT_CLIP = 30.0
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
     """1/(1+e^-z) for z >= 0 and e^z/(1+e^z) below, so exp never overflows."""
+    z = np.asarray(z, dtype=float)
     pos = z >= 0
-    e = np.exp(np.where(pos, -z, z))  # not -|z|: that would flip a NaN's sign bit
-    out = np.where(pos, 1.0, e)
+    # -z where z >= 0, else z, as a sign-bit flip of the uint64 view: a NaN
+    # is never flipped, so it keeps its bits (-|z| would not). Faster than
+    # np.where on large arrays.
+    bits = pos.astype(np.uint64)
+    bits <<= 63
+    bits ^= z.view(np.uint64)
+    e = np.exp(bits.view(np.float64), out=bits.view(np.float64))
+    out = pos.astype(float)
+    np.maximum(e, out, out=out)  # 1.0 where z >= 0 (e <= 1 there), else e
     e += 1.0
     out /= e
     return out
@@ -153,6 +161,8 @@ class Net:
                     f"{prefix}W{i}/{prefix}b{i} have shapes {Wi.shape}/{bi.shape}, "
                     f"expected {W.shape}/{b.shape} from the sizes"
                 )
+            if not (np.isfinite(Wi).all() and np.isfinite(bi).all()):
+                raise ValidationError(f"{prefix}W{i}/{prefix}b{i} hold non-finite values")
             net.weights[i], net.biases[i] = Wi, bi
         return net
 

@@ -37,6 +37,7 @@ class SubstituteModel:
         self.pool_schema = pool_schema
         self.subset = tuple(subset)
         self.schema = pool_schema.subset(self.subset)
+        scaler.check(len(self.schema), "substitute")
         self.scaler = scaler
         self.net = net
         self.class_labels = tuple(class_labels)

@@ -153,6 +153,15 @@ def _grow_last_layer(a):
             "net_b1": np.append(a["net_b1"], 0.0)}
 
 
+def _set_entry(key, value):
+    """Rewrite the first entry of array ``key``."""
+    def edit(a):
+        arr = a[key].copy()
+        arr.flat[0] = value
+        return {key: arr}
+    return edit
+
+
 # (kind, arrays to overwrite given the saved arrays, error the loader names)
 TAMPERED = {
     "tree_child_loops_back": ("decision_tree", _set_first_split("t_left", 0), "child index"),
@@ -176,6 +185,19 @@ TAMPERED = {
     "mlp_extra_class": ("neural_net", _grow_last_layer, "do not map"),
     "mlp_scaler_short": ("neural_net", lambda a: {"scaler_mean": a["scaler_mean"][:-1]},
                          "neural_net scaler_mean has shape"),
+    "mlp_scaler_zero_scale": ("neural_net", _set_entry("scaler_scale", 0.0),
+                              "neural_net scaler_scale must be finite and positive"),
+    "mlp_scaler_negative_scale": ("neural_net", _set_entry("scaler_scale", -1.0),
+                                  "neural_net scaler_scale must be finite and positive"),
+    "mlp_scaler_nan_mean": ("neural_net", _set_entry("scaler_mean", np.nan),
+                            "neural_net scaler_mean holds non-finite"),
+    "mlp_W1_inf": ("neural_net", _set_entry("net_W1", np.inf), "net_W1/net_b1 hold non-finite"),
+    "mlp_b0_nan": ("neural_net", _set_entry("net_b0", np.nan), "net_W0/net_b0 hold non-finite"),
+    "svm_scaler_inf_scale": ("svm", _set_entry("scaler_scale", np.inf),
+                             "svm scaler_scale must be finite and positive"),
+    "knn_train_X_nan": ("knn", _set_entry("train_X", np.nan), "knn train_X holds non-finite"),
+    "knn_scaler_nan_mean": ("knn", _set_entry("scaler_mean", np.nan),
+                            "knn scaler_mean holds non-finite"),
 }
 
 
@@ -200,6 +222,46 @@ def test_tampered_forest_target_is_a_validation_exit(saved, small_split, tmp_pat
                "--out", str(tmp_path / "sub.npz"), "--epochs", "2"])
     assert rc == 1
     assert "n_trees >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    ("substitute", _set_entry("scaler_scale", 0.0),
+     "substitute scaler_scale must be finite and positive"),
+    ("substitute", _set_entry("scaler_mean", np.nan), "substitute scaler_mean holds non-finite"),
+    ("substitute", _set_entry("net_W0", np.nan), "net_W0/net_b0 hold non-finite"),
+    ("generator", _set_entry("net_b1", -np.inf), "net_W1/net_b1 hold non-finite"),
+], ids=["substitute_zero_scale", "substitute_nan_mean", "substitute_nan_weight",
+        "generator_inf_bias"])
+def test_tampered_substitute_or_generator_archive_rejected(name, edit, message, saved,
+                                                           tmp_path):
+    src = saved[name][1]
+    with np.load(src) as data:
+        changes = edit(dict(data))
+    path = str(tmp_path / f"{name}.npz")
+    _rewrite(src, path, **changes)
+    with pytest.raises(ValidationError, match=message):
+        _load(name, path)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_set_entry("scaler_scale", 0.0), "scaler_scale must be finite and positive"),
+    (_set_entry("scaler_mean", np.nan), "scaler_mean holds non-finite"),
+], ids=["zero_scale", "nan_mean"])
+def test_non_finite_neural_net_target_is_a_validation_exit(edit, message, saved, small_split,
+                                                            tmp_path, capsys):
+    """Such a target used to load and then fail training with a NumericError."""
+    data = str(tmp_path / "train.csv")
+    dataset_to_csv(small_split[0], data)
+    target = str(tmp_path / "bad.npz")
+    with np.load(saved["neural_net"][1]) as archive:
+        changes = edit(dict(archive))
+    _rewrite(saved["neural_net"][1], target, **changes)
+    capsys.readouterr()
+    rc = main(["train-substitute", "--data", data, "--target", target,
+               "--out", str(tmp_path / "sub.npz"), "--epochs", "2"])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
 
 
 def test_unknown_kind_in_archive_rejected(saved, tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -121,14 +123,23 @@ class TestKnnOracle:
 
 
 def stable_argsort_scores(model, X):
-    """Reference vote: full stable argsort per chunk, then bincount per row."""
+    """Reference vote: full stable argsort per block, then bincount per row.
+
+    Blocks are cut as predict_scores cuts them (at least two rows, a
+    one-row tail joined to the block before it), so both see the same
+    rounded distances: standardized rows are not integers, and BLAS may
+    round a product's last columns differently for another block height.
+    """
     Xs = model.scaler.transform(X)
     n = Xs.shape[0]
     scores = np.empty((n, model.n_classes))
-    chunk = max(1, int(knn_module.DISTANCE_CHUNK_ELEMENTS // max(1, model.train_X.shape[0])))
+    rows = max(2, int(knn_module.DISTANCE_CHUNK_ELEMENTS // max(1, model.train_X.shape[0])))
+    starts = list(range(0, n, rows))
+    if n - starts[-1] == 1 and len(starts) > 1:
+        del starts[-1]
     tr_sq = np.einsum("ij,ij->i", model.train_X, model.train_X)
-    for start in range(0, n, chunk):
-        Q = Xs[start : start + chunk]
+    for start, stop in zip(starts, starts[1:] + [n]):
+        Q = Xs[start:stop]
         d2 = (
             np.einsum("ij,ij->i", Q, Q)[:, None]
             - 2.0 * Q @ model.train_X.T
@@ -193,6 +204,166 @@ class TestKnnTiePolicy:
         for k, want in ((1, [0.0, 1.0, 0.0]), (3, [1 / 3, 1 / 3, 1 / 3]), (5, [0.4, 0.4, 0.2])):
             scores = KnnClassifier.fit(ds, k=k).predict_scores(q)
             np.testing.assert_array_equal(scores, [want])
+
+
+def reference_predict_scores(model, X, chunk_elements=2_000_000):
+    """The chunked ``predict_scores`` the blocked one replaced, kept verbatim:
+    a fresh chunk of up to ``chunk_elements`` distances, and a fresh partition
+    copy, per chunk of queries."""
+    X = model._check(X)
+    Xs = model.scaler.transform(X)
+    n, k = Xs.shape[0], model.k
+    counts = np.zeros((n, model.n_classes), dtype=np.int64)
+    chunk = max(1, chunk_elements // model.train_X.shape[0])
+    tr_sq = np.einsum("ij,ij->i", model.train_X, model.train_X)
+    neg2_train_T = -2.0 * model.train_X.T
+    for start in range(0, n, chunk):
+        Q = Xs[start : start + chunk]
+        d2 = Q @ neg2_train_T
+        d2 += np.einsum("ij,ij->i", Q, Q)[:, None]
+        d2 += tr_sq
+        kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
+        rows, cols = np.divmod(np.flatnonzero(d2 <= kth), d2.shape[1])
+        order = np.lexsort((cols, d2[rows, cols], rows))
+        rows, cols = rows[order], cols[order]
+        keep = np.arange(rows.size) - np.searchsorted(rows, rows) < k
+        np.add.at(counts, (start + rows[keep], model.train_y[cols[keep]]), 1)
+    return counts / k
+
+
+def real_schema(n_feat):
+    return FeatureSchema(
+        tuple(Feature(f"f{i}", "u", -1000.0, 1000.0, True) for i in range(n_feat))
+    )
+
+
+def real_knn(rng, n_train, n_feat, n_classes=28, k=5):
+    X = rng.uniform(-50.0, 50.0, size=(n_train, n_feat))
+    y = np.arange(n_train) % n_classes
+    ds = Dataset(real_schema(n_feat), X, y, tuple(f"c{i}" for i in range(n_classes)))
+    return KnnClassifier.fit(ds, k=k)
+
+
+@st.composite
+def knn_real_cases(draw):
+    """Real-valued training sets of up to 2000 rows and 1-28 features (the
+    pool schema has 28), queried by up to 3000 rows.
+
+    Half the cases keep the default block bound and query enough rows to
+    fill several blocks, where the old 2,000,000 bound takes one chunk; the
+    rest draw a bound of 2-6 rows per block. Queries mix copies of training
+    rows, near copies and fresh points. Query counts where the old chunking
+    leaves a one-row tail, whose row it multiplied on BLAS's matrix-vector
+    path, are moved one row down.
+
+    Exact duplicate training rows come only in sets whose size is a
+    multiple of 16: OpenBLAS computes the last ``m mod 8`` columns of a
+    product (on this kernel set; 16 on others) with edge kernels whose
+    rounding depends on the block's row count, so two copies of a row can
+    get distances an ulp apart, and which copy is nearer then depends on
+    the blocking.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_feat = draw(st.integers(1, 28))
+    block_rows = draw(st.one_of(st.none(), st.integers(2, 6)))
+    m = draw(st.integers(2 if block_rows else 300, 2000))
+    scales = rng.uniform(0.1, 50.0, size=n_feat)
+    if draw(st.booleans()):
+        m = max(16, m - m % 16)
+        base = rng.normal(size=(draw(st.integers(2, m)), n_feat)) * scales
+        X = base[rng.integers(0, len(base), size=m)]
+    else:
+        X = rng.normal(size=(m, n_feat)) * scales
+    n_classes = draw(st.integers(2, 6))
+    y = rng.integers(0, n_classes, size=m)
+    y[:2] = [0, 1]
+    k = draw(st.integers(1, min(m, 25)))
+    n = draw(st.integers(1 if block_rows else knn_module.DISTANCE_CHUNK_ELEMENTS // m + 1,
+                         3000))
+    old_chunk = 2_000_000 // m
+    if n > old_chunk and n % old_chunk == 1:
+        n -= 1
+    own = X[rng.integers(0, m, size=n)]
+    near = own + rng.normal(size=own.shape) * scales * 1e-3
+    fresh = rng.normal(size=own.shape) * scales
+    Q = np.where(rng.integers(0, 3, size=(n, 1)) == 0, own,
+                 np.where(rng.integers(0, 2, size=(n, 1)) == 0, near, fresh))
+    ds = Dataset(real_schema(n_feat), np.clip(X, -999.0, 999.0), y,
+                 tuple(f"c{i}" for i in range(n_classes)))
+    return ds, k, np.clip(Q, -999.0, 999.0), block_rows
+
+
+class TestKnnBlocks:
+    @settings(max_examples=60, deadline=None)
+    @given(knn_real_cases())
+    def test_scores_bit_equal_to_the_chunked_reference(self, case):
+        ds, k, Q, block_rows = case
+        model = KnnClassifier.fit(ds, k=k)
+        want = reference_predict_scores(model, Q)
+        with pytest.MonkeyPatch.context() as mp:
+            if block_rows is not None:
+                mp.setattr(knn_module, "DISTANCE_CHUNK_ELEMENTS", block_rows * len(ds))
+            got = model.predict_scores(Q)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 145, 146, 147, 148, 292, 293, 3136])
+    def test_benchmark_shape_bit_equal(self, n):
+        """1,792 training rows of 24 features, as an extract-knn target:
+        146-row blocks, so 147 and 293 queries fold a one-row tail."""
+        rng = np.random.default_rng(n)
+        model = real_knn(rng, 1792, 24)
+        Q = rng.uniform(-60.0, 60.0, size=(n, 24))
+        Q[: n // 2] = model.scaler.mean + model.train_X[: n // 2] * model.scaler.scale
+        assert model.predict_scores(Q).tobytes() == reference_predict_scores(model, Q).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 60), st.integers(2, 8))
+    def test_blocks_cover_the_queries_without_a_one_row_block(self, n, rows):
+        blocks = knn_module._blocks(n, rows)
+        assert [start for start, _ in blocks] == [0, *[stop for _, stop in blocks[:-1]]][
+            : len(blocks)]
+        assert (blocks[-1][1] if blocks else 0) == n
+        sizes = [stop - start for start, stop in blocks]
+        assert all(s == rows for s in sizes[:-1])
+        assert sizes == [1] if n == 1 else all(2 <= s <= rows + 1 for s in sizes)
+
+    def test_blocks_hold_two_rows_when_the_bound_allows_one(self):
+        model = real_knn(np.random.default_rng(5), 40, 3)
+        seen, blocks = [], knn_module._blocks
+
+        def spy(n, rows):
+            seen.append(rows)
+            return blocks(n, rows)
+
+        Q = np.random.default_rng(6).uniform(-60.0, 60.0, size=(7, 3))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(knn_module, "DISTANCE_CHUNK_ELEMENTS", len(model.train_y))
+            mp.setattr(knn_module, "_blocks", spy)
+            got = model.predict_scores(Q)
+        assert seen == [2]
+        assert got.tobytes() == reference_predict_scores(model, Q).tobytes()
+
+    def test_working_set_stays_a_few_blocks(self):
+        """3,136 queries against a 1,792-row target: one 2 MiB distance block,
+        its partition scratch and mask, not a 16 MB chunk and its copy."""
+        rng = np.random.default_rng(3)
+        model = real_knn(rng, 1792, 24)
+        Q = rng.uniform(-60.0, 60.0, size=(3136, 24))
+        model.predict_scores(Q[:8])
+        tracemalloc.start()
+        try:
+            model.predict_scores(Q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
+
+    def test_distance_terms_are_read_only(self):
+        model = real_knn(np.random.default_rng(4), 64, 3)
+        with pytest.raises(ValueError):
+            model._train_sq[0] = 0.0
+        with pytest.raises(ValueError):
+            model._neg2_train_T[0, 0] = 0.0
 
 
 class TestKnnArchiveValidation:

@@ -195,6 +195,17 @@ def masked_sigmoid(z):
     return out
 
 
+def where_sigmoid(z):
+    """[DERIVED] the np.where sigmoid the sign-bit form replaced, kept as the
+    reference."""
+    pos = z >= 0
+    e = np.exp(np.where(pos, -z, z))
+    out = np.where(pos, 1.0, e)
+    e += 1.0
+    out /= e
+    return out
+
+
 def full_forward(net, X):
     """[DERIVED] the earlier out-of-place forward: (logits, layer inputs)."""
     X = np.asarray(X, dtype=float)
@@ -267,11 +278,38 @@ class TestAgainstEarlierAlgorithms:
             assert same_bits(sigmoid(z), masked_sigmoid(z))
             assert same_bits(sigmoid(z.reshape(1, -1)), masked_sigmoid(z.reshape(1, -1)))
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(
+        st.integers(0, 2**64 - 1),
+        st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True).map(
+            lambda f: int(np.float64(f).view(np.uint64))),
+        st.integers(0, 2**52 - 1).map(lambda m: 0xFFF0000000000000 | max(m, 1)),
+        st.integers(0, 2**52 - 1).map(lambda m: 0x7FF0000000000000 | max(m, 1)),
+        st.sampled_from([0, 2**63, 1, 2**63 + 1]),  # +-0 and the smallest subnormals
+    ), min_size=1, max_size=64), st.integers(1, 4), st.booleans())
+    def test_sigmoid_bits_match_where_reference(self, bits, reps, strided):
+        """Any float64 bit pattern, 1-D and tiled 2-D (long enough for the
+        vector loops), contiguous or a strided view."""
+        z = np.array(bits, dtype=np.uint64).view(np.float64)
+        Z = np.tile(z, (reps, 3))
+        if strided:
+            Z = Z[:, ::2]
+        with np.errstate(all="ignore"):
+            assert same_bits(sigmoid(z), where_sigmoid(z))
+            assert same_bits(sigmoid(Z), where_sigmoid(Z))
+
+    def test_sigmoid_leaves_its_input_alone(self):
+        z = np.array([[-3.0, 0.0, -0.0, 2.5, np.nan]])
+        before = z.copy()
+        sigmoid(z)
+        assert same_bits(z, before)
+
     def test_sigmoid_special_values(self):
         z = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 30.0, -30.0,
                       5e-324, -5e-324, 1e300, -1e300])
         with np.errstate(all="ignore"):
             assert same_bits(sigmoid(z), masked_sigmoid(z))
+            assert same_bits(sigmoid(z), where_sigmoid(z))
 
     @settings(max_examples=200, deadline=None)
     @given(net_cases())
