@@ -166,9 +166,9 @@ def cmd_defend(args) -> int:
     P, Csi, y = signature_batch(identities, args.train_per_device, noise_seed=args.seed + 1)
     prof = fit_profiler(P, Csi, y, seed=args.seed)
     rep = evaluate_defense(prof, identities, rounds=args.rounds, seed=args.seed)
-    rows = [[e, f"{c:.6f}", f"{a:.6f}"]
-            for e, c, a in zip(rep.epochs, rep.clean_rates, rep.attacked_rates)]
-    write_report_csv(args.out, ["generator_epoch", "clean_rate", "under_attack_rate"],
+    rows = [[r, f"{c:.6f}", f"{a:.6f}"]
+            for r, c, a in zip(rep.rounds, rep.clean_rates, rep.attacked_rates)]
+    write_report_csv(args.out, ["round", "clean_rate", "under_attack_rate"],
                      rows, {"clean_hash": rep.clean_hash, "attacked_hash": rep.attacked_hash})
     print(f"defense -> {args.out} (clean rate {rep.clean_rates[0]:.4f}, "
           f"streams identical: {rep.clean_hash == rep.attacked_hash})")

@@ -365,9 +365,9 @@ def _defense(cfg: ExperimentConfig, results: dict, out) -> None:
     )
     out(
         "fig4.csv",
-        ["generator_epoch", "clean_rate", "under_attack_rate"],
-        [[e, f"{c:.6f}", f"{a:.6f}"]
-         for e, c, a in zip(report.epochs, report.clean_rates, report.attacked_rates)],
+        ["round", "clean_rate", "under_attack_rate"],
+        [[r, f"{c:.6f}", f"{a:.6f}"]
+         for r, c, a in zip(report.rounds, report.clean_rates, report.attacked_rates)],
         {"clean_hash": report.clean_hash, "attacked_hash": report.attacked_hash},
     )
     results["defense_report"] = report

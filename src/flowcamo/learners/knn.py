@@ -45,8 +45,15 @@ class KnnClassifier(ClassifierModel):
         self.k = k
         # Per-model distance terms. Scaling by -2 is exact, so q.q - 2 q.t + t.t
         # is built in place with the same rounding as the plain expression.
+        # Zero columns pad -2 t^T to a multiple of 16 training rows, so BLAS
+        # computes every real column with its main kernel: copies of a
+        # training row get equal distances, and under 32 features a row's
+        # distances round alike whatever the block height.
+        m = train_X.shape[0]
+        neg2_train = np.zeros((m + -m % 16, train_X.shape[1]))
+        neg2_train[:m] = -2.0 * train_X
         self._train_sq = np.einsum("ij,ij->i", train_X, train_X)
-        self._neg2_train_T = -2.0 * train_X.T
+        self._neg2_train_T = neg2_train.T
         self._train_sq.flags.writeable = False
         self._neg2_train_T.flags.writeable = False
 
@@ -71,21 +78,27 @@ class KnnClassifier(ClassifierModel):
 
         Neighbours are the k smallest squared distances in standardized
         feature space; ties at the k-th distance go to the earlier
-        training row. Row ``i`` of the result is the per-class count of
-        those k neighbours divided by k.
+        training row, so copies of a training row tie at any training
+        size. Row ``i`` of the result is the per-class count of those k
+        neighbours divided by k; under 32 features it has the same bits
+        whichever other rows are sent with it.
         """
         X = self._check(X)
-        Xs = self.scaler.transform(X)
-        n, m, k = Xs.shape[0], self.train_X.shape[0], self.k
-        counts = np.zeros((n, self.n_classes), dtype=np.int64)
+        n = X.shape[0]
+        # A one-row product takes BLAS's matrix-vector path, which can round
+        # differently, so a single query is sent as a two-row block.
+        Xs = self.scaler.transform(np.repeat(X, 2, axis=0) if n == 1 else X)
+        m, k = self.train_X.shape[0], self.k
+        counts = np.zeros((Xs.shape[0], self.n_classes), dtype=np.int64)
         per_block = max(2, DISTANCE_CHUNK_ELEMENTS // m)
-        # One distance block, partition scratch and mask, reused by every block.
-        size = min(n, per_block + 1)
-        d2_buf, part_buf = np.empty((size, m)), np.empty((size, m))
-        mask_buf = np.empty((size, m), dtype=bool)
-        for start, stop in _blocks(n, per_block):
+        # One distance block, partition scratch and mask, reused by every
+        # block; the distance block is as wide as the padded product.
+        size = min(Xs.shape[0], per_block + 1)
+        d2_buf = np.empty((size, self._neg2_train_T.shape[1]))
+        part_buf, mask_buf = np.empty((size, m)), np.empty((size, m), dtype=bool)
+        for start, stop in _blocks(Xs.shape[0], per_block):
             Q = Xs[start:stop]
-            d2 = np.matmul(Q, self._neg2_train_T, out=d2_buf[: stop - start])
+            d2 = np.matmul(Q, self._neg2_train_T, out=d2_buf[: stop - start])[:, :m]
             d2 += np.einsum("ij,ij->i", Q, Q)[:, None]
             d2 += self._train_sq
             # Candidates are every entry at or below the row's k-th distance,
@@ -100,4 +113,4 @@ class KnnClassifier(ClassifierModel):
             # Each row has >= k candidates; its first k are the neighbours.
             keep = np.arange(rows.size) - np.searchsorted(rows, rows) < k
             np.add.at(counts, (start + rows[keep], self.train_y[cols[keep]]), 1)
-        return counts / k
+        return counts[:n] / k

@@ -83,110 +83,6 @@ def _wrap_pi(x):
     return np.angle(np.exp(1j * x))
 
 
-# numpy's SeedSequence mixing and PCG64 seeding, which NEP 19 keeps stable
-# across releases; ``_pcg64_states`` reproduces them for many seeds at once.
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32 = (1 << 32) - 1
-_MASK128 = (1 << 128) - 1
-
-
-def _uint32_words(n: int) -> List[int]:
-    """Little-endian 32-bit words of a non-negative int, as SeedSequence splits it."""
-    if n < 0:
-        raise ValueError("expected non-negative integer")
-    words = [n & _MASK32]
-    n >>= 32
-    while n:
-        words.append(n & _MASK32)
-        n >>= 32
-    return words
-
-
-def _hash_constants(init: int, mult: int, count: int):
-    """``(xor, mult)`` constants of ``count`` successive SeedSequence hashmix
-    calls, each as a (count, 1) uint32 column."""
-    h = [init]
-    for _ in range(count):
-        h.append((h[-1] * mult) & _MASK32)
-    h = np.array(h, dtype=np.uint32)[:, None]
-    return h[:-1], h[1:]
-
-
-def _hashmix(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
-    value = value ^ xor
-    value *= mult
-    value ^= value >> np.uint32(16)
-    return value
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    out = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-    out ^= out >> np.uint32(16)
-    return out
-
-
-def _seed_state(entropy: np.ndarray) -> np.ndarray:
-    """``SeedSequence(row).generate_state(4, uint64)`` of each (m, L) uint32
-    row, as a (4, m) uint64 array.
-
-    Within one mixing step every destination word hashes the same source
-    word with its own constant, so each step is one pass over the rows.
-    """
-    m, width = entropy.shape
-    extra = max(width - _POOL_SIZE, 0)
-    xor, mult = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE**2 + extra * _POOL_SIZE)
-    head = np.zeros((_POOL_SIZE, m), dtype=np.uint32)  # short entropy is zero-padded
-    head[: min(width, _POOL_SIZE)] = entropy[:, :_POOL_SIZE].T
-    pool = _hashmix(head, xor[:_POOL_SIZE], mult[:_POOL_SIZE])
-    t = _POOL_SIZE
-    for src in range(_POOL_SIZE):
-        dst = [d for d in range(_POOL_SIZE) if d != src]
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], xor[t : t + 3], mult[t : t + 3]))
-        t += 3
-    for src in range(_POOL_SIZE, width):
-        pool = _mix(pool, _hashmix(entropy[:, src], xor[t : t + 4], mult[t : t + 4]))
-        t += 4
-    xor, mult = _hash_constants(_INIT_B, _MULT_B, 8)
-    words = _hashmix(np.concatenate([pool, pool]), xor, mult).astype(np.uint64)
-    return words[0::2] | (words[1::2] << np.uint64(32))
-
-
-def _by_word_count(values: Sequence[int]):
-    """``(indices, (n, words) uint32 matrix)`` per 32-bit word count of ``values``."""
-    groups: Dict[int, List[int]] = {}
-    words = [_uint32_words(v) for v in values]
-    for i, w in enumerate(words):
-        groups.setdefault(len(w), []).append(i)
-    return [(np.array(idx), np.array([words[i] for i in idx], dtype=np.uint32))
-            for idx in groups.values()]
-
-
-def _pcg64_states(keys: Sequence[int], seeds: Sequence[int]) -> Tuple[list, list]:
-    """``state`` and ``inc`` of ``PCG64(SeedSequence([key, seed]))`` for every
-    key and seed, key-major.
-
-    Keys and seeds are grouped by their number of 32-bit words, and each
-    pair of groups is mixed in one vectorised pass.
-    """
-    n_seeds = len(seeds)
-    seeded = np.empty((4, len(keys) * n_seeds), dtype=np.uint64)
-    for k_idx, k_words in _by_word_count(keys):
-        for s_idx, s_words in _by_word_count(seeds):
-            rows = (k_idx[:, None] * n_seeds + s_idx).ravel()
-            entropy = np.hstack([np.repeat(k_words, s_idx.size, axis=0),
-                                 np.tile(s_words, (k_idx.size, 1))])
-            seeded[:, rows] = _seed_state(entropy)
-    # PCG64 seeds from the 128-bit (initstate, initseq) = (s0 s1, s2 s3).
-    s0, s1, s2, s3 = seeded.astype(object)
-    inc = ((s2 << 65) | (s3 << 1) | 1) & _MASK128
-    state = ((((s0 << 64) | s1) + inc) * _PCG64_MULT + inc) & _MASK128
-    return state.tolist(), inc.tolist()
-
-
 @lru_cache(maxsize=256)
 def _channel(ident: HardwareIdentity, noise: NoiseModel):
     """A device's fixed channel terms and its per-column noise sigmas.
@@ -228,14 +124,14 @@ def signature_batch(
     per_device: int,
     noise_seed: int,
 ):
-    """Stacked (profiled, csi, class_id) arrays; seeds vary per observation.
+    """Stacked (profiled, csi, class_id) arrays, ``per_device`` rows per device.
 
-    Row ``j`` of a device is one simulated observation whose noise comes
-    from its own generator, seeded by ``(device_id, noise_seed * 100003 + j)``,
-    so every row is deterministic on its own. Every row's PCG64 state is
-    derived in one vectorised pass over the seeds and set on one reused
-    generator, which draws the row's noise. A device's fixed channel terms
-    are computed once per (identity, noise model) and cached across calls.
+    Each device's noise comes from its own generator, seeded by
+    ``(device_id, noise_seed)`` and drawn in one call, so row ``j`` of a
+    device depends only on its identity, ``noise_seed`` and ``j``: not on
+    the other devices in the batch or their order, and not on
+    ``per_device`` beyond ``j``. A device's fixed channel terms are
+    computed once per (identity, noise model) and cached across calls.
     Profiled columns are amplitude attenuation (dB), phase shift (rad,
     wrapped), frequency offset (Hz) and arrival angle (rad, clipped to
     (-pi/2, pi/2]).
@@ -249,17 +145,10 @@ def signature_batch(
     csi = np.repeat([c[1] for c in channels], per_device, axis=0)
     sigmas = np.repeat([c[2] for c in channels], per_device, axis=0)
 
-    states, incs = _pcg64_states([int(ident.device_id) for ident in identities],
-                                 [int(noise_seed * 100003 + j) for j in range(per_device)])
-    bitgen = np.random.PCG64(0)
-    rng = np.random.Generator(bitgen)
-    pcg = {"state": 0, "inc": 0}
-    full = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
     z = np.empty(sigmas.shape)
-    for row, state, inc in zip(z, states, incs):
-        pcg["state"], pcg["inc"] = state, inc
-        bitgen.state = full
-        rng.standard_normal(out=row)
+    for ident, block in zip(identities, np.split(z, len(identities))):
+        rng = np.random.default_rng([int(ident.device_id), int(noise_seed)])
+        rng.standard_normal(out=block)
     z *= sigmas  # normal(0.0, sigmas) is 0.0 + sigmas * z
     z += 0.0
 
@@ -408,7 +297,7 @@ def stream_hash(P: np.ndarray, Csi: np.ndarray) -> str:
 
 @dataclass(frozen=True)
 class DefenseReport:
-    epochs: tuple
+    rounds: tuple
     clean_rates: tuple
     attacked_rates: tuple
     clean_hash: str
@@ -429,7 +318,7 @@ def evaluate_defense(
     an attacker who rewrites only traffic features leaves the RF stream as
     it is, so under such an attack the profiler sees the clean stream. The
     equal rates and hashes hold by construction, not as evidence that no
-    attacker could reach the stream (see ROADMAP item 3 for RF attackers).
+    attacker could reach the stream (see ROADMAP item 4 for RF attackers).
     """
     if rounds < 0:
         raise ValidationError(f"rounds must be >= 0, got {rounds}")

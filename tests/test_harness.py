@@ -358,6 +358,16 @@ class TestPipeline:
             assert f"output.{name}={tmp_path / name}" in manifest
         assert not any(line.startswith("failed_stage=") for line in manifest)
 
+    @pytest.mark.parametrize("seed", [42, 11, 23])
+    def test_default_defense_meets_the_acceptance_threshold(self, seed):
+        """The default config's defense stage (28 devices, 30 rounds, seed
+        offsets 900-903) identifies every round at >= 0.95 clean, the
+        threshold of acceptance criterion 08, at the benchmark seed and two
+        others."""
+        results = {}
+        experiment._defense(ExperimentConfig(seed=seed), results, lambda *args: None)
+        assert min(results["defense_report"].clean_rates) >= 0.95
+
     def test_unreachable_spoof_cell_is_reported_not_fatal(self, tmp_path):
         """Seed 5 with an 8-epoch substitute leaves some spoof targets with no
         anchor row: those cells get an empty rate and the run reaches fig4."""
@@ -570,7 +580,7 @@ class TestCliSuccess:
                      "--out", str(out)]) == 0
         meta, header, rows = _report(out)
         assert [m.split("=")[0] for m in meta] == ["# clean_hash", "# attacked_hash"]
-        assert header == ["generator_epoch", "clean_rate", "under_attack_rate"]
+        assert header == ["round", "clean_rate", "under_attack_rate"]
         assert [r[0] for r in rows] == ["0", "1", "2"]
         assert "streams identical: True" in capsys.readouterr().out
 

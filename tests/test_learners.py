@@ -122,34 +122,27 @@ class TestKnnOracle:
         np.testing.assert_array_equal(model.predict_ids(Q), np.array(expected))
 
 
-def stable_argsort_scores(model, X):
-    """Reference vote: full stable argsort per block, then bincount per row.
+def padded_product(Q, train_X):
+    """``Q @ train_X.T`` as ``predict_scores`` multiplies: the training side
+    padded with zero rows to a multiple of 16, and a single query row sent
+    twice, so BLAS computes every entry with its main matrix-matrix kernel."""
+    m = train_X.shape[0]
+    T = np.zeros((m + -m % 16, train_X.shape[1]))
+    T[:m] = train_X
+    return ((np.repeat(Q, 2, axis=0) if len(Q) == 1 else Q) @ T.T)[: len(Q), :m]
 
-    Blocks are cut as predict_scores cuts them (at least two rows, a
-    one-row tail joined to the block before it), so both see the same
-    rounded distances: standardized rows are not integers, and BLAS may
-    round a product's last columns differently for another block height.
-    """
+
+def stable_argsort_scores(model, X):
+    """Reference vote: every query's distances from one product, a full
+    stable argsort per row, then a bincount per row."""
     Xs = model.scaler.transform(X)
-    n = Xs.shape[0]
-    scores = np.empty((n, model.n_classes))
-    rows = max(2, int(knn_module.DISTANCE_CHUNK_ELEMENTS // max(1, model.train_X.shape[0])))
-    starts = list(range(0, n, rows))
-    if n - starts[-1] == 1 and len(starts) > 1:
-        del starts[-1]
-    tr_sq = np.einsum("ij,ij->i", model.train_X, model.train_X)
-    for start, stop in zip(starts, starts[1:] + [n]):
-        Q = Xs[start:stop]
-        d2 = (
-            np.einsum("ij,ij->i", Q, Q)[:, None]
-            - 2.0 * Q @ model.train_X.T
-            + tr_sq[None, :]
-        )
-        nn = np.argsort(d2, axis=1, kind="stable")[:, : model.k]
-        votes = model.train_y[nn]
-        for j in range(Q.shape[0]):
-            scores[start + j] = np.bincount(votes[j], minlength=model.n_classes) / model.k
-    return scores
+    d2 = (
+        np.einsum("ij,ij->i", Xs, Xs)[:, None]
+        - 2.0 * padded_product(Xs, model.train_X)
+        + np.einsum("ij,ij->i", model.train_X, model.train_X)[None, :]
+    )
+    votes = model.train_y[np.argsort(d2, axis=1, kind="stable")[:, : model.k]]
+    return np.array([np.bincount(v, minlength=model.n_classes) for v in votes]) / model.k
 
 
 @st.composite
@@ -207,19 +200,18 @@ class TestKnnTiePolicy:
 
 
 def reference_predict_scores(model, X, chunk_elements=2_000_000):
-    """The chunked ``predict_scores`` the blocked one replaced, kept verbatim:
-    a fresh chunk of up to ``chunk_elements`` distances, and a fresh partition
-    copy, per chunk of queries."""
+    """The chunked ``predict_scores`` the blocked one replaced: a fresh chunk
+    of up to ``chunk_elements`` distances, and a fresh partition copy, per
+    chunk of queries, each chunk multiplied as ``padded_product``."""
     X = model._check(X)
     Xs = model.scaler.transform(X)
     n, k = Xs.shape[0], model.k
     counts = np.zeros((n, model.n_classes), dtype=np.int64)
     chunk = max(1, chunk_elements // model.train_X.shape[0])
     tr_sq = np.einsum("ij,ij->i", model.train_X, model.train_X)
-    neg2_train_T = -2.0 * model.train_X.T
     for start in range(0, n, chunk):
         Q = Xs[start : start + chunk]
-        d2 = Q @ neg2_train_T
+        d2 = -2.0 * padded_product(Q, model.train_X)
         d2 += np.einsum("ij,ij->i", Q, Q)[:, None]
         d2 += tr_sq
         kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
@@ -251,17 +243,10 @@ def knn_real_cases(draw):
 
     Half the cases keep the default block bound and query enough rows to
     fill several blocks, where the old 2,000,000 bound takes one chunk; the
-    rest draw a bound of 2-6 rows per block. Queries mix copies of training
-    rows, near copies and fresh points. Query counts where the old chunking
-    leaves a one-row tail, whose row it multiplied on BLAS's matrix-vector
-    path, are moved one row down.
-
-    Exact duplicate training rows come only in sets whose size is a
-    multiple of 16: OpenBLAS computes the last ``m mod 8`` columns of a
-    product (on this kernel set; 16 on others) with edge kernels whose
-    rounding depends on the block's row count, so two copies of a row can
-    get distances an ulp apart, and which copy is nearer then depends on
-    the blocking.
+    rest draw a bound of 2-6 rows per block. Half the training sets repeat
+    rows exactly, so distances tie. Queries mix copies of training rows,
+    near copies, midpoints of two training rows (equidistant from both, so
+    rounding picks the nearer) and fresh points.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n_feat = draw(st.integers(1, 28))
@@ -269,7 +254,6 @@ def knn_real_cases(draw):
     m = draw(st.integers(2 if block_rows else 300, 2000))
     scales = rng.uniform(0.1, 50.0, size=n_feat)
     if draw(st.booleans()):
-        m = max(16, m - m % 16)
         base = rng.normal(size=(draw(st.integers(2, m)), n_feat)) * scales
         X = base[rng.integers(0, len(base), size=m)]
     else:
@@ -280,14 +264,11 @@ def knn_real_cases(draw):
     k = draw(st.integers(1, min(m, 25)))
     n = draw(st.integers(1 if block_rows else knn_module.DISTANCE_CHUNK_ELEMENTS // m + 1,
                          3000))
-    old_chunk = 2_000_000 // m
-    if n > old_chunk and n % old_chunk == 1:
-        n -= 1
     own = X[rng.integers(0, m, size=n)]
     near = own + rng.normal(size=own.shape) * scales * 1e-3
+    mid = (own + X[rng.integers(0, m, size=n)]) / 2
     fresh = rng.normal(size=own.shape) * scales
-    Q = np.where(rng.integers(0, 3, size=(n, 1)) == 0, own,
-                 np.where(rng.integers(0, 2, size=(n, 1)) == 0, near, fresh))
+    Q = np.choose(rng.integers(0, 4, size=(n, 1)), [own, near, mid, fresh])
     ds = Dataset(real_schema(n_feat), np.clip(X, -999.0, 999.0), y,
                  tuple(f"c{i}" for i in range(n_classes)))
     return ds, k, np.clip(Q, -999.0, 999.0), block_rows
@@ -309,12 +290,45 @@ class TestKnnBlocks:
     @pytest.mark.parametrize("n", [1, 2, 145, 146, 147, 148, 292, 293, 3136])
     def test_benchmark_shape_bit_equal(self, n):
         """1,792 training rows of 24 features, as an extract-knn target:
-        146-row blocks, so 147 and 293 queries fold a one-row tail."""
+        146-row blocks, so 147 and 293 queries fold a one-row tail. 1,792 is
+        a multiple of 16, so no column is padded and a multi-row call has
+        the unpadded product's bits."""
         rng = np.random.default_rng(n)
         model = real_knn(rng, 1792, 24)
+        assert model._neg2_train_T.shape == (24, 1792)
         Q = rng.uniform(-60.0, 60.0, size=(n, 24))
         Q[: n // 2] = model.scaler.mean + model.train_X[: n // 2] * model.scaler.scale
         assert model.predict_scores(Q).tobytes() == reference_predict_scores(model, Q).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(knn_real_cases(), st.data())
+    def test_scores_do_not_depend_on_the_other_queries(self, case, data):
+        """A query's scores have the same bits alone, among any other
+        queries and at any block height."""
+        ds, k, Q, block_rows = case
+        model = KnnClassifier.fit(ds, k=k)
+        full = model.predict_scores(Q)
+        pick = np.array(data.draw(st.lists(st.integers(0, len(Q) - 1), min_size=1,
+                                           max_size=40)))
+        with pytest.MonkeyPatch.context() as mp:
+            if block_rows is not None:
+                mp.setattr(knn_module, "DISTANCE_CHUNK_ELEMENTS", block_rows * len(ds))
+            some = model.predict_scores(Q[pick])
+            alone = model.predict_scores(Q[pick[:1]])
+        assert some.tobytes() == full[pick].tobytes()
+        assert alone.tobytes() == full[pick[:1]].tobytes()
+
+    def test_single_query_scores_as_in_a_batch(self):
+        """Midpoints of two training rows of different classes, k = 1:
+        rounding picks the nearer row, so a single query multiplied on the
+        matrix-vector path would flip some of them."""
+        rng = np.random.default_rng(8)
+        model = real_knn(rng, 501, 13, n_classes=5, k=1)
+        i, j = rng.integers(0, 501, size=(2, 200))
+        Q = model.scaler.mean + (model.train_X[i] + model.train_X[j]) / 2 * model.scaler.scale
+        full = model.predict_scores(Q)
+        alone = np.vstack([model.predict_scores(q[None]) for q in Q])
+        assert alone.tobytes() == full.tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 60), st.integers(2, 8))

@@ -22,7 +22,6 @@ from flowcamo.profiler import (
     HardwareIdentity,
     NoiseModel,
     _device_multipath,
-    _pcg64_states,
     _wrap_pi,
     evaluate_defense,
     fit_profiler,
@@ -47,14 +46,13 @@ def _reference_wrap_pi(x: float) -> float:
     return float(np.angle(np.exp(1j * x)))
 
 
-def synthesize_signature(identity, noise_seed, noise=DEFAULT_NOISE):
-    """One simulated observation, one fresh generator per row; returns
+def synthesize_signature(identity, rng, noise=DEFAULT_NOISE):
+    """One simulated observation, its noise drawn from ``rng``; returns
     ``(profiled, csi)``."""
     x, y = identity.location
     d = float(np.hypot(x, y))
     if d <= 0:
         raise ValidationError("device cannot sit on the receiver")
-    rng = np.random.default_rng(np.random.SeedSequence([int(identity.device_id), int(noise_seed)]))
     psi, rho, tau_s = _device_multipath(identity.device_id)
 
     freq = CARRIER_HZ * identity.cfo_ppm * 1e-6 + rng.normal(0.0, noise.freq_sigma_hz)
@@ -83,10 +81,13 @@ def synthesize_signature(identity, noise_seed, noise=DEFAULT_NOISE):
 
 
 def reference_batch(identities, per_device, noise_seed, noise=DEFAULT_NOISE):
+    """Each device's rows in order, all drawn from one generator seeded by
+    ``(device_id, noise_seed)``."""
     P, C, y = [], [], []
     for ident in identities:
+        rng = np.random.default_rng([int(ident.device_id), int(noise_seed)])
         for j in range(per_device):
-            profiled, csi = synthesize_signature(ident, noise_seed * 100003 + j, noise)
+            profiled, csi = synthesize_signature(ident, rng, noise)
             P.append(profiled)
             C.append(csi)
             y.append(ident.device_id)
@@ -136,7 +137,7 @@ def assert_same_bits(got, want):
 @given(
     idents=st.lists(IDENTITY, min_size=1, max_size=4),
     per_device=st.integers(1, 12),
-    # Row seeds of one, two and three 32-bit words.
+    # Seeds of one, two and three 32-bit words.
     noise_seed=st.one_of(st.integers(0, 10**6), st.integers(0, 2**66)),
 )
 def test_signature_batch_matches_per_row_reference(idents, per_device, noise_seed):
@@ -145,34 +146,29 @@ def test_signature_batch_matches_per_row_reference(idents, per_device, noise_see
                      reference_batch(idents, per_device, noise_seed))
 
 
-class TestBulkSeeding:
-    """The one-pass seeding gives numpy's own PCG64 state for every row."""
+class TestSignatureBatch:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        idents=st.lists(IDENTITY, min_size=1, max_size=5),
+        per_device=st.integers(1, 12),
+        noise_seed=st.integers(0, 2**40),
+        data=st.data(),
+    )
+    def test_device_rows_depend_only_on_device_seed_and_row(
+            self, idents, per_device, noise_seed, data):
+        """A device's rows keep their bits when the batch is reordered, when
+        other devices are removed, and when ``per_device`` is cut to a
+        prefix."""
+        def by_device(devices, n):
+            P, Csi, _ = signature_batch([idents[i] for i in devices], n, noise_seed)
+            return P.reshape(len(devices), n, 4), Csi.reshape(len(devices), n, N_SUBCARRIERS)
 
-    # Seeds just below and at 2**32 and 2**64, so entropy of 1, 2 and 3 words.
-    SEEDS = (0, 1, 2**32 - 1, 2**32, 2**32 + 7, 2**64 - 1, 2**64, 2**64 + 9, 2**96 + 3)
-
-    def test_states_match_numpy(self):
-        devices = (0, 1, 27, 2**32 + 5)
-        pairs = [(d, s) for d in devices for s in self.SEEDS]
-        states, incs = _pcg64_states(devices, self.SEEDS)
-        for (d, s), state, inc in zip(pairs, states, incs):
-            want = np.random.default_rng(np.random.SeedSequence([d, s]))
-            assert want.bit_generator.state["state"] == {"state": state, "inc": inc}, (d, s)
-
-    def test_batches_at_each_seed_width(self):
-        """Row seeds of one, two and three words, each just past a boundary."""
-        idents = make_identities(3, seed=4)
-        for noise_seed in (2**32 // 100003, 2**32 // 100003 + 1, 2**64 // 100003 + 1):
-            assert_same_bits(signature_batch(idents, 5, noise_seed),
-                             reference_batch(idents, 5, noise_seed))
-
-    def test_seeds_crossing_2_64_within_one_batch(self):
-        """The last two of a device's rows have three-word seeds, the rest two."""
-        ident = make_identities(1, seed=4)
-        noise_seed = 2**64 // 100003
-        per_device = 2**64 - noise_seed * 100003 + 2
-        assert_same_bits(signature_batch(ident, per_device, noise_seed),
-                         reference_batch(ident, per_device, noise_seed))
+        P, Csi = by_device(range(len(idents)), per_device)
+        order = data.draw(st.permutations(range(len(idents))))
+        keep = data.draw(st.lists(st.sampled_from(order), min_size=1, unique=True))
+        cut = data.draw(st.integers(1, per_device))
+        assert_same_bits(by_device(order, per_device), (P[order], Csi[order]))
+        assert_same_bits(by_device(keep, cut), (P[keep, :cut], Csi[keep, :cut]))
 
     def test_negative_seed_rejected(self, identities):
         with pytest.raises(ValueError, match="non-negative"):
@@ -295,7 +291,7 @@ class TestDefense:
         assert rep.clean_hash == rep.attacked_hash
         assert rep.clean_rates == rep.attacked_rates
         assert min(rep.clean_rates) >= 0.95
-        assert rep.epochs == tuple(range(6))
+        assert rep.rounds == tuple(range(6))
 
     def test_negative_rounds_rejected(self, profiler, identities):
         with pytest.raises(ValidationError, match="rounds"):
