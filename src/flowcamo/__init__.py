@@ -6,7 +6,6 @@ and an RF-signature device-profiling defense, over synthetic network-flow
 feature vectors.
 """
 from .core import (
-    ConfusionCounts,
     ContractViolationError,
     Dataset,
     DegenerateTrainingError,

@@ -1,4 +1,4 @@
-"""Label-only oracle around a trained target, plus eavesdropped data capture.
+"""Label-only oracle around a trained target; eavesdropped traffic comes back labelled.
 
 The oracle exposes exactly three things: ``query``, ``collect`` and
 ``query_log``. Target kind, parameters and scores stay hidden; the
@@ -7,38 +7,11 @@ attacker's feature pool is projected onto the target's schema inside.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DeviceClass, FeatureSchema, ValidationError, readonly_array, validate_matrix
+from .core import Dataset, DeviceClass, FeatureSchema, ValidationError, validate_matrix
 from .learners import ClassifierModel
-
-
-@dataclass(frozen=True)
-class EavesdropCorpus:
-    """Attacker-side training data: pool-schema vectors with oracle labels."""
-
-    schema: FeatureSchema
-    X: np.ndarray
-    y: np.ndarray  # oracle label ids
-    class_labels: tuple
-
-    def __post_init__(self):
-        X = validate_matrix(self.schema, readonly_array(self.X, float), "corpus")
-        y = readonly_array(self.y, int)
-        if y.shape[0] != X.shape[0]:
-            raise ValidationError("corpus labels must align with rows")
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "class_labels", tuple(self.class_labels))
-
-    def __len__(self) -> int:
-        return self.X.shape[0]
-
-    @property
-    def n_classes(self) -> int:
-        return len(self.class_labels)
 
 
 class Oracle:
@@ -67,14 +40,15 @@ class Oracle:
         cid = int(self.__predict_ids(np.atleast_2d(np.asarray(x, dtype=float)))[0])
         return DeviceClass(cid, self.__target.class_labels[cid])
 
-    def collect(self, traffic) -> EavesdropCorpus:
+    def collect(self, traffic) -> Dataset:
+        """The traffic rows, in the pool schema, labelled with the oracle's ids."""
         X = np.asarray(traffic, dtype=float)
         if X.ndim == 1:
             X = X[None, :]
         if X.shape[0] == 0:
             raise ValidationError("no traffic to eavesdrop on")
         labels = self.__predict_ids(X)
-        return EavesdropCorpus(self.__pool_schema, X, labels, self.__target.class_labels)
+        return Dataset(self.__pool_schema, X, labels, self.__target.class_labels)
 
 
 def make_oracle(target: ClassifierModel, pool_schema: FeatureSchema) -> Oracle:

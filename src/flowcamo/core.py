@@ -8,7 +8,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -173,13 +173,16 @@ def validate_matrix(schema: FeatureSchema, X: np.ndarray, what: str = "X") -> np
 
 @dataclass(frozen=True)
 class Dataset:
-    """Feature matrix plus integer class ids aligned to ``class_labels``."""
+    """Feature matrix plus integer class ids aligned to ``class_labels``.
+
+    The ids are ground truth for generated or ingested traffic and oracle
+    labels for what the attacker collects through ``Oracle.collect``.
+    """
 
     schema: FeatureSchema
     X: np.ndarray
     y: np.ndarray
     class_labels: tuple
-    split_seed: int = 0
 
     def __post_init__(self):
         X = validate_matrix(self.schema, readonly_array(self.X, float), "dataset")
@@ -199,69 +202,34 @@ class Dataset:
     def n_classes(self) -> int:
         return len(self.class_labels)
 
-    def take(self, idx: np.ndarray, split_seed: Union[int, None] = None) -> "Dataset":
-        return Dataset(
-            self.schema,
-            self.X[idx],
-            self.y[idx],
-            self.class_labels,
-            self.split_seed if split_seed is None else split_seed,
-        )
+    def take(self, idx: np.ndarray) -> "Dataset":
+        return Dataset(self.schema, self.X[idx], self.y[idx], self.class_labels)
 
     def project(self, schema: FeatureSchema) -> "Dataset":
         """Restrict columns to another (subset) schema, matched by name."""
         cols = self.schema.projection_onto(schema)
-        return Dataset(schema, self.X[:, cols], self.y, self.class_labels, self.split_seed)
+        return Dataset(schema, self.X[:, cols], self.y, self.class_labels)
 
 
-@dataclass(frozen=True)
-class ConfusionCounts:
-    """Square count matrix; rows are true classes, columns predictions."""
-
-    per_class: np.ndarray
-
-    def __post_init__(self):
-        m = readonly_array(self.per_class, np.int64)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValidationError("per_class must be a square matrix")
-        if (m < 0).any():
-            raise ValidationError("counts must be non-negative")
-        object.__setattr__(self, "per_class", m)
-
-    @property
-    def correct(self) -> int:
-        return int(np.trace(self.per_class))
-
-    @property
-    def total(self) -> int:
-        return int(self.per_class.sum())
-
-    @classmethod
-    def from_predictions(cls, y_true, y_pred, n_classes: int) -> "ConfusionCounts":
-        y_true = np.asarray(y_true, dtype=int)
-        y_pred = np.asarray(y_pred, dtype=int)
-        m = np.zeros((n_classes, n_classes), dtype=np.int64)
-        np.add.at(m, (y_true, y_pred), 1)
-        return cls(m)
-
-
-def identification_rate(counts: ConfusionCounts) -> float:
-    """Fraction of predictions landing on the true class."""
-    if counts.total == 0:
-        raise EvaluationError("no predictions to evaluate")
-    return counts.correct / counts.total
-
-
-def spoofing_rate(predictions, target) -> float:
-    """Fraction of predictions equal to the attacker's chosen class."""
-    tid = target.id if isinstance(target, DeviceClass) else int(target)
-    ids = np.array(
-        [p.id if isinstance(p, DeviceClass) else int(p) for p in predictions],
-        dtype=int,
-    )
+def _ids(a) -> np.ndarray:
+    ids = np.asarray(a, dtype=int)
     if ids.size == 0:
         raise EvaluationError("no predictions to evaluate")
-    return float(np.mean(ids == tid))
+    return ids
+
+
+def identification_rate(y_true, y_pred) -> float:
+    """Fraction of predicted ids equal to the true ids."""
+    y_true, y_pred = _ids(y_true), _ids(y_pred)
+    if y_true.shape != y_pred.shape:
+        raise ValidationError(f"{y_pred.shape} predictions for {y_true.shape} true ids")
+    return float(np.mean(y_true == y_pred))
+
+
+def spoofing_rate(y_pred, target) -> float:
+    """Fraction of predicted ids equal to the attacker's chosen class."""
+    tid = target.id if isinstance(target, DeviceClass) else int(target)
+    return float(np.mean(_ids(y_pred) == tid))
 
 
 def stratified_split(y: np.ndarray, train_fraction: float, seed: int):
@@ -300,4 +268,4 @@ def split_dataset(ds: Dataset, train_fraction: float, seed: int):
         raise StratificationError(
             f"class {ds.class_labels[single[0]]!r} has 1 row(s); need >= 2"
         )
-    return ds.take(train_idx, split_seed=seed), ds.take(test_idx, split_seed=seed)
+    return ds.take(train_idx), ds.take(test_idx)

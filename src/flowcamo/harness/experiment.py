@@ -20,7 +20,6 @@ from ..camouflage import (
     train_generator,
 )
 from ..core import (
-    ConfusionCounts,
     Dataset,
     DeviceClass,
     UnreachableTargetError,
@@ -162,8 +161,7 @@ class ExperimentConfig:
 
 
 def _rate(model, ds: Dataset) -> float:
-    pred = model.predict_ids(ds.X)
-    return identification_rate(ConfusionCounts.from_predictions(ds.y, pred, ds.n_classes))
+    return identification_rate(ds.y, model.predict_ids(ds.X))
 
 
 # ---- stages ------------------------------------------------------------------
@@ -219,11 +217,9 @@ def _substitute(cfg: ExperimentConfig, results: dict, out) -> None:
             train_extra=probe_corpora[kind],
         )
         # Substitute's own identification rates against ground truth.
-        pred_tr = sub.predict_ids_pool(train_pool.X)
-        pred_te = sub.predict_ids_pool(test_pool.X)
         sub_rates[kind] = (
-            float(np.mean(pred_tr == train_pool.y)),
-            float(np.mean(pred_te == test_pool.y)),
+            identification_rate(train_pool.y, sub.predict_ids_pool(train_pool.X)),
+            identification_rate(test_pool.y, sub.predict_ids_pool(test_pool.X)),
             sub.agreement,
         )
 

@@ -255,7 +255,6 @@ def generate_dataset(
         np.vstack(blocks),
         np.asarray(labels, dtype=int),
         tuple(p.label for p in profiles),
-        split_seed=seed,
     )
 
 

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import ValidationError
+from .core import ValidationError, identification_rate
 from .learners import Net, Scaler, build_tree, one_hot, train_net, tree_apply
 
 CARRIER_HZ = 2.4e9
@@ -327,7 +327,7 @@ def evaluate_defense(
     for r in range(rounds + 1):
         P, Csi, y = signature_batch(identities, per_device, noise_seed=seed + 7919 * r)
         ids, _ = classifier.identify_batch(P, Csi)
-        rates.append(float(np.mean(ids == y)))
+        rates.append(identification_rate(y, ids))
         h.update(stream_hash(P, Csi).encode())
     rates, digest = tuple(rates), h.hexdigest()
     return DefenseReport(tuple(range(rounds + 1)), rates, rates, digest, digest)

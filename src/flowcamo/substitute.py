@@ -14,8 +14,13 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .blackbox import EavesdropCorpus
-from .core import DegenerateTrainingError, FeatureSchema, ValidationError, stratified_split
+from .core import (
+    Dataset,
+    DegenerateTrainingError,
+    FeatureSchema,
+    ValidationError,
+    stratified_split,
+)
 from .learners import Net, Scaler, one_hot, train_net
 from .learners.io import load_archive, save_archive
 
@@ -89,12 +94,12 @@ class SubstituteModel:
 
 
 def train_substitute(
-    corpus: EavesdropCorpus,
+    corpus: Dataset,
     subset: Optional[Sequence[int]] = None,
     epochs: int = 60,
     seed: int = 0,
     hidden: Sequence[int] = (64, 64),
-    train_extra: Optional[EavesdropCorpus] = None,
+    train_extra: Optional[Dataset] = None,
 ) -> SubstituteModel:
     """Fit an MLP to the eavesdropped labels; records the per-epoch curve.
 
@@ -142,13 +147,9 @@ def train_substitute(
     )
 
 
-def feature_weights(
-    corpus: EavesdropCorpus,
-    base: SubstituteModel,
-    seed: int = 0,
-    repeats: int = 10,
-) -> np.ndarray:
-    """Permutation importance of every pool feature, floored at zero."""
+def feature_weights(corpus: Dataset, base: SubstituteModel, seed: int = 0) -> np.ndarray:
+    """Permutation importance of every pool feature, floored at zero: the
+    mean agreement drop over 10 shuffles of its holdout column."""
     if len(base.subset) != len(corpus.schema):
         raise ValidationError("base substitute must be trained on the full pool")
     hold = base.holdout_idx
@@ -159,8 +160,8 @@ def feature_weights(
     K = len(corpus.schema)
     weights = np.zeros(K)
     for i in range(K):
-        drops = np.empty(repeats)
-        for r in range(repeats):
+        drops = np.empty(10)
+        for r in range(drops.size):
             Xp = X.copy()
             Xp[:, i] = Xp[rng.permutation(X.shape[0]), i]
             drops[r] = base_agree - float(np.mean(base.predict_ids_pool(Xp) == y))
@@ -190,9 +191,9 @@ def performance_gain(r_c: float, r_p: float, c_c: float, c_p: float):
     return (rel_r - rel_c) / rel_c, False
 
 
-def _median_predict_time(model: SubstituteModel, probe: np.ndarray, runs: int = 5) -> float:
+def _median_predict_time(model: SubstituteModel, probe: np.ndarray) -> float:
     times = []
-    for _ in range(runs):
+    for _ in range(5):
         t0 = time.perf_counter()
         model.predict_ids_pool(probe)
         times.append(time.perf_counter() - t0)
@@ -200,16 +201,15 @@ def _median_predict_time(model: SubstituteModel, probe: np.ndarray, runs: int = 
 
 
 def performance_gain_scan(
-    corpus: EavesdropCorpus,
+    corpus: Dataset,
     weights: np.ndarray,
     L_values: Sequence[int],
     epochs: int = 30,
     seed: int = 0,
-    probe_size: int = 1000,
-    timing_runs: int = 5,
-    train_extra: Optional[EavesdropCorpus] = None,
+    train_extra: Optional[Dataset] = None,
 ) -> List[PerformanceGainPoint]:
-    """Retrain per subset size; timing runs are serialized by design."""
+    """Retrain per subset size; each overhead is the median of 5 serialized
+    predictions on 1,000 corpus rows."""
     L_values = list(L_values)
     if not L_values:
         raise ValidationError("L_values is empty")
@@ -219,7 +219,7 @@ def performance_gain_scan(
     if any(not 1 <= L <= K for L in L_values):
         raise ValidationError(f"every L must be in [1, {K}]")
     rng = np.random.default_rng(seed)
-    probe = corpus.X[rng.integers(0, len(corpus), size=probe_size)]
+    probe = corpus.X[rng.integers(0, len(corpus), size=1000)]
     points: List[PerformanceGainPoint] = []
     prev: Optional[PerformanceGainPoint] = None
     for L in L_values:
@@ -227,7 +227,7 @@ def performance_gain_scan(
             corpus, top_l_indices(weights, L), epochs=epochs, seed=seed,
             train_extra=train_extra,
         )
-        overhead = _median_predict_time(sub, probe, runs=timing_runs)
+        overhead = _median_predict_time(sub, probe)
         if prev is None:
             gain, undefined = float("nan"), True
         else:

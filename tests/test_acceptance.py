@@ -45,8 +45,6 @@ from flowcamo.substitute import (
     select_subset,
 )
 
-pytestmark = pytest.mark.slow
-
 REQUIRED_SPOOF_PAIRS = [
     ("camera", "hub"), ("hub", "camera"),
     ("camera", "health"), ("health", "camera"),
@@ -58,7 +56,8 @@ REPORTED_SPOOF_PAIRS = [("camera", "switch"), ("switch", "camera")]
 
 @pytest.fixture(scope="module")
 def full_run(tmp_path_factory):
-    """One default-benchmark pipeline run shared by criteria 1-8."""
+    """One default-benchmark pipeline run shared by criteria 1-9; every
+    criterion that takes it is marked ``slow``."""
     out_dir = str(tmp_path_factory.mktemp("bench"))
     cfg = ExperimentConfig(out_dir=out_dir)
     return run_experiment(cfg)
@@ -70,6 +69,7 @@ def announce(capsys, num: int, ok: bool, detail: str) -> None:
 
 
 class TestAcceptance:
+    @pytest.mark.slow
     def test_c01_target_identification(self, full_run, capsys):
         rates = {k: te for k, (_tr, te) in full_run["target_rates"].items()}
         ok = all(r >= 0.90 for r in rates.values())
@@ -77,6 +77,7 @@ class TestAcceptance:
         announce(capsys, 1, ok, f"target test identification {detail}")
         assert ok
 
+    @pytest.mark.slow
     def test_c02_substitute_agreement(self, full_run, capsys):
         gaps = {}
         epochs_ok = True
@@ -89,6 +90,7 @@ class TestAcceptance:
         announce(capsys, 2, ok, f"substitute vs target ({detail}), <=60 epochs")
         assert ok
 
+    @pytest.mark.slow
     def test_c03_agreement_converged(self, full_run, capsys):
         drifts = {}
         for kind, sub in full_run["substitutes"].items():
@@ -99,6 +101,7 @@ class TestAcceptance:
         announce(capsys, 3, ok, f"agreement drift over last 10 epochs ({detail})")
         assert ok
 
+    @pytest.mark.slow
     def test_c04_misidentification(self, full_run, capsys):
         rates, gaps = {}, {}
         for row in full_run["attack_rows"]:
@@ -112,6 +115,7 @@ class TestAcceptance:
         announce(capsys, 4, ok, f"post-attack identification {detail}")
         assert ok
 
+    @pytest.mark.slow
     def test_c05_spoofing(self, full_run, capsys):
         spoof = full_run["spoof_rates"]
         kinds = full_run["config"].target_kinds
@@ -132,6 +136,7 @@ class TestAcceptance:
         announce(capsys, 5, ok, f"min spoofing rate per pair over kinds: {detail}")
         assert ok
 
+    @pytest.mark.slow
     def test_c06_contract_holds_at_scale(self, full_run, capsys):
         g = next(iter(full_run["attack_generators"].values()))
         schema = g.schema
@@ -147,6 +152,7 @@ class TestAcceptance:
         announce(capsys, 6, ok, f"{violations} violations over 100,000 manipulated vectors")
         assert ok
 
+    @pytest.mark.slow
     def test_c07_feature_subset_selection(self, full_run, capsys):
         cfg = full_run["config"]
         kind = cfg.target_kinds[0]
@@ -184,6 +190,7 @@ class TestAcceptance:
         )
         assert ok
 
+    @pytest.mark.slow
     def test_c08_defense(self, full_run, capsys):
         rep = full_run["defense_report"]
         clean = min(rep.clean_rates)
@@ -197,6 +204,7 @@ class TestAcceptance:
         )
         assert ok
 
+    @pytest.mark.slow
     def test_c09_gradients_and_prediction_consistency(self, full_run, capsys):
         rng = np.random.default_rng(99)
         worst_param, worst_input = 0.0, 0.0

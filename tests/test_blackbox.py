@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from flowcamo.blackbox import EavesdropCorpus, Oracle, make_oracle
-from flowcamo.core import DeviceClass, ValidationError
+from flowcamo.blackbox import Oracle, make_oracle
+from flowcamo.core import Dataset, DeviceClass, ValidationError
 from flowcamo.learners import fit
 
 
@@ -68,13 +68,12 @@ class TestOracleSurface:
 class TestCorpus:
     def test_corpus_validates_alignment(self, pool_schema, small_dataset):
         with pytest.raises(ValidationError):
-            EavesdropCorpus(
-                pool_schema, small_dataset.X[:5], np.zeros(4, dtype=int), ("a", "b")
-            )
+            Dataset(pool_schema, small_dataset.X[:5], np.zeros(4, dtype=int), ("a", "b"))
 
     def test_corpus_len_and_classes(self, oracle_setup):
         oracle, _, train_pool = oracle_setup
         corpus = oracle.collect(train_pool.X[:40])
+        assert isinstance(corpus, Dataset)
         assert len(corpus) == 40
         assert corpus.n_classes == len(train_pool.class_labels)
 
@@ -89,7 +88,7 @@ class TestCorpus:
 
     def test_corpus_copies_writeable_labels(self, pool_schema, small_dataset):
         X, y = small_dataset.X[:5].copy(), np.zeros(5, dtype=int)
-        corpus = EavesdropCorpus(pool_schema, X, y, ("a", "b"))
+        corpus = Dataset(pool_schema, X, y, ("a", "b"))
         assert X.flags.writeable and y.flags.writeable
         y[:] = 1
         np.testing.assert_array_equal(corpus.y, np.zeros(5, dtype=int))

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowcamo.core import (
-    ConfusionCounts,
     Dataset,
     DeviceClass,
+    EvaluationError,
     Feature,
     FeatureSchema,
     StratificationError,
@@ -88,13 +88,11 @@ class TestValidateMatrix:
         np.testing.assert_array_equal(out, X)
 
 
-class TestConfusionCounts:
-    def test_caller_matrix_stays_writeable_and_unshared(self):
-        m = np.array([[2, 1], [0, 3]], dtype=np.int64)
-        counts = ConfusionCounts(m)
-        assert m.flags.writeable and not counts.per_class.flags.writeable
-        m[0, 0] = 99
-        assert counts.correct == 5
+def id_arrays():
+    """(y_true, y_pred, n_classes): two equal-length arrays of random ids."""
+    return st.tuples(
+        st.integers(1, 3000), st.integers(2, 40), st.integers(0, 2**32 - 1)
+    ).map(lambda a: (*np.random.default_rng(a[2]).integers(0, a[1], size=(2, a[0])), a[1]))
 
 
 class TestRates:
@@ -102,10 +100,26 @@ class TestRates:
         # [TRIVIAL] 3 correct out of 5.
         y = np.array([0, 0, 1, 1, 2])
         p = np.array([0, 1, 1, 1, 0])
-        cc = ConfusionCounts.from_predictions(y, p, 3)
-        assert identification_rate(cc) == pytest.approx(3 / 5)
-        assert cc.correct == 3
-        assert cc.total == 5
+        assert identification_rate(y, p) == 3 / 5
+
+    @settings(max_examples=200)
+    @given(id_arrays())
+    def test_identification_rate_is_correct_over_total(self, case):
+        """Bit-equal to the count-matrix rate it replaced: trace / total of
+        the confusion counts, as Python ints."""
+        y, p, n = case
+        counts = np.zeros((n, n), dtype=np.int64)
+        np.add.at(counts, (y, p), 1)
+        assert identification_rate(y, p) == int(np.trace(counts)) / int(counts.sum())
+
+    @settings(max_examples=200)
+    @given(id_arrays())
+    def test_spoofing_rate_is_hits_over_total(self, case):
+        _, p, _ = case
+        target = int(p[0])
+        hits = sum(1 for v in p.tolist() if v == target)
+        assert spoofing_rate(p, DeviceClass(target, "t")) == hits / p.size
+        assert spoofing_rate(p, target) == hits / p.size
 
     def test_spoofing_rate_hand_counted(self):
         # [TRIVIAL] 2 of 4 predictions hit the chosen class.
@@ -113,8 +127,17 @@ class TestRates:
         assert spoofing_rate(preds, DeviceClass(3, "t")) == pytest.approx(0.5)
 
     def test_empty_predictions_rejected(self):
-        with pytest.raises(ValueError):
-            spoofing_rate(np.array([], dtype=int), DeviceClass(0, "t"))
+        empty = np.array([], dtype=int)
+        with pytest.raises(EvaluationError):
+            spoofing_rate(empty, DeviceClass(0, "t"))
+        with pytest.raises(EvaluationError):
+            identification_rate(empty, empty)
+        with pytest.raises(EvaluationError):
+            identification_rate([], [])
+
+    def test_misaligned_ids_rejected(self):
+        with pytest.raises(ValidationError):
+            identification_rate(np.array([0, 1, 1]), np.array([1]))
 
 
 class TestSplit:

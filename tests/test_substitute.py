@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowcamo.blackbox import EavesdropCorpus, make_oracle
-from flowcamo.core import DegenerateTrainingError, ValidationError
+from flowcamo.blackbox import make_oracle
+from flowcamo.core import Dataset, DegenerateTrainingError, ValidationError
 from flowcamo.harness import synth
 from flowcamo.harness.csvio import write_report_csv
 from flowcamo.learners import fit
@@ -107,7 +107,7 @@ class TestTrainSubstitute:
         assert base_sub.training_curve[-1] == base_sub.agreement
 
     def test_single_class_corpus_rejected(self, corpus):
-        one = EavesdropCorpus(
+        one = Dataset(
             corpus.schema, corpus.X[:40], np.zeros(40, dtype=int), corpus.class_labels
         )
         with pytest.raises(DegenerateTrainingError):
@@ -123,7 +123,7 @@ class TestTrainSubstitute:
         probes = rng.uniform(
             pool_schema.lows, pool_schema.highs, size=(200, len(pool_schema))
         )
-        extra = EavesdropCorpus(
+        extra = Dataset(
             pool_schema, probes, rng.integers(0, 8, 200), corpus.class_labels
         )
         sub = train_substitute(corpus, epochs=5, seed=11, train_extra=extra)
@@ -133,7 +133,7 @@ class TestTrainSubstitute:
         probes = rng.uniform(
             target_schema.lows, target_schema.highs, size=(10, len(target_schema))
         )
-        extra = EavesdropCorpus(
+        extra = Dataset(
             target_schema, probes, np.zeros(10, dtype=int), corpus.class_labels
         )
         with pytest.raises(ValidationError):
@@ -142,7 +142,7 @@ class TestTrainSubstitute:
 
 class TestFeatureWeights:
     def test_informative_feature_beats_decoy(self, corpus, base_sub):
-        w = feature_weights(corpus, base_sub, seed=1, repeats=5)
+        w = feature_weights(corpus, base_sub, seed=1)
         names = corpus.schema.names
         informative = max(w[names.index(n)] for n in ("bytes_per_s", "pkt_size_mean"))
         decoys = [w[i] for i, n in enumerate(names) if n.startswith("decoy_")]
@@ -157,10 +157,8 @@ class TestFeatureWeights:
 
 class TestScanAndSelect:
     def test_scan_shape_and_first_point(self, corpus, base_sub):
-        w = feature_weights(corpus, base_sub, seed=1, repeats=3)
-        scan = performance_gain_scan(
-            corpus, w, [4, 12, 28], epochs=8, seed=2, probe_size=100, timing_runs=2
-        )
+        w = feature_weights(corpus, base_sub, seed=1)
+        scan = performance_gain_scan(corpus, w, [4, 12, 28], epochs=8, seed=2)
         assert [p.L for p in scan] == [4, 12, 28]
         assert scan[0].undefined and math.isnan(scan[0].gain)
         for p in scan[1:]:
