@@ -21,12 +21,12 @@ from ..camouflage import (
     load_generator,
     misidentify,
     save_generator,
-    spoof,
     train_generator,
 )
 from ..core import (
     DeviceClass,
     FeatureSchema,
+    UnreachableTargetError,
     ValidationError,
     identification_rate,
     split_dataset,
@@ -44,7 +44,7 @@ from ..substitute import (
 )
 from . import synth
 from .csvio import atomic_write_text, dataset_to_csv, ingest_csv, write_report_csv
-from .experiment import ExperimentConfig, StageFailure, run_experiment
+from .experiment import ExperimentConfig, StageFailure, run_experiment, spoof_cell
 
 
 def _load_schema(arg: str):
@@ -120,19 +120,13 @@ def cmd_scan_features(args) -> int:
     return 0
 
 
-def _run_attack(args, mode, source_types=None) -> int:
+def _attack_inputs(args):
     ds = _ingest(args.data, args.schema)
-    target = load_model(args.target)
-    sub = load_substitute(args.sub)
     train, test = split_dataset(ds, 0.8, args.seed)
-    if source_types:
-        keep = [i for i, lab in enumerate(ds.class_labels)
-                if any(lab.startswith(t) for t in source_types)]
-        train = train.take(np.flatnonzero(np.isin(train.y, keep)))
-        test = test.take(np.flatnonzero(np.isin(test.y, keep)))
-    g = build_generator(ds.schema, train.X, seed=args.seed)
-    train_generator(g, sub, train, mode, epochs=args.epochs, seed=args.seed, lr=args.lr)
-    rep = evaluate_attack(g, target, test, mode, seed=args.seed)
+    return ds, load_model(args.target), load_substitute(args.sub), train, test
+
+
+def _write_attack(args, g, rep, target, test) -> int:
     clean_rate = identification_rate(test.y, target.predict_ids(test.project(target.schema).X))
     if args.save_generator:
         save_generator(g, args.save_generator)
@@ -148,18 +142,33 @@ def _run_attack(args, mode, source_types=None) -> int:
 
 
 def cmd_attack(args) -> int:
-    return _run_attack(args, misidentify())
+    ds, target, sub, train, test = _attack_inputs(args)
+    g = build_generator(ds.schema, train.X, seed=args.seed)
+    train_generator(g, sub, train, misidentify(), epochs=args.epochs, seed=args.seed, lr=0.05)
+    rep = evaluate_attack(g, target, test, misidentify(), seed=args.seed)
+    return _write_attack(args, g, rep, target, test)
 
 
 def cmd_spoof(args) -> int:
-    ds = _ingest(args.data, args.schema)
+    """The spoof cell of ``flowcamo run``, for one source type and target class."""
+    ds, target, sub, train, test = _attack_inputs(args)
     try:
         tid = list(ds.class_labels).index(args.target_class)
     except ValueError:
         raise ValidationError(f"unknown class label {args.target_class!r}") from None
-    mode = spoof(DeviceClass(tid, args.target_class))
-    source_types = [args.source_type] if args.source_type else None
-    return _run_attack(args, mode, source_types)
+    keep = [i for i, lab in enumerate(ds.class_labels) if lab.startswith(args.source_type)]
+    src_train = train.take(np.flatnonzero(np.isin(train.y, keep)))
+    src_test = test.take(np.flatnonzero(np.isin(test.y, keep)))
+    if not len(src_train) or not len(src_test):
+        raise ValidationError(f"source type {args.source_type!r} matches no class label "
+                              "with both training and test rows")
+    cfg = ExperimentConfig(seed=args.seed, generator_epochs=args.epochs)
+    found = spoof_cell(cfg, sub, make_oracle(target, ds.schema), target, train.X,
+                       src_train, src_test, DeviceClass(tid, args.target_class), 0)
+    if found is None:
+        raise UnreachableTargetError(
+            f"the substitute assigns no training row to {args.target_class!r}")
+    return _write_attack(args, *found, target, src_test)
 
 
 def cmd_defend(args) -> int:
@@ -278,13 +287,12 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--target", required=True)
         sp.add_argument("--sub", required=True)
         sp.add_argument("--epochs", type=int, default=60)
-        sp.add_argument("--lr", type=float, default=0.05)
         sp.add_argument("--out", required=True)
         sp.add_argument("--save-generator")
         sp.add_argument("--seed", type=int, default=42)
         if name == "spoof":
             sp.add_argument("--target-class", required=True)
-            sp.add_argument("--source-type")
+            sp.add_argument("--source-type", default="")  # "" keeps every class
 
     sp = add("defend", cmd_defend, help="fit the device profiler and evaluate")
     sp.add_argument("--out", required=True)

@@ -286,6 +286,34 @@ def _attack(cfg: ExperimentConfig, results: dict, out) -> None:
     )
 
 
+def spoof_cell(cfg: ExperimentConfig, sub, oracle, target, anchor_X: np.ndarray,
+               src_train: Dataset, src_test: Dataset, target_cls: DeviceClass,
+               cell: int) -> Optional[tuple]:
+    """``(generator, report on target over src_test)`` of the trial, one per
+    ``cfg.spoof_trial_lrs``, that the oracle rates best on ``src_train``; the
+    first to reach ``cfg.spoof_accept`` ends the loop. None when no trial can
+    be anchored: the substitute assigns no row of ``anchor_X`` to the target."""
+    mode = spoof(target_cls)
+    best_g, best_rate = None, -1.0
+    for t, trial_lr in enumerate(cfg.spoof_trial_lrs):
+        g = build_generator(src_train.schema, anchor_X, seed=cfg.seed + 600 + cell + 5000 * t)
+        try:
+            train_generator(
+                g, sub, src_train, mode, epochs=cfg.generator_epochs,
+                seed=cfg.seed + 700 + cell + 5000 * t, lr=trial_lr, anchor_X=anchor_X,
+            )
+        except UnreachableTargetError:
+            break  # every trial shares the substitute and the anchor rows
+        check = evaluate_attack(g, oracle, src_train, mode, seed=cfg.seed + 750 + cell)
+        if check.attacked_rate > best_rate:
+            best_g, best_rate = g, check.attacked_rate
+        if best_rate >= cfg.spoof_accept:
+            break
+    if best_g is None:
+        return None
+    return best_g, evaluate_attack(best_g, target, src_test, mode, seed=cfg.seed + 800 + cell)
+
+
 def _spoof(cfg: ExperimentConfig, results: dict, out) -> None:
     """Spoof grid: every (target, source type, destination type) cell."""
     profiles = results["profiles"]
@@ -303,44 +331,14 @@ def _spoof(cfg: ExperimentConfig, results: dict, out) -> None:
             target_cls = DeviceClass(dst_classes[0], profiles[dst_classes[0]].label)
             src_train = train_pool.take(np.flatnonzero(np.isin(train_pool.y, src_classes)))
             src_test = test_pool.take(np.flatnonzero(np.isin(test_pool.y, src_classes)))
-            best_g, best_rate = None, -1.0
-            for t, trial_lr in enumerate(cfg.spoof_trial_lrs):
-                g = build_generator(
-                    train_pool.schema, train_pool.X,
-                    seed=cfg.seed + 600 + i * 20 + j + 5000 * t,
-                )
-                try:
-                    train_generator(
-                        g, sub, src_train, spoof(target_cls),
-                        epochs=cfg.generator_epochs,
-                        seed=cfg.seed + 700 + i * 20 + j + 5000 * t,
-                        lr=trial_lr, lr_decay=0.93, bce_weight=0.1, gate_success=True,
-                        anchor_X=train_pool.X, anchor_weight=1.0,
-                        # Success-rate quantisation on a few thousand rows is
-                        # coarser than the default plateau delta; a looser
-                        # delta lets stuck trials stop early so the budget
-                        # goes to the next restart instead.
-                        plateau_delta=2e-3,
-                    )
-                except UnreachableTargetError:
-                    break  # every trial shares the substitute and the anchor rows
-                check = evaluate_attack(
-                    g, oracle, src_train, spoof(target_cls),
-                    seed=cfg.seed + 750 + i * 20 + j,
-                )
-                if check.attacked_rate > best_rate:
-                    best_g, best_rate = g, check.attacked_rate
-                if best_rate >= cfg.spoof_accept:
-                    break
-            if best_g is None:  # unreachable cell: reported with no rate
+            found = spoof_cell(cfg, sub, oracle, target, train_pool.X, src_train, src_test,
+                               target_cls, i * 20 + j)
+            if found is None:  # unreachable cell: reported with no rate
                 spoof_rows.append([kind, src, dst, target_cls.label, ""])
                 continue
-            rep = evaluate_attack(
-                best_g, target, src_test, spoof(target_cls),
-                seed=cfg.seed + 800 + i * 20 + j,
-            )
-            spoof_rows.append([kind, src, dst, target_cls.label, f"{rep.attacked_rate:.6f}"])
-            spoof_rates[(kind, src, dst)] = rep.attacked_rate
+            rate = found[1].attacked_rate
+            spoof_rows.append([kind, src, dst, target_cls.label, f"{rate:.6f}"])
+            spoof_rates[(kind, src, dst)] = rate
     out(
         "table3.csv",
         ["model", "source_type", "target_type", "spoof_class", "spoofing_rate"],

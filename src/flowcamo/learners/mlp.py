@@ -7,7 +7,6 @@ differences in the test suite.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -16,6 +15,8 @@ from ..core import NumericError, ValidationError
 
 # Keeps sigmoid outputs strictly inside (0, 1) in float64.
 _LOGIT_CLIP = 30.0
+# ``train_net`` multiplies its step size by this after every epoch.
+LR_DECAY = 0.97
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -239,11 +240,6 @@ def mlp_input_gradient(
     return dX[0] if single else dX
 
 
-@dataclass
-class TrainLog:
-    eval_curve: list = field(default_factory=list)
-
-
 def train_net(
     net: Net,
     X: np.ndarray,
@@ -252,10 +248,11 @@ def train_net(
     lr: float,
     batch_size: int,
     seed: int,
-    lr_decay: float = 1.0,
     eval_fn: Optional[Callable[[int], float]] = None,
-) -> TrainLog:
-    """Minibatch SGD on the BCE loss; deterministic for a fixed seed."""
+) -> List[float]:
+    """Minibatch SGD on the BCE loss, with the step size decayed by
+    ``LR_DECAY`` after each epoch; deterministic for a fixed seed. Returns
+    ``eval_fn``'s value after each epoch (empty without one)."""
     if epochs < 1:
         raise ValidationError(f"epochs must be >= 1, got {epochs}")
     rng = np.random.default_rng(seed)
@@ -268,7 +265,7 @@ def train_net(
         )
     if not np.isfinite(targets).all():
         raise NumericError("non-finite loss inputs")
-    log = TrainLog()
+    eval_curve = []
     cur_lr = lr
     for epoch in range(epochs):
         order = rng.permutation(n)
@@ -278,9 +275,9 @@ def train_net(
             dWs, dbs = net.backward(cache, bce_dlogits_unchecked(z, targets[idx]))
             net.sgd_step(dWs, dbs, cur_lr)
         if eval_fn is not None:
-            log.eval_curve.append(eval_fn(epoch))
-        cur_lr *= lr_decay
-    return log
+            eval_curve.append(eval_fn(epoch))
+        cur_lr *= LR_DECAY
+    return eval_curve
 
 
 def one_hot(y: np.ndarray, n_classes: int) -> np.ndarray:

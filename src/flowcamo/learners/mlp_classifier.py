@@ -46,7 +46,6 @@ class MlpClassifier(ClassifierModel):
             lr=0.1,
             batch_size=128,
             seed=seed + 1,
-            lr_decay=0.97,
         )
         return cls(train.schema, train.class_labels, scaler, net)
 

@@ -282,7 +282,6 @@ def fit_profiler(
             lr=0.5,
             batch_size=64,
             seed=seed + 1000 + gidx,
-            lr_decay=0.97,
         )
         stages.append(_StageTwo(classes, scaler, net))
     return MultiStageClassifier(tree, leaf_to_group, stages)

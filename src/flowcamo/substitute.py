@@ -130,7 +130,7 @@ def train_substitute(
         pred = np.argmax(net.scores(Xn[hold_idx]), axis=1)
         return float(np.mean(pred == y_hold))
 
-    log = train_net(
+    curve = train_net(
         net,
         scaler.transform(X_tr),
         one_hot(y_tr, corpus.n_classes),
@@ -138,12 +138,11 @@ def train_substitute(
         lr=0.1,
         batch_size=128,
         seed=seed + 1,
-        lr_decay=0.97,
         eval_fn=agreement,
     )
     return SubstituteModel(
         corpus.schema, subset, scaler, net, corpus.class_labels,
-        log.eval_curve, hold_idx, seed,
+        curve, hold_idx, seed,
     )
 
 

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from flowcamo.blackbox import make_oracle
 from flowcamo.camouflage import (
     BATCH_SIZE,
+    PLATEAU_MIN_EPOCHS,
     PLATEAU_WINDOW,
     AttackMode,
+    AttackReport,
     Generator,
     build_generator,
     evaluate_attack,
@@ -29,6 +31,8 @@ from flowcamo.core import (
     UnreachableTargetError,
     ValidationError,
 )
+from flowcamo.harness import experiment, synth
+from flowcamo.harness.experiment import ExperimentConfig
 from flowcamo.learners import bce_dlogits, fit, one_hot
 from flowcamo.substitute import train_substitute
 
@@ -65,9 +69,15 @@ def _reference_success(g, sub, X, mode, orig_labels, rng):
     return float(np.mean(pred == mode.target.id))
 
 
-def reference_train_generator(g, sub, train, mode, epochs, seed=0, lr=0.01, lr_decay=1.0,
-                              bce_weight=1.0, gate_success=False, anchor_X=None,
-                              anchor_weight=0.0, plateau_delta=1e-4, plateau_min_epochs=20):
+def reference_train_generator(g, sub, train, mode, epochs, seed=0, lr=0.01, anchor_X=None):
+    """Misidentify: constant LR, BCE weight 1, no gate, no anchor, plateau
+    delta 1e-4. Spoof: LR decay 0.93, BCE weight 0.1, gated BCE, anchor
+    weight 1.0, plateau delta 2e-3. Both: plateau minimum 20 epochs."""
+    if mode.mode == "misidentify":
+        lr_decay, bce_weight, gate_success, anchor_weight, plateau_delta = 1.0, 1.0, False, 0.0, 1e-4
+    else:
+        lr_decay, bce_weight, gate_success, anchor_weight, plateau_delta = 0.93, 0.1, True, 1.0, 2e-3
+    plateau_min_epochs = 20
     X = train.X
     n = X.shape[0]
     rng = np.random.default_rng(seed)
@@ -79,7 +89,10 @@ def reference_train_generator(g, sub, train, mode, epochs, seed=0, lr=0.01, lr_d
     else:
         targets = one_hot(np.full(min(n, BATCH_SIZE), mode.target.id), sub.n_classes)
         if anchor_X is not None and anchor_weight > 0.0:
-            anchor = anchor_X[sub.predict_ids_pool(anchor_X) == mode.target.id].mean(axis=0)
+            rows = anchor_X[sub.predict_ids_pool(anchor_X) == mode.target.id]
+            if rows.shape[0] == 0:
+                raise UnreachableTargetError("no anchor row is assigned to the target")
+            anchor = rows.mean(axis=0)
             anchor_scale2 = g.sd**2
             mut = g.schema.mutable_mask
     sub_cols = np.asarray(sub.subset, dtype=int)
@@ -297,9 +310,35 @@ class TestTraining:
         sub, _, _ = trained_sub
         train_pool, _ = small_split
         g = build_generator(pool_schema, train_pool.X, seed=9)
-        train_generator(g, sub, train_pool, misidentify(), epochs=3, lr=0.01,
-                        plateau_min_epochs=3)
+        train_generator(g, sub, train_pool, misidentify(), epochs=3, lr=0.01)
         assert len(g.training_curve) == 4  # initial point + one per epoch
+
+    @pytest.mark.parametrize("spoofing", [False, True])
+    def test_plateau_stops_after_the_minimum_epochs(self, pool_schema, trained_sub,
+                                                    small_split, spoofing):
+        """At lr 0 the rate never moves, so either mode stops as soon as the
+        minimum number of epochs has run."""
+        sub, _, _ = trained_sub
+        train_pool, _ = small_split
+        mode, anchor_X = misidentify(), None
+        if spoofing:
+            tid = int(sub.predict_ids_pool(train_pool.X)[0])
+            mode, anchor_X = spoof(DeviceClass(tid, "t")), train_pool.X
+        g = build_generator(pool_schema, train_pool.X, seed=9)
+        train_generator(g, sub, train_pool, mode, epochs=60, lr=0.0, anchor_X=anchor_X)
+        assert PLATEAU_MIN_EPOCHS == 20
+        assert len(g.training_curve) == PLATEAU_MIN_EPOCHS + 1
+        assert len(set(g.training_curve)) == 1
+
+    def test_anchor_rows_are_needed_for_spoof_only(self, gen, trained_sub, small_split):
+        sub, _, _ = trained_sub
+        train_pool, _ = small_split
+        with pytest.raises(ValidationError, match="anchor_X"):
+            train_generator(gen, sub, train_pool, spoof(DeviceClass(0, "t")), epochs=1)
+        with pytest.raises(ValidationError, match="anchor_X"):
+            train_generator(gen, sub, train_pool, misidentify(), epochs=1,
+                            anchor_X=train_pool.X)
+        assert not gen.trained
 
     def test_anchor_requires_matching_rows(self, pool_schema, trained_sub, small_split):
         sub, _, _ = trained_sub
@@ -311,7 +350,7 @@ class TestTraining:
         tgt = spoof(DeviceClass(tid, train_pool.class_labels[tid]))
         with pytest.raises(UnreachableTargetError):
             train_generator(g, sub, train_pool, tgt, epochs=1,
-                            anchor_X=far, anchor_weight=1.0)
+                            anchor_X=far)
 
     def test_attack_mode_validation(self):
         with pytest.raises(ValidationError):
@@ -343,33 +382,45 @@ class TestTrainingMatchesReference:
     def test_misidentify(self, pool_schema, trained_sub, small_split):
         sub, _, _ = trained_sub
         train_pool, _ = small_split
-        g = self.check(pool_schema, sub, train_pool, misidentify(), epochs=4, lr=0.05,
-                       lr_decay=0.9, plateau_min_epochs=4)
+        g = self.check(pool_schema, sub, train_pool, misidentify(), epochs=4, lr=0.05)
         assert len(g.training_curve) == 5
+
+    def test_misidentify_stops_inside_its_narrower_band(self, pool_schema, trained_sub,
+                                                        small_split):
+        sub, _, _ = trained_sub
+        train_pool, _ = small_split
+        train = train_pool.take(np.tile(np.arange(300), 4))
+        g = self.check(pool_schema, sub, train, misidentify(), epochs=40, lr=0.002)
+        c = g.training_curve
+        last, before = (max(c[i - PLATEAU_WINDOW:i]) - min(c[i - PLATEAU_WINDOW:i])
+                        for i in (len(c), len(c) - 1))
+        # The window before the stop lay inside spoof's 2e-3 band, not 1e-4.
+        assert len(c) < 41 and last < 1e-4 < before < 2e-3
 
     def test_spoof_with_anchor_and_gate(self, pool_schema, trained_sub, small_split):
         sub, _, _ = trained_sub
         train_pool, test_pool = small_split
-        # 300 rows: the last batch of 44 is not a power of two, so per-row
+        # 1,200 rows: the last batch of 48 is not a power of two, so per-row
         # divisions by the batch size are not exact.
-        train = train_pool.take(np.arange(300))
+        train = train_pool.take(np.tile(np.arange(300), 4))
         anchor_X = test_pool.X.copy()
         tid = int(np.bincount(sub.predict_ids_pool(anchor_X)).argmax())
         mode = spoof(DeviceClass(tid, train_pool.class_labels[tid]))
-        # A plateau band wider than any rate change stops training early.
-        g = self.check(pool_schema, sub, train, mode, epochs=9, lr=0.05,
-                       gate_success=True, anchor_X=anchor_X, anchor_weight=0.5,
-                       bce_weight=2.0, plateau_delta=2.0, plateau_min_epochs=3)
-        assert len(g.training_curve) == PLATEAU_WINDOW
+        g = self.check(pool_schema, sub, train, mode, epochs=40, lr=0.05, anchor_X=anchor_X)
+        # 1,200 rows rate in steps of 1/1,200: training stops on a plateau
+        # inside spoof's 2e-3 band that misidentify's 1e-4 band would not end.
+        recent = g.training_curve[-PLATEAU_WINDOW:]
+        assert len(g.training_curve) < 41
+        assert 1e-4 < max(recent) - min(recent) < 2e-3
 
     def test_substitute_on_a_feature_subset(self, pool_schema, trained_sub, small_split):
         _, _, oracle = trained_sub
         train_pool, _ = small_split
         subset = (7, 2, 11, 0, 5)
         sub = train_substitute(oracle.collect(train_pool.X), subset=subset, epochs=3, seed=4)
-        mode = spoof(DeviceClass(1, train_pool.class_labels[1]))
-        self.check(pool_schema, sub, train_pool, mode, epochs=3, lr=0.05,
-                   plateau_min_epochs=3)
+        tid = int(np.bincount(sub.predict_ids_pool(train_pool.X)).argmax())
+        mode = spoof(DeviceClass(tid, train_pool.class_labels[tid]))
+        self.check(pool_schema, sub, train_pool, mode, epochs=3, lr=0.05, anchor_X=train_pool.X)
 
     def test_schema_with_a_fixed_value_feature(self, pool_schema, small_split):
         train_pool, _ = small_split
@@ -382,8 +433,7 @@ class TestTrainingMatchesReference:
         X[:, j] = f.lo
         train = Dataset(schema, X, train_pool.y, train_pool.class_labels)
         sub = train_substitute(train, epochs=3, seed=6)
-        self.check(schema, sub, train, misidentify(), epochs=3, lr=0.5,
-                   plateau_min_epochs=3)
+        self.check(schema, sub, train, misidentify(), epochs=3, lr=0.5)
 
     def test_backward_to_params_matches_reference_and_keeps_inputs(
             self, pool_schema, small_dataset):
@@ -411,8 +461,7 @@ class TestEvaluateAndIo:
         sub, model, _ = trained_sub
         train_pool, test_pool = small_split
         g = build_generator(pool_schema, train_pool.X, seed=11)
-        train_generator(g, sub, train_pool, misidentify(), epochs=3, lr=0.05,
-                        plateau_min_epochs=3)
+        train_generator(g, sub, train_pool, misidentify(), epochs=3, lr=0.05)
         rep = evaluate_attack(g, model, test_pool, misidentify(), seed=1)
         assert 0.0 <= rep.attacked_rate <= 1.0
         assert rep.n_rows == len(test_pool)
@@ -425,8 +474,7 @@ class TestEvaluateAndIo:
         sub, model, _ = trained_sub
         train_pool, test_pool = small_split
         g = build_generator(pool_schema, train_pool.X, seed=11)
-        train_generator(g, sub, train_pool, misidentify(), epochs=3, lr=0.05,
-                        plateau_min_epochs=3)
+        train_generator(g, sub, train_pool, misidentify(), epochs=3, lr=0.05)
         oracle = make_oracle(model, pool_schema)
         via_oracle = evaluate_attack(g, oracle, test_pool, misidentify(), seed=1)
         assert oracle.query_log == len(test_pool)
@@ -437,8 +485,7 @@ class TestEvaluateAndIo:
         sub, _, _ = trained_sub
         train_pool, _ = small_split
         g = build_generator(pool_schema, train_pool.X, seed=12)
-        train_generator(g, sub, train_pool, misidentify(), epochs=2, lr=0.05,
-                        plateau_min_epochs=2)
+        train_generator(g, sub, train_pool, misidentify(), epochs=2, lr=0.05)
         path = str(tmp_path / "gen.npz")
         save_generator(g, path)
         g2 = load_generator(path)
@@ -449,3 +496,148 @@ class TestEvaluateAndIo:
         )
         assert g2.trained
         assert g2.training_curve == g.training_curve
+
+
+# ---- spoof cell: the restart loop of the spoof grid and of ``flowcamo spoof`` ----
+
+
+def reference_spoof_cell(cfg, sub, oracle, target, train_pool, src_train, src_test,
+                         target_cls, i, j):
+    """The spoof grid's per-cell loop before it became ``spoof_cell``, with
+    ``reference_train_generator`` in place of the trainer; returns the kept
+    generator and its rate on the target, or None for an unreachable cell."""
+    best_g, best_rate = None, -1.0
+    for t, trial_lr in enumerate(cfg.spoof_trial_lrs):
+        g = build_generator(
+            train_pool.schema, train_pool.X,
+            seed=cfg.seed + 600 + i * 20 + j + 5000 * t,
+        )
+        try:
+            reference_train_generator(
+                g, sub, src_train, spoof(target_cls),
+                epochs=cfg.generator_epochs,
+                seed=cfg.seed + 700 + i * 20 + j + 5000 * t,
+                lr=trial_lr, anchor_X=train_pool.X,
+            )
+        except UnreachableTargetError:
+            break
+        check = evaluate_attack(
+            g, oracle, src_train, spoof(target_cls),
+            seed=cfg.seed + 750 + i * 20 + j,
+        )
+        if check.attacked_rate > best_rate:
+            best_g, best_rate = g, check.attacked_rate
+        if best_rate >= cfg.spoof_accept:
+            break
+    if best_g is None:
+        return None
+    rep = evaluate_attack(
+        best_g, target, src_test, spoof(target_cls),
+        seed=cfg.seed + 800 + i * 20 + j,
+    )
+    return best_g, rep.attacked_rate
+
+
+class TestSpoofCell:
+    def test_matches_the_reference_loop(self, monkeypatch):
+        """Every cell of the seed-5 grid's knn row (8 classes, 8-epoch
+        substitute): equal kept weights, curves and rates, and the row has
+        restarts, a cell that ran every trial, and unreachable cells."""
+        cfg = ExperimentConfig(seed=5, n_classes=8, rows_per_class=80, substitute_epochs=8,
+                               generator_epochs=6, target_kinds=("knn",))
+        res = {}
+        for stage in (experiment._generate, experiment._train_targets, experiment._substitute):
+            stage(cfg, res, lambda *args: None)
+        trainings = []
+        monkeypatch.setattr(experiment, "train_generator",
+                            lambda *a, **kw: trainings.append(1) or train_generator(*a, **kw))
+        profiles, train_pool, test_pool = res["profiles"], res["train_pool"], res["test_pool"]
+        sub, oracle, target = (res[k]["knn"] for k in ("substitutes", "oracles", "targets"))
+        pairs = [(a, b) for a in synth.DEVICE_TYPES for b in synth.DEVICE_TYPES if a != b]
+        trials, unreachable = [], 0
+        for j, (src, dst) in enumerate(pairs):
+            src_classes = synth.classes_of_type(profiles, src)
+            dst_class = synth.classes_of_type(profiles, dst)[0]
+            target_cls = DeviceClass(dst_class, profiles[dst_class].label)
+            src_train = train_pool.take(np.flatnonzero(np.isin(train_pool.y, src_classes)))
+            src_test = test_pool.take(np.flatnonzero(np.isin(test_pool.y, src_classes)))
+            want = reference_spoof_cell(cfg, sub, oracle, target, train_pool, src_train,
+                                        src_test, target_cls, 0, j)
+            trainings.clear()
+            got = experiment.spoof_cell(cfg, sub, oracle, target, train_pool.X, src_train,
+                                        src_test, target_cls, j)
+            trials.append(len(trainings))
+            if want is None:
+                assert got is None
+                unreachable += 1
+                continue
+            (g, rep), (want_g, want_rate) = got, want
+            assert rep.attacked_rate == want_rate
+            assert g.training_curve == want_g.training_curve
+            assert _flat_bits(g.net.weights + g.net.biases) == \
+                _flat_bits(want_g.net.weights + want_g.net.biases)
+        assert unreachable and len(cfg.spoof_trial_lrs) in trials
+        assert set(trials) - {1, len(cfg.spoof_trial_lrs)}
+
+
+class TestSpoofCellRestarts:
+    """The restart policy, with the trainer stubbed and the oracle check
+    replaced by a script of rates."""
+
+    CFG = ExperimentConfig(seed=10, spoof_trial_lrs=(0.5, 0.4, 0.3, 0.2), spoof_accept=0.85)
+    CLS = DeviceClass(2, "hub_00")
+    ANCHOR = np.zeros((3, 2))
+    SRC = Dataset(FeatureSchema((Feature("a", "u", 0, 1, True),)), np.zeros((2, 1)),
+                  np.array([0, 1]), ("x", "y"))
+
+    def run(self, monkeypatch, rates, unreachable=False):
+        log = []
+
+        def build(schema, reference_X, seed):
+            log.append(("build", seed))
+            return {"seed": seed}
+
+        def train(g, sub, train, mode, epochs, seed, lr, anchor_X):
+            if unreachable:
+                raise UnreachableTargetError("no anchor row")
+            assert mode == spoof(self.CLS) and anchor_X is self.ANCHOR
+            log.append(("train", g["seed"], seed, lr))
+
+        def evaluate(g, victim, test, mode, seed):
+            if victim == "oracle":
+                rate = rates[sum(e[0] == "check" for e in log)]
+                log.append(("check", g["seed"], seed))
+                return AttackReport("spoof", rate, len(test))
+            log.append(("test", g["seed"], seed))
+            return AttackReport("spoof", 0.5, len(test))
+
+        monkeypatch.setattr(experiment, "build_generator", build)
+        monkeypatch.setattr(experiment, "train_generator", train)
+        monkeypatch.setattr(experiment, "evaluate_attack", evaluate)
+        found = experiment.spoof_cell(self.CFG, "sub", "oracle", "target", self.ANCHOR,
+                                      self.SRC, self.SRC, self.CLS, 7)
+        return found, log
+
+    def test_keeps_the_best_trial_when_none_is_accepted(self, monkeypatch):
+        found, log = self.run(monkeypatch, [0.3, 0.7, 0.5, 0.2])
+        g, rep = found
+        assert g == {"seed": 10 + 600 + 7 + 5000}
+        assert rep.attacked_rate == 0.5
+        trials = [e for e in log if e[0] == "train"]
+        assert trials == [("train", 617 + 5000 * t, 717 + 5000 * t, lr)
+                          for t, lr in enumerate(self.CFG.spoof_trial_lrs)]
+        assert [e[2] for e in log if e[0] == "check"] == [767] * 4
+        assert log[-1] == ("test", 5617, 817)
+
+    def test_a_tie_keeps_the_earlier_trial(self, monkeypatch):
+        found, _ = self.run(monkeypatch, [0.6, 0.6, 0.1, 0.1])
+        assert found[0] == {"seed": 617}
+
+    def test_stops_at_the_first_accepted_trial(self, monkeypatch):
+        found, log = self.run(monkeypatch, [0.2, 0.85, 0.95, 0.99])
+        assert found[0] == {"seed": 5617}
+        assert [e[0] for e in log] == ["build", "train", "check"] * 2 + ["test"]
+
+    def test_unreachable_target_stops_after_one_build(self, monkeypatch):
+        found, log = self.run(monkeypatch, [], unreachable=True)
+        assert found is None and log == [("build", 617)]

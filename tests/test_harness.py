@@ -9,12 +9,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowcamo.core import Dataset, Feature, FeatureSchema, ValidationError
+from flowcamo.blackbox import make_oracle
+from flowcamo.camouflage import load_generator
+from flowcamo.core import (
+    Dataset,
+    DeviceClass,
+    Feature,
+    FeatureSchema,
+    ValidationError,
+    split_dataset,
+)
 from flowcamo.harness import experiment, synth
 from flowcamo.harness.cli import main
 from flowcamo.harness.csvio import CsvParseError, dataset_to_csv, ingest_csv
-from flowcamo.harness.experiment import ExperimentConfig, StageFailure, run_experiment
+from flowcamo.harness.experiment import (
+    ExperimentConfig,
+    StageFailure,
+    run_experiment,
+    spoof_cell,
+)
 from flowcamo.learners import load_model
+from flowcamo.substitute import load_substitute
 
 
 POOL = synth.attacker_pool_schema()
@@ -570,6 +585,51 @@ class TestCliSuccess:
         assert len(rows) == 1 and rows[0][0] == mode
         assert gen.is_file()
         assert capsys.readouterr().out.startswith(f"{mode}: clean ")
+
+    def test_spoof_runs_the_pipeline_cell(self, inputs, tmp_path):
+        """``flowcamo spoof`` is the spoof grid's cell 0 anchored on the 0.8
+        split's training rows: it keeps that cell's best trial and reaches
+        the acceptance level on pairs the unanchored recipe left at 0."""
+        cfg = ExperimentConfig(seed=3, generator_epochs=10)
+        ds = ingest_csv(inputs[1], POOL)
+        train, test = split_dataset(ds, 0.8, 3)
+        target, sub = load_model(inputs[3]), load_substitute(inputs[5])
+        for src, dst in (("camera", "hub_00"), ("switch", "camera_00")):
+            out, gen = tmp_path / f"{src}.csv", tmp_path / f"{src}.npz"
+            assert main(["spoof", *inputs, "--epochs", "10", "--out", str(out),
+                         "--save-generator", str(gen), "--seed", "3",
+                         "--source-type", src, "--target-class", dst]) == 0
+            rows = _report(out)[2]
+            assert float(rows[0][3]) >= cfg.spoof_accept
+            keep = [i for i, lab in enumerate(ds.class_labels) if lab.startswith(src)]
+            g, rep = spoof_cell(
+                cfg, sub, make_oracle(target, POOL), target, train.X,
+                train.take(np.flatnonzero(np.isin(train.y, keep))),
+                test.take(np.flatnonzero(np.isin(test.y, keep))),
+                DeviceClass(ds.class_labels.index(dst), dst), 0)
+            assert rows[0][2:] == [f"{rep.attacked_rate:.6f}", f"{rep.success_rate:.6f}",
+                                   str(rep.n_rows)]
+            saved = load_generator(str(gen))
+            assert saved.training_curve == g.training_curve
+            for a, b in zip(saved.net.weights + saved.net.biases, g.net.weights + g.net.biases):
+                np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--source-type", "printer"], "'printer'"),
+        (["--target-class", "printer_00"], "'printer_00'"),
+    ])
+    def test_bad_spoof_input_is_a_validation_exit(self, extra, message, inputs, tmp_path,
+                                                  capsys):
+        """Checked before any training: exit 1, one error line, no file."""
+        args = {"--source-type": "camera", "--target-class": "hub_00"}
+        args.update(zip(extra[::2], extra[1::2]))
+        rc = main(["spoof", *inputs, "--out", str(tmp_path / "s.csv"),
+                   "--save-generator", str(tmp_path / "g.npz"),
+                   *(x for kv in args.items() for x in kv)])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0], err
+        assert list(tmp_path.iterdir()) == []
 
     def test_defend(self, inputs, tmp_path, capsys):
         gen, out = tmp_path / "g.npz", tmp_path / "defend.csv"

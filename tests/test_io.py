@@ -68,7 +68,7 @@ def saved(small_split, tmp_path_factory):
     objs["substitute"] = train_substitute(corpus, epochs=3, seed=2, hidden=(8,))
     g = build_generator(train.schema, train.X, hidden=(8,), seed=4)
     objs["generator"] = train_generator(g, objs["substitute"], train, misidentify(),
-                                        epochs=2, seed=4, plateau_min_epochs=2)
+                                        epochs=2, seed=4)
     out = {}
     for name, obj in objs.items():
         path = str(d / f"{name}.npz")

@@ -43,7 +43,7 @@ src = train.take(np.flatnonzero(train.y != tid))
 g = build_generator(schema, train.X, hidden=(16,), seed=3)
 experiment.train_generator(
     g, sub, src, spoof(DeviceClass(tid, train.class_labels[tid])), epochs=2, seed=4,
-    gate_success=True, anchor_X=train.X, anchor_weight=1.0,
+    anchor_X=train.X,
 )
 print(json.dumps({"counts": dict(tracer.counts),
                   "spans": sorted({s[0] for s in tracer.spans})}))
