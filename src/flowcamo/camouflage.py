@@ -26,7 +26,8 @@ from .core import (
     identification_rate,
     spoofing_rate,
 )
-from .learners import ClassifierModel, Net, bce_dlogits_unchecked, one_hot
+from .learners import ClassifierModel, Net, Scaler, bce_dlogits_unchecked, one_hot
+from .learners.base import check_shape, scalar_int
 from .learners.io import load_archive, save_archive
 from .substitute import SubstituteModel
 
@@ -72,24 +73,21 @@ def sample_multipliers(schema: FeatureSchema, n: int, rng: np.random.Generator) 
 class Generator:
     """Manipulative network over a feature schema; residual and range-safe."""
 
-    def __init__(
-        self,
-        schema: FeatureSchema,
-        mu: np.ndarray,
-        sd: np.ndarray,
-        hidden: Sequence[int] = (64, 64),
-        delta_scale: float = 6.0,
-        seed: int = 0,
-    ):
+    def __init__(self, schema: FeatureSchema, scaler: Scaler, net: Net, amp: np.ndarray):
         k = len(schema)
+        scaler.check(k, "generator")
+        sizes = net.layer_sizes
+        if (sizes[0], sizes[-1]) != (2 * k, k):
+            raise ValidationError(
+                f"generator sizes {list(sizes)} do not map {2 * k} inputs to {k} outputs"
+            )
+        check_shape("generator amp", amp, (k,))
+        if not np.isfinite(amp).all():
+            raise ValidationError("generator amp holds non-finite values")
         self.schema = schema
-        self.mu = np.asarray(mu, dtype=float)
-        self.sd = np.where(np.asarray(sd, dtype=float) > 0, sd, 1.0)
-        self.net = Net([2 * k, *hidden, k], seed=seed, zero_init_last=True)
-        # Perturbation amplitude in units of the reference spread, not the
-        # schema range: wide-range features would otherwise dominate the
-        # gradient into the network and saturate the tanh irrecoverably.
-        self.amp = delta_scale * self.sd * schema.mutable_mask
+        self.scaler = scaler
+        self.net = net
+        self.amp = amp
         self.trained = False
         self.training_curve: List[float] = []
 
@@ -98,8 +96,8 @@ class Generator:
         the normalised noise, which the caller fills."""
         k = len(self.schema)
         Z = np.empty(H.shape[:-1] + (2 * k,))
-        np.subtract(H, self.mu, out=Z[..., :k])
-        Z[..., :k] /= self.sd
+        np.subtract(H, self.scaler.mean, out=Z[..., :k])
+        Z[..., :k] /= self.scaler.scale
         return Z
 
     def manipulate_batch(self, H: np.ndarray, S: np.ndarray, want_grad_cache: bool = False):
@@ -108,7 +106,7 @@ class Generator:
         if S.shape != H.shape:
             raise ValidationError("noise must match the feature matrix shape")
         Z = self._input_buffer(H)
-        np.divide(S, self.sd, out=Z[..., len(self.schema):])
+        np.divide(S, self.scaler.scale, out=Z[..., len(self.schema):])
         return self._manipulate(H, Z, want_grad_cache)
 
     def _manipulate(self, H: np.ndarray, Z: np.ndarray, want_grad_cache: bool = False):
@@ -148,8 +146,7 @@ class Generator:
     def to_arrays(self) -> dict:
         return {
             "schema_json": np.asarray(self.schema.to_json()),
-            "mu": self.mu,
-            "sd": self.sd,
+            **self.scaler.to_arrays(),
             "amp": self.amp,
             "trained": np.asarray(int(self.trained)),
             "training_curve": np.asarray(self.training_curve, dtype=float),
@@ -158,12 +155,12 @@ class Generator:
 
     @classmethod
     def from_arrays(cls, data) -> "Generator":
-        g = cls(FeatureSchema.from_json(str(data["schema_json"])),
-                np.array(data["mu"]), np.array(data["sd"]))
-        g.net = Net.from_arrays(data, "net_")
-        g.amp = np.array(data["amp"])
-        g.trained = bool(int(data["trained"]))
-        g.training_curve = [float(v) for v in data["training_curve"]]
+        g = cls(FeatureSchema.from_json(str(data["schema_json"])), Scaler.from_arrays(data),
+                Net.from_arrays(data, "net_"), np.array(data["amp"]))
+        g.trained = bool(scalar_int(data, "trained"))
+        curve = np.array(data["training_curve"], dtype=float)
+        check_shape("generator training_curve", curve, (curve.size,))
+        g.training_curve = curve.tolist()
         return g
 
 
@@ -175,8 +172,13 @@ def build_generator(
     seed: int = 0,
 ) -> Generator:
     """Generator with input normalization fitted to reference traffic."""
-    X = np.asarray(reference_X, dtype=float)
-    return Generator(schema, X.mean(axis=0), X.std(axis=0), hidden, delta_scale, seed)
+    scaler = Scaler.fit(np.asarray(reference_X, dtype=float))
+    k = len(schema)
+    net = Net([2 * k, *hidden, k], seed=seed, zero_init_last=True)
+    # Perturbation amplitude in units of the reference spread, not the
+    # schema range: wide-range features would otherwise dominate the
+    # gradient into the network and saturate the tanh irrecoverably.
+    return Generator(schema, scaler, net, delta_scale * scaler.scale * schema.mutable_mask)
 
 
 def save_generator(g: Generator, path: str) -> None:
@@ -193,7 +195,7 @@ def _success_metric(
 ) -> float:
     """Substitute success on ``X`` under fresh noise; ``Z`` is ``X``'s
     network input, whose noise half this overwrites."""
-    np.divide(sample_multipliers(g.schema, X.shape[0], rng) * X, g.sd,
+    np.divide(sample_multipliers(g.schema, X.shape[0], rng) * X, g.scaler.scale,
               out=Z[:, len(g.schema):])
     pred = sub.predict_ids_pool(g._manipulate(X, Z))
     if mode.mode == "misidentify":
@@ -256,7 +258,7 @@ def train_generator(
                 "anchor_X has no rows the substitute assigns to the spoof target"
             )
         anchor = rows.mean(axis=0)
-        anchor_scale2 = g.sd**2
+        anchor_scale2 = g.scaler.scale**2
         mut = g.schema.mutable_mask
 
     sub_cols = np.asarray(sub.subset, dtype=int)
@@ -268,7 +270,7 @@ def train_generator(
         _success_metric(g, sub, X, Z, mode, orig_labels, eval_rng)
     ]
     for _epoch in range(epochs):
-        np.divide(sample_multipliers(g.schema, n, rng) * X, g.sd, out=noise)
+        np.divide(sample_multipliers(g.schema, n, rng) * X, g.scaler.scale, out=noise)
         order = rng.permutation(n)
         for start in range(0, n, BATCH_SIZE):
             idx = order[start : start + BATCH_SIZE]

@@ -106,7 +106,12 @@ class FeatureSchema:
             raise ValidationError(f"unknown feature {name!r}") from None
 
     def subset(self, indices: Sequence[int]) -> "FeatureSchema":
-        return FeatureSchema(tuple(self.features[i] for i in indices))
+        """The features at ``indices``; a repeated index fails as a repeated name."""
+        idx = np.asarray(indices)
+        if (idx.ndim != 1 or not np.issubdtype(idx.dtype, np.integer)
+                or not ((idx >= 0) & (idx < len(self))).all()):
+            raise ValidationError(f"subset indices must be 1-D integers in 0..{len(self) - 1}")
+        return FeatureSchema(tuple(self.features[i] for i in idx))
 
     def projection_onto(self, other: "FeatureSchema") -> np.ndarray:
         """Column indices in this schema for each feature of ``other``.

@@ -21,6 +21,13 @@ def check_shape(what: str, a, shape: tuple) -> None:
         raise ValidationError(f"{what} has shape {np.shape(a)}, expected {shape}")
 
 
+def scalar_int(data, key: str) -> int:
+    """``int`` of archive array ``key``; ValidationError unless it holds one value."""
+    a = data[key]
+    check_shape(key, a, ())
+    return int(a)
+
+
 @dataclass(frozen=True)
 class Scaler:
     """Per-feature standardization fitted on training data."""
@@ -83,8 +90,9 @@ class ClassifierModel:
     @staticmethod
     def header_from_arrays(data) -> tuple:
         """``(schema, class_labels)`` read back from the shared arrays."""
-        return (FeatureSchema.from_json(str(data["schema_json"])),
-                tuple(str(s) for s in data["class_labels"]))
+        labels = data["class_labels"]
+        check_shape("class_labels", labels, (labels.size,))
+        return FeatureSchema.from_json(str(data["schema_json"])), tuple(str(s) for s in labels)
 
     def _check(self, X) -> np.ndarray:
         return validate_matrix(self.schema, X, f"{self.kind} input")

@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from ..core import ValidationError
-from .base import ClassifierModel
+from .base import ClassifierModel, scalar_int
 from .kinds import model_class
 
 FORMAT_VERSION = 1
@@ -49,16 +49,19 @@ def load_archive(path: str, from_arrays: Callable, what: str):
     """``from_arrays`` over the archive at ``path``.
 
     A newer format version, or an archive that lacks a key ``from_arrays``
-    reads (another type's archive), raises ValidationError.
+    reads (another type's archive), raises ValidationError; so does any
+    check ``from_arrays`` makes. Each message names ``path``.
     """
     with np.load(path, allow_pickle=False) as data:
         try:
-            version = int(data["format_version"])
+            version = scalar_int(data, "format_version")
             if version != FORMAT_VERSION:
-                raise ValidationError(f"{path}: unsupported format version {version}")
+                raise ValidationError(f"unsupported format version {version}")
             return from_arrays(data)
         except KeyError as e:
             raise ValidationError(f"{path} is not a {what} archive ({e.args[0]})") from None
+        except ValidationError as e:
+            raise ValidationError(f"{path}: {e}") from None
 
 
 def save_model(model: ClassifierModel, path: str) -> None:
@@ -66,5 +69,11 @@ def save_model(model: ClassifierModel, path: str) -> None:
 
 
 def load_model(path: str) -> ClassifierModel:
-    return load_archive(path, lambda data: model_class(str(data["kind"])).from_arrays(data),
-                        "model")
+    def from_arrays(data):
+        try:
+            cls = model_class(str(data["kind"]))
+        except ValidationError as e:
+            raise ValidationError(f"not a model archive ({e})") from None
+        return cls.from_arrays(data)
+
+    return load_archive(path, from_arrays, "model")

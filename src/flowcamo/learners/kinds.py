@@ -1,8 +1,6 @@
 """The kind table: each classifier class under its ``kind`` name, and ``fit``."""
 from __future__ import annotations
 
-from typing import Dict, Optional
-
 from ..core import Dataset, ValidationError
 from .base import ClassifierModel
 from .knn import KnnClassifier
@@ -23,7 +21,6 @@ def model_class(kind: str) -> type:
     return MODELS[kind]
 
 
-def fit(kind: str, train: Dataset, hyperparams: Optional[Dict] = None,
-        seed: int = 0) -> ClassifierModel:
+def fit(kind: str, train: Dataset, seed: int = 0) -> ClassifierModel:
     """Train one of the five classifier families; deterministic per seed."""
-    return model_class(kind).fit(train, seed=seed, **dict(hyperparams or {}))
+    return model_class(kind).fit(train, seed=seed)

@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import Dataset, ValidationError
-from .base import ClassifierModel, Scaler, check_shape, check_trainable
+from .base import ClassifierModel, Scaler, check_shape, check_trainable, scalar_int
 
 # Upper bound on query x train distance entries held at once: 2 MiB of
 # float64, so predict's working set stays a few MB at any query count.
@@ -71,7 +71,7 @@ class KnnClassifier(ClassifierModel):
     @classmethod
     def from_arrays(cls, data) -> "KnnClassifier":
         return cls(*cls.header_from_arrays(data), Scaler.from_arrays(data),
-                   np.array(data["train_X"]), np.array(data["train_y"]), int(data["k"]))
+                   np.array(data["train_X"]), np.array(data["train_y"]), scalar_int(data, "k"))
 
     def predict_scores(self, X) -> np.ndarray:
         """Vote fractions of each row's k nearest training rows.

@@ -10,7 +10,7 @@ from typing import Optional
 import numpy as np
 
 from ..core import Dataset, ValidationError
-from .base import ClassifierModel, check_shape, check_trainable
+from .base import ClassifierModel, check_shape, check_trainable, scalar_int
 
 _MIN_GAIN = 1e-12
 # The gain ranked from exact integer statistics and the float gain differ by
@@ -281,7 +281,8 @@ class RandomForestClassifier(ClassifierModel):
 
     @classmethod
     def from_arrays(cls, data) -> "RandomForestClassifier":
-        trees = [_TreeArrays.from_arrays(data, f"t{i}_") for i in range(int(data["n_trees"]))]
+        n_trees = scalar_int(data, "n_trees")
+        trees = [_TreeArrays.from_arrays(data, f"t{i}_") for i in range(n_trees)]
         return cls(*cls.header_from_arrays(data), trees)
 
     def predict_scores(self, X) -> np.ndarray:

@@ -14,15 +14,11 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .core import (
-    Dataset,
-    DegenerateTrainingError,
-    FeatureSchema,
-    ValidationError,
-    stratified_split,
-)
-from .learners import Net, Scaler, one_hot, train_net
+from .core import Dataset, FeatureSchema, ValidationError, stratified_split
+from .learners import MlpClassifier, Net, Scaler
+from .learners.base import check_trainable
 from .learners.io import load_archive, save_archive
+from .learners.mlp_classifier import fit_scaled_net
 
 
 def top_l_indices(weights: np.ndarray, L: int) -> tuple:
@@ -34,63 +30,60 @@ def top_l_indices(weights: np.ndarray, L: int) -> tuple:
     return tuple(sorted(int(i) for i in order[:L]))
 
 
-class SubstituteModel:
-    """MLP fit to oracle labels over a subset of the attacker pool."""
+class SubstituteModel(MlpClassifier):
+    """The neural_net classifier over a subset of the attacker pool, fit to
+    oracle labels by ``train_substitute``. It keeps its per-epoch held-out
+    agreement and the corpus rows that were held out."""
 
-    def __init__(self, pool_schema, subset, scaler, net, class_labels,
-                 training_curve, holdout_idx, seed):
+    kind = "substitute"
+    frozen = True
+
+    def __init__(self, pool_schema, subset, class_labels, scaler, net, training_curve,
+                 holdout_idx):
+        super().__init__(pool_schema.subset(subset), class_labels, scaler, net)
         self.pool_schema = pool_schema
-        self.subset = tuple(subset)
-        self.schema = pool_schema.subset(self.subset)
-        scaler.check(len(self.schema), "substitute")
-        self.scaler = scaler
-        self.net = net
-        self.class_labels = tuple(class_labels)
-        self.training_curve = list(training_curve)
-        self.holdout_idx = np.asarray(holdout_idx, dtype=int)
-        self.seed = seed
-        self.frozen = True
-
-    @property
-    def n_classes(self) -> int:
-        return len(self.class_labels)
+        self.subset = tuple(int(i) for i in subset)
+        curve = np.asarray(training_curve, dtype=float)
+        if curve.ndim != 1 or curve.size == 0 or not np.isfinite(curve).all():
+            raise ValidationError("substitute training_curve must be non-empty, 1-D and finite")
+        self.training_curve = curve.tolist()
+        hold = np.asarray(holdout_idx)
+        if (hold.ndim != 1 or hold.size == 0 or not np.issubdtype(hold.dtype, np.integer)
+                or (hold < 0).any()):
+            raise ValidationError("substitute holdout_idx must be a non-empty 1-D array "
+                                  "of non-negative row indices")
+        self.holdout_idx = np.asarray(hold, dtype=int)
 
     @property
     def agreement(self) -> float:
         """Final held-out agreement with the oracle."""
         return self.training_curve[-1]
 
-    def predict_scores_pool(self, X_pool: np.ndarray) -> np.ndarray:
-        X = np.asarray(X_pool, dtype=float)
-        return self.net.scores(self.scaler.transform(X[:, self.subset]))
-
     def predict_ids_pool(self, X_pool: np.ndarray) -> np.ndarray:
-        return np.argmax(self.predict_scores_pool(X_pool), axis=1)
+        """``predict_ids`` of pool-schema rows, without the input checks of
+        ``predict_scores``: generator training and permutation importance
+        call it on rows that are already pool rows."""
+        X = np.asarray(X_pool, dtype=float)
+        return np.argmax(self.net.scores(self.scaler.transform(X[:, self.subset])), axis=1)
 
     def to_arrays(self) -> dict:
         return {
+            **super().to_arrays(),
             "pool_schema_json": np.asarray(self.pool_schema.to_json()),
             "subset": np.asarray(self.subset, dtype=int),
-            **self.scaler.to_arrays(),
-            "class_labels": np.asarray(self.class_labels),
             "training_curve": np.asarray(self.training_curve, dtype=float),
             "holdout_idx": self.holdout_idx,
-            "seed": np.asarray(self.seed),
-            **self.net.to_arrays("net_"),
         }
 
     @classmethod
     def from_arrays(cls, data) -> "SubstituteModel":
-        return cls(
-            FeatureSchema.from_json(str(data["pool_schema_json"])),
-            tuple(int(i) for i in data["subset"]),
-            Scaler.from_arrays(data),
-            Net.from_arrays(data, "net_"),
-            tuple(str(s) for s in data["class_labels"]),
-            [float(v) for v in data["training_curve"]],
-            np.array(data["holdout_idx"]),
-            int(data["seed"]),
-        )
+        schema, class_labels = cls.header_from_arrays(data)
+        sub = cls(FeatureSchema.from_json(str(data["pool_schema_json"])), np.array(data["subset"]),
+                  class_labels, Scaler.from_arrays(data), Net.from_arrays(data, "net_"),
+                  np.array(data["training_curve"]), np.array(data["holdout_idx"]))
+        if sub.schema != schema:
+            raise ValidationError("substitute schema_json is not the pool schema's subset")
+        return sub
 
 
 def train_substitute(
@@ -98,20 +91,17 @@ def train_substitute(
     subset: Optional[Sequence[int]] = None,
     epochs: int = 60,
     seed: int = 0,
-    hidden: Sequence[int] = (64, 64),
     train_extra: Optional[Dataset] = None,
 ) -> SubstituteModel:
-    """Fit an MLP to the eavesdropped labels; records the per-epoch curve.
+    """Fit the neural_net recipe to the eavesdropped labels; records the
+    per-epoch held-out agreement.
 
     ``train_extra`` rows (e.g. labeled uniform probes that teach the
     substitute the oracle's behaviour away from the traffic manifold) are
     used for training only; the agreement curve and holdout stay on the
     eavesdropped corpus so fidelity is measured on traffic.
     """
-    if epochs < 1:
-        raise ValidationError(f"epochs must be >= 1, got {epochs}")
-    if np.unique(corpus.y).size < 2:
-        raise DegenerateTrainingError("corpus labels cover a single class")
+    check_trainable(corpus)
     subset = tuple(range(len(corpus.schema))) if subset is None else tuple(subset)
     train_idx, hold_idx = stratified_split(corpus.y, 0.8, seed)
     Xs = corpus.X[:, subset]
@@ -121,29 +111,11 @@ def train_substitute(
             raise ValidationError("train_extra schema differs from the corpus")
         X_tr = np.vstack([X_tr, train_extra.X[:, subset]])
         y_tr = np.concatenate([y_tr, train_extra.y])
-    scaler = Scaler.fit(X_tr)
-    Xn = scaler.transform(Xs)
-    net = Net([len(subset), *hidden, corpus.n_classes], seed=seed)
-    y_hold = corpus.y[hold_idx]
-
-    def agreement(_epoch: int) -> float:
-        pred = np.argmax(net.scores(Xn[hold_idx]), axis=1)
-        return float(np.mean(pred == y_hold))
-
-    curve = train_net(
-        net,
-        scaler.transform(X_tr),
-        one_hot(y_tr, corpus.n_classes),
-        epochs=epochs,
-        lr=0.1,
-        batch_size=128,
-        seed=seed + 1,
-        eval_fn=agreement,
+    scaler, net, curve = fit_scaled_net(
+        X_tr, y_tr, corpus.n_classes, epochs, seed, holdout=(Xs[hold_idx], corpus.y[hold_idx])
     )
-    return SubstituteModel(
-        corpus.schema, subset, scaler, net, corpus.class_labels,
-        curve, hold_idx, seed,
-    )
+    return SubstituteModel(corpus.schema, subset, corpus.class_labels, scaler, net, curve,
+                           hold_idx)
 
 
 def feature_weights(corpus: Dataset, base: SubstituteModel, seed: int = 0) -> np.ndarray:
@@ -152,6 +124,9 @@ def feature_weights(corpus: Dataset, base: SubstituteModel, seed: int = 0) -> np
     if len(base.subset) != len(corpus.schema):
         raise ValidationError("base substitute must be trained on the full pool")
     hold = base.holdout_idx
+    if hold.max() >= len(corpus):
+        raise ValidationError(
+            f"substitute holdout_idx reaches row {hold.max()}; the corpus has {len(corpus)}")
     X = corpus.X[hold]
     y = corpus.y[hold]
     base_agree = float(np.mean(base.predict_ids_pool(X) == y))

@@ -156,21 +156,15 @@ class TestAcceptance:
     def test_c07_feature_subset_selection(self, full_run, capsys):
         cfg = full_run["config"]
         kind = cfg.target_kinds[0]
-        oracle = full_run["oracles"][kind]
         sub = full_run["substitutes"][kind]
-        train_pool = full_run["train_pool"]
-        schema = train_pool.schema
-        corpus = oracle.collect(train_pool.X)
-        probe_rng = np.random.default_rng(cfg.seed + 110)
-        probes = probe_rng.uniform(
-            schema.lows, schema.highs,
-            size=(int(round(cfg.query_augment * train_pool.X.shape[0])), len(schema)),
-        )
-        extra = oracle.collect(probes)
+        # The pipeline's own oracle-labelled rows: the oracle is
+        # deterministic, so querying it again would return the same labels.
+        corpus = full_run["corpora"][kind]
+        schema = corpus.schema
         weights = feature_weights(corpus, sub, seed=cfg.seed + 500)
         scan = performance_gain_scan(
             corpus, weights, list(cfg.scan_L), epochs=cfg.scan_epochs,
-            seed=cfg.seed + 501, train_extra=extra,
+            seed=cfg.seed + 501, train_extra=full_run["probe_corpora"][kind],
         )
         # Undefined points are flagged, never raised: the metric refuses
         # division rather than producing inf/nan silently.

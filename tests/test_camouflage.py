@@ -41,7 +41,7 @@ from flowcamo.substitute import train_substitute
 
 
 def _reference_manipulate(g, H, S, want_grad_cache=False):
-    Z = np.hstack([(H - g.mu) / g.sd, S / g.sd])
+    Z = np.hstack([(H - g.scaler.mean) / g.scaler.scale, S / g.scaler.scale])
     U, cache = g.net.forward_logits(Z, want_cache=True)
     T = np.tanh(U)
     raw = H + g.amp * T
@@ -93,7 +93,7 @@ def reference_train_generator(g, sub, train, mode, epochs, seed=0, lr=0.01, anch
             if rows.shape[0] == 0:
                 raise UnreachableTargetError("no anchor row is assigned to the target")
             anchor = rows.mean(axis=0)
-            anchor_scale2 = g.sd**2
+            anchor_scale2 = g.scaler.scale**2
             mut = g.schema.mutable_mask
     sub_cols = np.asarray(sub.subset, dtype=int)
     g.training_curve = [_reference_success(g, sub, X, mode, orig_labels, eval_rng)]

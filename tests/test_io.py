@@ -1,5 +1,6 @@
 """The saved-model archives: key sets, bit-exact round trips, the kind
 table, and typed errors for a wrong or newer archive."""
+import json
 import os
 import subprocess
 import sys
@@ -19,7 +20,7 @@ from flowcamo.camouflage import (
 from flowcamo.core import ValidationError
 from flowcamo.harness.cli import main
 from flowcamo.harness.csvio import dataset_to_csv
-from flowcamo.learners import KINDS, fit, load_model, save_model
+from flowcamo.learners import KINDS, load_model, save_model
 from flowcamo.learners.kinds import MODELS
 from flowcamo.substitute import load_substitute, save_substitute, train_substitute
 
@@ -28,12 +29,15 @@ HYPERPARAMS = {
     "decision_tree": {"max_depth": 4},
     "random_forest": {"n_trees": 2, "max_depth": 4},
     "svm": {"epochs": 20},
-    "neural_net": {"hidden": (8,), "epochs": 2},
+    "neural_net": {},
 }
 
 _MODEL_HEADER = ["format_version:i", "kind:U", "schema_json:U", "class_labels:U"]
 _SCALER = ["scaler_mean:f", "scaler_scale:f"]
-_NET = ["net_sizes:i", "net_W0:f", "net_b0:f", "net_W1:f", "net_b1:f"]  # one hidden layer
+
+
+def _net(n_hidden):
+    return ["net_sizes:i"] + [f"net_{p}{i}:f" for i in range(n_hidden + 1) for p in "Wb"]
 
 
 def _tree(prefix):
@@ -47,11 +51,11 @@ ARCHIVE_KEYS = {
     "decision_tree": _MODEL_HEADER + _tree("t_"),
     "random_forest": _MODEL_HEADER + ["n_trees:i"] + _tree("t0_") + _tree("t1_"),
     "svm": _MODEL_HEADER + _SCALER + ["W:f", "b:f"],
-    "neural_net": _MODEL_HEADER + _SCALER + _NET,
-    "substitute": ["format_version:i", "pool_schema_json:U", "subset:i"] + _SCALER
-    + ["class_labels:U", "training_curve:f", "holdout_idx:i", "seed:i"] + _NET,
-    "generator": ["format_version:i", "schema_json:U", "mu:f", "sd:f", "amp:f",
-                  "trained:i", "training_curve:f"] + _NET,
+    "neural_net": _MODEL_HEADER + _SCALER + _net(2),
+    "substitute": _MODEL_HEADER + _SCALER + _net(2)
+    + ["pool_schema_json:U", "subset:i", "training_curve:f", "holdout_idx:i"],
+    "generator": ["format_version:i", "schema_json:U"] + _SCALER
+    + ["amp:f", "trained:i", "training_curve:f"] + _net(1),
 }
 LOADERS = {"substitute": load_substitute, "generator": load_generator}
 SAVERS = {"substitute": save_substitute, "generator": save_generator}
@@ -63,9 +67,9 @@ def saved(small_split, tmp_path_factory):
     """``{name: (object, path)}`` for the seven archive types."""
     train, _ = small_split
     d = tmp_path_factory.mktemp("archives")
-    objs = {k: fit(k, train, HYPERPARAMS[k], seed=1) for k in KINDS}
+    objs = {k: MODELS[k].fit(train, seed=1, **HYPERPARAMS[k]) for k in KINDS}
     corpus = make_oracle(objs["decision_tree"], train.schema).collect(train.X)
-    objs["substitute"] = train_substitute(corpus, epochs=3, seed=2, hidden=(8,))
+    objs["substitute"] = train_substitute(corpus, epochs=3, seed=2)
     g = build_generator(train.schema, train.X, hidden=(8,), seed=4)
     objs["generator"] = train_generator(g, objs["substitute"], train, misidentify(),
                                         epochs=2, seed=4)
@@ -83,7 +87,7 @@ def _load(name, path):
 
 def _outputs(name, obj, X):
     if name == "substitute":
-        return obj.predict_scores_pool(X)
+        return obj.predict_scores(X[:, obj.subset])
     if name == "generator":
         return obj.manipulate_batch(X, np.random.default_rng(0).uniform(0, 0.1, X.shape) * X)
     return obj.predict_scores(X)
@@ -127,6 +131,12 @@ class TestArchive:
         with pytest.raises(ValidationError, match="unsupported format version 2"):
             _load(name, path)
 
+    def test_non_scalar_format_version_rejected(self, name, saved, tmp_path):
+        path = str(tmp_path / "v11.npz")
+        _rewrite(saved[name][1], path, format_version=np.asarray([1, 1]))
+        with pytest.raises(ValidationError, match="format_version has shape"):
+            _load(name, path)
+
     def test_other_loaders_reject_it(self, name, saved):
         path = saved[name][1]
         own = "model" if name in KINDS else name
@@ -147,10 +157,11 @@ def _set_first_split(key, value):
 
 
 def _grow_last_layer(a):
-    """A consistent net that scores one class more than the schema has."""
+    """A consistent net with one output more than the archive's labels need."""
+    last = len(a["net_sizes"]) - 2
+    W, b = a[f"net_W{last}"], a[f"net_b{last}"]
     return {"net_sizes": a["net_sizes"] + np.eye(len(a["net_sizes"]), dtype=int)[-1],
-            "net_W1": np.hstack([a["net_W1"], a["net_W1"][:, :1]]),
-            "net_b1": np.append(a["net_b1"], 0.0)}
+            f"net_W{last}": np.hstack([W, W[:, :1]]), f"net_b{last}": np.append(b, 0.0)}
 
 
 def _set_entry(key, value):
@@ -198,6 +209,11 @@ TAMPERED = {
     "knn_train_X_nan": ("knn", _set_entry("train_X", np.nan), "knn train_X holds non-finite"),
     "knn_scaler_nan_mean": ("knn", _set_entry("scaler_mean", np.nan),
                             "knn scaler_mean holds non-finite"),
+    "svm_class_labels_0d": ("svm", lambda a: {"class_labels": np.asarray("a")},
+                            "class_labels has shape"),
+    "knn_k_not_scalar": ("knn", lambda a: {"k": np.asarray([1, 2])}, "k has shape"),
+    "forest_n_trees_not_scalar": ("random_forest", lambda a: {"n_trees": np.asarray([2, 2])},
+                                  "n_trees has shape"),
 }
 
 
@@ -224,16 +240,58 @@ def test_tampered_forest_target_is_a_validation_exit(saved, small_split, tmp_pat
     assert "n_trees >= 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name, edit, message", [
-    ("substitute", _set_entry("scaler_scale", 0.0),
-     "substitute scaler_scale must be finite and positive"),
-    ("substitute", _set_entry("scaler_mean", np.nan), "substitute scaler_mean holds non-finite"),
-    ("substitute", _set_entry("net_W0", np.nan), "net_W0/net_b0 hold non-finite"),
-    ("generator", _set_entry("net_b1", -np.inf), "net_W1/net_b1 hold non-finite"),
-], ids=["substitute_zero_scale", "substitute_nan_mean", "substitute_nan_weight",
-        "generator_inf_bias"])
-def test_tampered_substitute_or_generator_archive_rejected(name, edit, message, saved,
-                                                           tmp_path):
+def _reverse_schema(a):
+    return {"schema_json": np.asarray(json.dumps(json.loads(str(a["schema_json"]))[::-1]))}
+
+
+# (archive type, arrays to overwrite given the saved arrays, error the loader names)
+TAMPERED_OTHER = {
+    "substitute_zero_scale": ("substitute", _set_entry("scaler_scale", 0.0),
+                              "substitute scaler_scale must be finite and positive"),
+    "substitute_nan_mean": ("substitute", _set_entry("scaler_mean", np.nan),
+                            "substitute scaler_mean holds non-finite"),
+    "substitute_nan_weight": ("substitute", _set_entry("net_W0", np.nan),
+                              "net_W0/net_b0 hold non-finite"),
+    "substitute_subset_past_pool": ("substitute", _set_entry("subset", 10**6),
+                                    "subset indices must be 1-D integers in 0..27"),
+    "substitute_subset_2d": ("substitute", lambda a: {"subset": a["subset"][None, :]},
+                             "subset indices must be 1-D integers"),
+    "substitute_fewer_labels": ("substitute", lambda a: {"class_labels": a["class_labels"][:-1]},
+                                "substitute sizes .* do not map"),
+    "substitute_schema_not_the_subset": ("substitute", _reverse_schema,
+                                         "schema_json is not the pool schema's subset"),
+    "substitute_empty_curve": ("substitute", lambda a: {"training_curve": np.zeros(0)},
+                               "training_curve must be non-empty, 1-D and finite"),
+    "substitute_nan_curve": ("substitute", _set_entry("training_curve", np.nan),
+                             "training_curve must be non-empty, 1-D and finite"),
+    "substitute_negative_holdout": ("substitute", _set_entry("holdout_idx", -1),
+                                    "holdout_idx must be a non-empty 1-D array"),
+    "substitute_2d_holdout": ("substitute", lambda a: {"holdout_idx": a["holdout_idx"][None, :]},
+                              "holdout_idx must be a non-empty 1-D array"),
+    "substitute_empty_holdout": ("substitute",
+                                 lambda a: {"holdout_idx": np.zeros(0, dtype=int)},
+                                 "holdout_idx must be a non-empty 1-D array"),
+    "generator_inf_bias": ("generator", _set_entry("net_b1", -np.inf),
+                           "net_W1/net_b1 hold non-finite"),
+    "generator_3_entry_mean": ("generator", lambda a: {"scaler_mean": a["scaler_mean"][:3]},
+                               "generator scaler_mean has shape"),
+    "generator_zero_scale": ("generator", _set_entry("scaler_scale", 0.0),
+                             "generator scaler_scale must be finite and positive"),
+    "generator_nan_amp": ("generator", _set_entry("amp", np.nan),
+                          "generator amp holds non-finite"),
+    "generator_amp_short": ("generator", lambda a: {"amp": a["amp"][:-1]},
+                            "generator amp has shape"),
+    "generator_extra_output": ("generator", _grow_last_layer, "generator sizes .* do not map"),
+    "generator_trained_not_scalar": ("generator", lambda a: {"trained": np.asarray([1, 1])},
+                                     "trained has shape"),
+    "generator_2d_curve": ("generator", lambda a: {"training_curve": np.zeros((2, 2))},
+                           "generator training_curve has shape"),
+}
+
+
+@pytest.mark.parametrize("case", list(TAMPERED_OTHER))
+def test_tampered_substitute_or_generator_archive_rejected(case, saved, tmp_path):
+    name, edit, message = TAMPERED_OTHER[case]
     src = saved[name][1]
     with np.load(src) as data:
         changes = edit(dict(data))
@@ -282,15 +340,30 @@ class TestCliWrongArchive:
                      "--out", f["target"], "--seed", "3"]) == 0
         assert main(["train-substitute", "--data", f["data"], "--target", f["target"],
                      "--out", f["sub"], "--epochs", "2"]) == 0
+        for name, edit in (("sub_subset_past_pool", _set_entry("subset", 10**6)),
+                           ("sub_empty_curve", lambda a: {"training_curve": np.zeros(0)})):
+            f[name] = str(d / f"{name}.npz")
+            with np.load(f["sub"]) as data:
+                changes = edit(dict(data))
+            _rewrite(f["sub"], f[name], **changes)
         return f
 
-    @pytest.mark.parametrize("argv", [
-        lambda f: ["attack", "--data", f["data"], "--target", f["sub"], "--sub", f["sub"]],
-        lambda f: ["attack", "--data", f["data"], "--target", f["target"], "--sub", f["target"]],
-        lambda f: ["defend", "--generator", f["sub"], "--n-devices", "2",
-                   "--train-per-device", "10", "--rounds", "1"],
-    ], ids=["target_is_substitute", "sub_is_target", "generator_is_substitute"])
-    def test_exit_1_with_one_error_line(self, argv, files):
+    @pytest.mark.parametrize("argv, message", [
+        (lambda f: ["attack", "--data", f["data"], "--target", f["sub"], "--sub", f["sub"]],
+         "archive"),
+        (lambda f: ["attack", "--data", f["data"], "--target", f["target"],
+                    "--sub", f["target"]], "archive"),
+        (lambda f: ["defend", "--generator", f["sub"], "--n-devices", "2",
+                    "--train-per-device", "10", "--rounds", "1"], "archive"),
+        (lambda f: ["attack", "--data", f["data"], "--target", f["target"],
+                    "--sub", f["sub_subset_past_pool"], "--epochs", "1"],
+         "subset indices must be 1-D integers"),
+        (lambda f: ["scan-features", "--data", f["data"], "--target", f["target"],
+                    "--sub", f["sub_empty_curve"], "--L", "2", "--epochs", "1"],
+         "training_curve must be non-empty"),
+    ], ids=["target_is_substitute", "sub_is_target", "generator_is_substitute",
+            "attack_sub_subset_past_pool", "scan_sub_empty_curve"])
+    def test_exit_1_with_one_error_line(self, argv, message, files):
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
         env["PYTHONPATH"] = os.pathsep.join(
             [SRC] + [p for p in [env.get("PYTHONPATH")] if p]
@@ -303,4 +376,4 @@ class TestCliWrongArchive:
         assert "Traceback" not in proc.stderr
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
-        assert "archive" in lines[0]
+        assert message in lines[0]

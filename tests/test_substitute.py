@@ -37,7 +37,7 @@ def corpus(small_split, pool_schema, target_schema):
 
 @pytest.fixture(scope="module")
 def base_sub(corpus):
-    return train_substitute(corpus, epochs=25, seed=11, hidden=(32,))
+    return train_substitute(corpus, epochs=25, seed=11)
 
 
 class TestPerformanceGain:
@@ -153,6 +153,11 @@ class TestFeatureWeights:
         narrow = train_substitute(corpus, subset=(0, 1, 2, 3), epochs=3, seed=0)
         with pytest.raises(ValidationError):
             feature_weights(corpus, narrow)
+
+    def test_holdout_past_the_corpus_rejected(self, corpus, base_sub):
+        short = corpus.take(np.arange(base_sub.holdout_idx.max()))
+        with pytest.raises(ValidationError, match="holdout_idx reaches row"):
+            feature_weights(short, base_sub)
 
 
 class TestScanAndSelect:

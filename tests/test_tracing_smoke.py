@@ -37,7 +37,7 @@ ds = synth.generate_dataset(profiles, rows_per_class=30, seed=1, schema=schema)
 train, _ = split_dataset(ds, 0.8, seed=1)
 target = fit("decision_tree", train.project(synth.target_schema()), seed=0)
 corpus = make_oracle(target, schema).collect(train.X)
-sub = experiment.train_substitute(corpus, epochs=3, seed=2, hidden=(16,))
+sub = experiment.train_substitute(corpus, epochs=3, seed=2)
 tid = int(sub.predict_ids_pool(train.X)[0])
 src = train.take(np.flatnonzero(train.y != tid))
 g = build_generator(schema, train.X, hidden=(16,), seed=3)
