@@ -227,6 +227,11 @@ def train_generator(
     only tightens the stragglers. ``lr`` decays after each epoch; plain
     constant-step SGD oscillates around the anchor minimum instead of
     settling into it. Multipliers are re-sampled fresh every epoch.
+
+    ``g.training_curve`` starts with the substitute's success on ``train``
+    under fresh noise. Each epoch then appends the share of rows the
+    substitute's logits counted as a success in that epoch's batches,
+    before each batch's step; the plateau test reads this curve.
     """
     if not getattr(sub, "frozen", False):
         raise ContractViolationError("substitute must be trained and frozen")
@@ -234,6 +239,8 @@ def train_generator(
         raise ValidationError(f"epochs must be >= 1, got {epochs}")
     if tuple(g.schema.names) != tuple(train.schema.names):
         raise ValidationError("generator and training data schemas differ")
+    if len(train) == 0:
+        raise ValidationError("training dataset is empty")
     misidentify_mode = mode.mode == "misidentify"
     if not misidentify_mode and not 0 <= mode.target.id < sub.n_classes:
         raise ValidationError("spoof target id outside the substitute's classes")
@@ -244,7 +251,6 @@ def train_generator(
     X = train.X
     n, k = X.shape
     rng = np.random.default_rng(seed)
-    eval_rng = np.random.default_rng(seed + 1)
     orig_labels = None
     if misidentify_mode:
         orig_labels = sub.predict_ids_pool(X)  # frozen clean labels
@@ -262,27 +268,32 @@ def train_generator(
         mut = g.schema.mutable_mask
 
     sub_cols = np.asarray(sub.subset, dtype=int)
-    # Network input of every training row. Its noise half is refilled once
-    # per epoch and once per plateau probe; batches gather their rows.
+    # Network input of every training row. Its noise half is refilled for
+    # the first probe and once per epoch; batches gather their rows.
     Z = g._input_buffer(X)
     noise = Z[:, k:]
     g.training_curve = [
-        _success_metric(g, sub, X, Z, mode, orig_labels, eval_rng)
+        _success_metric(g, sub, X, Z, mode, orig_labels, np.random.default_rng(seed + 1))
     ]
     for _epoch in range(epochs):
         np.divide(sample_multipliers(g.schema, n, rng) * X, g.scaler.scale, out=noise)
         order = rng.permutation(n)
+        hits = 0
         for start in range(0, n, BATCH_SIZE):
             idx = order[start : start + BATCH_SIZE]
             Hp, grad_cache = g._manipulate(X[idx], Z[idx], want_grad_cache=True)
             Xs = sub.scaler.transform(Hp[:, sub_cols])
             z, sub_cache = sub.net.forward_logits(Xs, want_cache=True)
+            pred = np.argmax(z, axis=1)
             if misidentify_mode:
+                hits += np.count_nonzero(pred != orig_labels[idx])
                 dz = bce_dlogits_unchecked(z, targets[idx])
                 np.negative(dz, out=dz)  # ascend the loss against the frozen labels
             else:
+                spoofed = pred == mode.target.id
+                hits += np.count_nonzero(spoofed)
                 dz = bce_dlogits_unchecked(z, targets[: idx.size])
-                dz[np.argmax(z, axis=1) == mode.target.id] = 0.0
+                dz[spoofed] = 0.0
             dXs = sub.net.input_grad(sub_cache, dz)
             dXs *= ce_weight
             dXs /= sub.scaler.scale
@@ -298,9 +309,7 @@ def train_generator(
             dWs, dbs = g.backward_to_params(grad_cache, dHp)
             g.net.sgd_step(dWs, dbs, lr)
         lr *= lr_factor
-        g.training_curve.append(
-            _success_metric(g, sub, X, Z, mode, orig_labels, eval_rng)
-        )
+        g.training_curve.append(hits / n)
         recent = g.training_curve[-PLATEAU_WINDOW:]
         if (
             len(g.training_curve) > PLATEAU_MIN_EPOCHS

@@ -72,7 +72,9 @@ def _reference_success(g, sub, X, mode, orig_labels, rng):
 def reference_train_generator(g, sub, train, mode, epochs, seed=0, lr=0.01, anchor_X=None):
     """Misidentify: constant LR, BCE weight 1, no gate, no anchor, plateau
     delta 1e-4. Spoof: LR decay 0.93, BCE weight 0.1, gated BCE, anchor
-    weight 1.0, plateau delta 2e-3. Both: plateau minimum 20 epochs."""
+    weight 1.0, plateau delta 2e-3. Both: plateau minimum 20 epochs. The
+    curve is one fresh-noise probe, then per epoch the share of rows whose
+    batch logits, before the batch's step, count as a success."""
     if mode.mode == "misidentify":
         lr_decay, bce_weight, gate_success, anchor_weight, plateau_delta = 1.0, 1.0, False, 0.0, 1e-4
     else:
@@ -100,14 +102,17 @@ def reference_train_generator(g, sub, train, mode, epochs, seed=0, lr=0.01, anch
     for _epoch in range(epochs):
         S = sample_multipliers(g.schema, n, rng) * X
         order = rng.permutation(n)
+        successes = []
         for start in range(0, n, BATCH_SIZE):
             idx = order[start : start + BATCH_SIZE]
             Hp, grad_cache = _reference_manipulate(g, X[idx], S[idx], want_grad_cache=True)
             Xs = sub.scaler.transform(Hp[:, sub_cols])
             z, sub_cache = sub.net.forward_logits(Xs, want_cache=True)
             if mode.mode == "misidentify":
+                successes.append(np.argmax(z, axis=1) != orig_labels[idx])
                 dz = -bce_dlogits(z, targets[idx])
             else:
+                successes.append(np.argmax(z, axis=1) == mode.target.id)
                 dz = bce_dlogits(z, targets[: idx.size])
                 if gate_success:
                     dz[np.argmax(z, axis=1) == mode.target.id] = 0.0
@@ -119,7 +124,7 @@ def reference_train_generator(g, sub, train, mode, epochs, seed=0, lr=0.01, anch
             dWs, dbs = reference_backward_to_params(g, grad_cache, dHp)
             g.net.sgd_step(dWs, dbs, lr)
         lr *= lr_decay
-        g.training_curve.append(_reference_success(g, sub, X, mode, orig_labels, eval_rng))
+        g.training_curve.append(float(np.mean(np.concatenate(successes))))
         recent = g.training_curve[-PLATEAU_WINDOW:]
         if (len(g.training_curve) > plateau_min_epochs and len(recent) == PLATEAU_WINDOW
                 and max(recent) - min(recent) < plateau_delta):
@@ -306,6 +311,47 @@ class TestTraining:
         with pytest.raises(ValidationError):
             train_generator(g, sub, train_pool, bad, epochs=1)
 
+    def test_empty_training_set_rejected(self, pool_schema, trained_sub, small_split):
+        sub, _, _ = trained_sub
+        train_pool, _ = small_split
+        g = build_generator(pool_schema, train_pool.X, seed=9)
+        before = g.net.get_flat_params()
+        with pytest.raises(ValidationError, match="empty"):
+            train_generator(g, sub, train_pool.take(np.arange(0)), misidentify(), epochs=3)
+        assert not g.trained and g.training_curve == []
+        np.testing.assert_array_equal(before, g.net.get_flat_params())
+
+    @pytest.mark.parametrize("spoofing", [False, True])
+    def test_curve_is_the_success_under_each_epochs_training_noise(
+            self, pool_schema, trained_sub, small_split, spoofing):
+        """At lr 0 the weights never move, so epoch e's entry is the
+        substitute's success on every training row under the noise that
+        epoch drew: the hits of all batches over the row count."""
+        sub, _, _ = trained_sub
+        train_pool, _ = small_split
+        # 300 rows: batches of 128, 128 and 44.
+        train = train_pool.take(np.arange(300))
+        X, n = train.X, 300
+        clean = sub.predict_ids_pool(X)
+        mode, anchor_X = misidentify(), None
+        if spoofing:
+            tid = int(np.bincount(clean).argmax())
+            mode, anchor_X = spoof(DeviceClass(tid, "t")), X
+        g = build_generator(pool_schema, X, seed=14)
+        g.net.weights[-1][:] = np.random.default_rng(14).normal(0, 0.5,
+                                                                size=g.net.weights[-1].shape)
+        epochs = 6
+        train_generator(g, sub, train, mode, epochs=epochs, seed=3, lr=0.0, anchor_X=anchor_X)
+        rng = np.random.default_rng(3)
+        want = []
+        for _epoch in range(epochs):
+            S = sample_multipliers(pool_schema, n, rng) * X
+            rng.permutation(n)
+            pred = sub.predict_ids_pool(g.manipulate_batch(X, S))
+            want.append(float(np.mean(pred == tid if spoofing else pred != clean)))
+        assert g.training_curve[1:] == want
+        assert len(set(want)) > 1  # the noise really moves the rate
+
     def test_training_curve_recorded(self, pool_schema, trained_sub, small_split):
         sub, _, _ = trained_sub
         train_pool, _ = small_split
@@ -390,7 +436,7 @@ class TestTrainingMatchesReference:
         sub, _, _ = trained_sub
         train_pool, _ = small_split
         train = train_pool.take(np.tile(np.arange(300), 4))
-        g = self.check(pool_schema, sub, train, misidentify(), epochs=40, lr=0.002)
+        g = self.check(pool_schema, sub, train, misidentify(), epochs=40, lr=0.0025)
         c = g.training_curve
         last, before = (max(c[i - PLATEAU_WINDOW:i]) - min(c[i - PLATEAU_WINDOW:i])
                         for i in (len(c), len(c) - 1))
