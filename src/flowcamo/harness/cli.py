@@ -46,6 +46,10 @@ from . import synth
 from .csvio import atomic_write_text, dataset_to_csv, ingest_csv, write_report_csv
 from .experiment import ExperimentConfig, StageFailure, run_experiment, spoof_cell
 
+# The flag defaults, split fraction and epoch counts of the single-step
+# commands are those of the default pipeline run.
+DEFAULTS = ExperimentConfig()
+
 
 def _load_schema(arg: str):
     if arg == "pool":
@@ -84,7 +88,7 @@ def cmd_train_target(args) -> int:
     ds = _ingest(args.data, args.schema)
     if args.project_target:
         ds = ds.project(synth.target_schema())
-    train, test = split_dataset(ds, 0.8, args.seed)
+    train, test = split_dataset(ds, DEFAULTS.train_fraction, args.seed)
     model = fit(args.kind, train, seed=args.seed)
     save_model(model, args.out)
     rate = identification_rate(test.y, model.predict_ids(test.X))
@@ -122,7 +126,7 @@ def cmd_scan_features(args) -> int:
 
 def _attack_inputs(args):
     ds = _ingest(args.data, args.schema)
-    train, test = split_dataset(ds, 0.8, args.seed)
+    train, test = split_dataset(ds, DEFAULTS.train_fraction, args.seed)
     return ds, load_model(args.target), load_substitute(args.sub), train, test
 
 
@@ -246,9 +250,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("gen-data", cmd_gen_data, help="generate a synthetic dataset CSV")
     sp.add_argument("--out", required=True)
     sp.add_argument("--schema-out")
-    sp.add_argument("--n-classes", type=int, default=28)
-    sp.add_argument("--rows-per-class", type=int, default=500)
-    sp.add_argument("--seed", type=int, default=42)
+    sp.add_argument("--n-classes", type=int, default=DEFAULTS.n_classes)
+    sp.add_argument("--rows-per-class", type=int, default=DEFAULTS.rows_per_class)
+    sp.add_argument("--seed", type=int, default=DEFAULTS.seed)
 
     sp = add("ingest", cmd_ingest, help="validate and summarize a dataset CSV")
     sp.add_argument("path")
@@ -260,25 +264,25 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kind", choices=KINDS, required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--project-target", action=argparse.BooleanOptionalAction, default=True)
-    sp.add_argument("--seed", type=int, default=42)
+    sp.add_argument("--seed", type=int, default=DEFAULTS.seed)
 
     sp = add("train-substitute", cmd_train_substitute, help="fit the substitute")
     sp.add_argument("--data", required=True)
     sp.add_argument("--schema", default="pool")
     sp.add_argument("--target", required=True)
     sp.add_argument("--out", required=True)
-    sp.add_argument("--epochs", type=int, default=60)
-    sp.add_argument("--seed", type=int, default=42)
+    sp.add_argument("--epochs", type=int, default=DEFAULTS.substitute_epochs)
+    sp.add_argument("--seed", type=int, default=DEFAULTS.seed)
 
     sp = add("scan-features", cmd_scan_features, help="performance-gain scan")
     sp.add_argument("--data", required=True)
     sp.add_argument("--schema", default="pool")
     sp.add_argument("--target", required=True)
     sp.add_argument("--sub", required=True)
-    sp.add_argument("--L", default="2,4,8,12,16,20,28")
-    sp.add_argument("--epochs", type=int, default=25)
+    sp.add_argument("--L", default=",".join(map(str, DEFAULTS.scan_L)))
+    sp.add_argument("--epochs", type=int, default=DEFAULTS.scan_epochs)
     sp.add_argument("--out", required=True)
-    sp.add_argument("--seed", type=int, default=42)
+    sp.add_argument("--seed", type=int, default=DEFAULTS.seed)
 
     for name, fn in (("attack", cmd_attack), ("spoof", cmd_spoof)):
         sp = add(name, fn, help=f"train a generator and run the {name}")
@@ -286,26 +290,26 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--schema", default="pool")
         sp.add_argument("--target", required=True)
         sp.add_argument("--sub", required=True)
-        sp.add_argument("--epochs", type=int, default=60)
+        sp.add_argument("--epochs", type=int, default=DEFAULTS.generator_epochs)
         sp.add_argument("--out", required=True)
         sp.add_argument("--save-generator")
-        sp.add_argument("--seed", type=int, default=42)
+        sp.add_argument("--seed", type=int, default=DEFAULTS.seed)
         if name == "spoof":
             sp.add_argument("--target-class", required=True)
             sp.add_argument("--source-type", default="")  # "" keeps every class
 
     sp = add("defend", cmd_defend, help="fit the device profiler and evaluate")
     sp.add_argument("--out", required=True)
-    sp.add_argument("--n-devices", type=int, default=28)
-    sp.add_argument("--rounds", type=int, default=30)
-    sp.add_argument("--train-per-device", type=int, default=40)
+    sp.add_argument("--n-devices", type=int, default=DEFAULTS.n_classes)
+    sp.add_argument("--rounds", type=int, default=DEFAULTS.defense_rounds)
+    sp.add_argument("--train-per-device", type=int, default=DEFAULTS.defense_train_per_device)
     sp.add_argument("--generator")
     sp.add_argument("--data")
     sp.add_argument("--schema", default="pool")
-    sp.add_argument("--seed", type=int, default=42)
+    sp.add_argument("--seed", type=int, default=DEFAULTS.seed)
 
     sp = add("report", cmd_report, help="print report CSVs as tables")
-    sp.add_argument("--dir", default="out")
+    sp.add_argument("--dir", default=DEFAULTS.out_dir)
 
     sp = add("run", cmd_run, help="run the full experiment pipeline")
     sp.add_argument("--config")

@@ -78,7 +78,6 @@ _VALUE_RULES = (
     (("substitute_epochs", "generator_epochs", "scan_epochs", "defense_rounds",
       "defense_per_device", "defense_train_per_device"), lambda v: v >= 1, ">= 1"),
     (("separability",), lambda v: 0 < v < np.inf, "positive and finite"),
-    (("query_augment",), lambda v: 0 <= v < np.inf, ">= 0 and finite"),
     (("train_fraction",), lambda v: 0 < v < 1, "in (0, 1)"),
     (("spoof_accept",), lambda v: 0 < v <= 1, "in (0, 1]"),
     (("target_kinds",), lambda v: 0 < len(v) == len(set(v)) and set(v) <= set(KINDS),
@@ -101,9 +100,6 @@ class ExperimentConfig:
     target_kinds: Tuple[str, ...] = KINDS
     substitute_epochs: int = 60
     generator_epochs: int = 60
-    # Oracle query corpus: uniform in-range probes added per clean row, so
-    # the substitute also matches the victim away from the traffic manifold.
-    query_augment: float = 3.0
     # Spoof training restarts: the anchor landscape has seed- and
     # step-size-dependent local minima, so each pair tries these learning
     # rates (fresh init seed per trial), keeps the candidate with the best
@@ -191,30 +187,18 @@ def _train_targets(cfg: ExperimentConfig, results: dict, out) -> None:
 
 
 def _substitute(cfg: ExperimentConfig, results: dict, out) -> None:
+    """One substitute per target, fit to the oracle's labels of the
+    eavesdropped training traffic only."""
     train_pool, test_pool = results["train_pool"], results["test_pool"]
-    pool_schema = train_pool.schema
-    probes = None
-    if cfg.query_augment > 0:
-        n_probe = int(round(cfg.query_augment * train_pool.X.shape[0]))
-        probe_rng = np.random.default_rng(cfg.seed + 110)
-        probes = probe_rng.uniform(
-            pool_schema.lows, pool_schema.highs, size=(n_probe, len(pool_schema))
-        )
-        probes.flags.writeable = False  # so each oracle's corpus shares it, uncopied
     oracles = results["oracles"] = {}
     corpora = results["corpora"] = {}
-    probe_corpora = results["probe_corpora"] = {}
     subs = results["substitutes"] = {}
     sub_rates = results["sub_rates"] = {}
     for i, kind in enumerate(cfg.target_kinds):
-        oracle = oracles[kind] = make_oracle(results["targets"][kind], pool_schema)
+        oracle = oracles[kind] = make_oracle(results["targets"][kind], train_pool.schema)
         corpora[kind] = oracle.collect(train_pool.X)
-        probe_corpora[kind] = None if probes is None else oracle.collect(probes)
         sub = subs[kind] = train_substitute(
-            corpora[kind],
-            epochs=cfg.substitute_epochs,
-            seed=cfg.seed + 100 + i,
-            train_extra=probe_corpora[kind],
+            corpora[kind], epochs=cfg.substitute_epochs, seed=cfg.seed + 100 + i,
         )
         # Substitute's own identification rates against ground truth.
         sub_rates[kind] = (
@@ -226,8 +210,9 @@ def _substitute(cfg: ExperimentConfig, results: dict, out) -> None:
     target_rates = results["target_rates"]
     out(
         "table1.csv",
-        ["model", "target_train", "target_test", "sub_train", "sub_test", "oracle_agreement"],
-        [[k, *(f"{v:.6f}" for v in (*target_rates[k], *sub_rates[k]))]
+        ["model", "target_train", "target_test", "sub_train", "sub_test", "oracle_agreement",
+         "oracle_queries"],
+        [[k, *(f"{v:.6f}" for v in (*target_rates[k], *sub_rates[k])), oracles[k].query_log]
          for k in cfg.target_kinds],
     )
     curves = [subs[k].training_curve for k in cfg.target_kinds]
@@ -239,14 +224,14 @@ def _substitute(cfg: ExperimentConfig, results: dict, out) -> None:
 
 
 def _scan(cfg: ExperimentConfig, results: dict, out) -> None:
-    """Performance-gain scan; timing-based, so excluded from reproducibility."""
+    """Performance-gain scan, report-only: ``selected_L`` feeds no later stage.
+    Timing-based, so excluded from reproducibility."""
     kind = cfg.target_kinds[0]
     corpus = results["corpora"][kind]  # the oracle is deterministic: no re-query
     sub = results["substitutes"][kind]
     weights = feature_weights(corpus, sub, seed=cfg.seed + 500)
     scan = performance_gain_scan(
-        corpus, weights, list(cfg.scan_L), epochs=cfg.scan_epochs,
-        seed=cfg.seed + 501, train_extra=results["probe_corpora"][kind],
+        corpus, weights, list(cfg.scan_L), epochs=cfg.scan_epochs, seed=cfg.seed + 501,
     )
     chosen = select_subset(scan, full_agreement=sub.agreement)
     rows = scan_to_csv_rows(scan)

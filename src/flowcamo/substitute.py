@@ -91,28 +91,16 @@ def train_substitute(
     subset: Optional[Sequence[int]] = None,
     epochs: int = 60,
     seed: int = 0,
-    train_extra: Optional[Dataset] = None,
 ) -> SubstituteModel:
     """Fit the neural_net recipe to the eavesdropped labels; records the
-    per-epoch held-out agreement.
-
-    ``train_extra`` rows (e.g. labeled uniform probes that teach the
-    substitute the oracle's behaviour away from the traffic manifold) are
-    used for training only; the agreement curve and holdout stay on the
-    eavesdropped corpus so fidelity is measured on traffic.
-    """
+    per-epoch held-out agreement."""
     check_trainable(corpus)
     subset = tuple(range(len(corpus.schema))) if subset is None else tuple(subset)
     train_idx, hold_idx = stratified_split(corpus.y, 0.8, seed)
     Xs = corpus.X[:, subset]
-    X_tr, y_tr = Xs[train_idx], corpus.y[train_idx]
-    if train_extra is not None:
-        if train_extra.schema.names != corpus.schema.names:
-            raise ValidationError("train_extra schema differs from the corpus")
-        X_tr = np.vstack([X_tr, train_extra.X[:, subset]])
-        y_tr = np.concatenate([y_tr, train_extra.y])
     scaler, net, curve = fit_scaled_net(
-        X_tr, y_tr, corpus.n_classes, epochs, seed, holdout=(Xs[hold_idx], corpus.y[hold_idx])
+        Xs[train_idx], corpus.y[train_idx], corpus.n_classes, epochs, seed,
+        holdout=(Xs[hold_idx], corpus.y[hold_idx]),
     )
     return SubstituteModel(corpus.schema, subset, corpus.class_labels, scaler, net, curve,
                            hold_idx)
@@ -180,7 +168,6 @@ def performance_gain_scan(
     L_values: Sequence[int],
     epochs: int = 30,
     seed: int = 0,
-    train_extra: Optional[Dataset] = None,
 ) -> List[PerformanceGainPoint]:
     """Retrain per subset size; each overhead is the median of 5 serialized
     predictions on 1,000 corpus rows."""
@@ -197,10 +184,7 @@ def performance_gain_scan(
     points: List[PerformanceGainPoint] = []
     prev: Optional[PerformanceGainPoint] = None
     for L in L_values:
-        sub = train_substitute(
-            corpus, top_l_indices(weights, L), epochs=epochs, seed=seed,
-            train_extra=train_extra,
-        )
+        sub = train_substitute(corpus, top_l_indices(weights, L), epochs=epochs, seed=seed)
         overhead = _median_predict_time(sub, probe)
         if prev is None:
             gain, undefined = float("nan"), True

@@ -163,8 +163,7 @@ class TestAcceptance:
         schema = corpus.schema
         weights = feature_weights(corpus, sub, seed=cfg.seed + 500)
         scan = performance_gain_scan(
-            corpus, weights, list(cfg.scan_L), epochs=cfg.scan_epochs,
-            seed=cfg.seed + 501, train_extra=full_run["probe_corpora"][kind],
+            corpus, weights, list(cfg.scan_L), epochs=cfg.scan_epochs, seed=cfg.seed + 501,
         )
         # Undefined points are flagged, never raised: the metric refuses
         # division rather than producing inf/nan silently.

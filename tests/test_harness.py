@@ -1,6 +1,7 @@
 """Data exchange, experiment configuration, synthesis, and the CLI."""
 import json
 import os
+import pathlib
 import tempfile
 import warnings
 
@@ -20,7 +21,7 @@ from flowcamo.core import (
     split_dataset,
 )
 from flowcamo.harness import experiment, synth
-from flowcamo.harness.cli import main
+from flowcamo.harness.cli import build_parser, main
 from flowcamo.harness.csvio import CsvParseError, dataset_to_csv, ingest_csv
 from flowcamo.harness.experiment import (
     ExperimentConfig,
@@ -28,7 +29,7 @@ from flowcamo.harness.experiment import (
     run_experiment,
     spoof_cell,
 )
-from flowcamo.learners import load_model
+from flowcamo.learners import load_model, save_model
 from flowcamo.substitute import load_substitute
 
 
@@ -243,7 +244,7 @@ class TestExperimentConfig:
     @pytest.mark.parametrize("key", [
         "attack_mode", "spoof_target_label", "schema_path", "substitute_hidden",
         "generator_hidden", "delta_scale", "generator_lr", "spoof_lr_decay",
-        "spoof_anchor_weight", "spoof_bce_weight",
+        "spoof_anchor_weight", "spoof_bce_weight", "query_augment",
     ])
     def test_removed_keys_rejected(self, key, tmp_path, capsys):
         with pytest.raises(ValidationError, match="unknown config keys"):
@@ -297,10 +298,10 @@ class TestExperimentConfig:
             ExperimentConfig(target_kinds=("knnx",))
 
     def test_int_accepted_for_float_field(self):
-        cfg = ExperimentConfig.from_dict({"query_augment": 3, "spoof_trial_lrs": [1, 0.5]})
-        assert cfg == ExperimentConfig(query_augment=3.0, spoof_trial_lrs=(1.0, 0.5))
+        cfg = ExperimentConfig.from_dict({"separability": 1, "spoof_trial_lrs": [1, 0.5]})
+        assert cfg == ExperimentConfig(separability=1.0, spoof_trial_lrs=(1.0, 0.5))
         assert cfg.config_hash() == ExperimentConfig(
-            query_augment=3.0, spoof_trial_lrs=(1.0, 0.5)).config_hash()
+            separability=1.0, spoof_trial_lrs=(1.0, 0.5)).config_hash()
 
     def test_hash_sensitive_to_fields(self):
         assert (
@@ -349,7 +350,42 @@ TINY_RUN = dict(seed=3, n_classes=4, rows_per_class=20, substitute_epochs=4,
                 generator_epochs=2, spoof_grid=False, run_defense=False)
 
 
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory):
+    cfg = ExperimentConfig(out_dir=str(tmp_path_factory.mktemp("tiny_run")), **TINY_RUN)
+    return cfg, run_experiment(cfg)
+
+
 class TestPipeline:
+    def test_table1_records_one_query_per_eavesdropped_row(self, tiny_run):
+        """Each substitute's oracle budget is the training traffic it was fit
+        to, one query per row: no probe rows are drawn."""
+        cfg, results = tiny_run
+        _meta, header, rows = _report(pathlib.Path(results["outputs"]["table1.csv"]))
+        assert header[-1] == "oracle_queries"
+        assert [r[0] for r in rows] == list(cfg.target_kinds)
+        assert [int(r[-1]) for r in rows] == [len(results["train_pool"])] * len(rows)
+
+    def test_train_substitute_is_the_pipeline_substitute(self, tiny_run, tmp_path):
+        """``flowcamo train-substitute`` on the run's training traffic and
+        target, with the run's seed offset and epochs, saves each run's
+        substitute bit for bit."""
+        cfg, results = tiny_run
+        data = str(tmp_path / "train_pool.csv")
+        dataset_to_csv(results["train_pool"], data)
+        for i, kind in enumerate(cfg.target_kinds):
+            target, sub = str(tmp_path / f"{kind}.npz"), str(tmp_path / f"{kind}_sub.npz")
+            save_model(results["targets"][kind], target)
+            assert main(["train-substitute", "--data", data, "--target", target, "--out", sub,
+                         "--seed", str(cfg.seed + 100 + i),
+                         "--epochs", str(cfg.substitute_epochs)]) == 0
+            saved, ran = load_substitute(sub), results["substitutes"][kind]
+            assert saved.training_curve == ran.training_curve
+            for a, b in zip(
+                    [saved.scaler.mean, saved.scaler.scale, *saved.net.weights, *saved.net.biases],
+                    [ran.scaler.mean, ran.scaler.scale, *ran.net.weights, *ran.net.biases]):
+                np.testing.assert_array_equal(a, b)
+
     def test_all_stages(self, tmp_path):
         """Every optional stage on: each report lands, scan.csv records the
         chosen subset size, and the manifest names every output."""
@@ -430,6 +466,30 @@ class TestPipeline:
 
 
 class TestCli:
+    def test_flag_defaults_are_the_config_defaults(self):
+        """The single-step commands restate no default of the pipeline run."""
+        cfg = ExperimentConfig()
+        files = ["--data", "d", "--target", "t", "--out", "o"]
+        expected = {
+            ("gen-data", "--out", "o"): dict(
+                n_classes=cfg.n_classes, rows_per_class=cfg.rows_per_class, seed=cfg.seed),
+            ("train-target", "--data", "d", "--kind", "knn", "--out", "o"): dict(seed=cfg.seed),
+            ("train-substitute", *files): dict(epochs=cfg.substitute_epochs, seed=cfg.seed),
+            ("scan-features", *files, "--sub", "s"): dict(
+                L=",".join(map(str, cfg.scan_L)), epochs=cfg.scan_epochs, seed=cfg.seed),
+            ("attack", *files, "--sub", "s"): dict(epochs=cfg.generator_epochs, seed=cfg.seed),
+            ("spoof", *files, "--sub", "s", "--target-class", "c"): dict(
+                epochs=cfg.generator_epochs, seed=cfg.seed),
+            ("defend", "--out", "o"): dict(
+                n_devices=cfg.n_classes, rounds=cfg.defense_rounds,
+                train_per_device=cfg.defense_train_per_device, seed=cfg.seed),
+            ("report",): dict(dir=cfg.out_dir),
+        }
+        parser = build_parser()
+        for argv, defaults in expected.items():
+            args = vars(parser.parse_args(list(argv)))
+            assert {k: args[k] for k in defaults} == defaults, argv[0]
+
     def test_gen_data_and_ingest(self, tmp_path, capsys):
         out = str(tmp_path / "d.csv")
         rc = main([
@@ -592,7 +652,7 @@ class TestCliSuccess:
         the acceptance level on pairs the unanchored recipe left at 0."""
         cfg = ExperimentConfig(seed=3, generator_epochs=10)
         ds = ingest_csv(inputs[1], POOL)
-        train, test = split_dataset(ds, 0.8, 3)
+        train, test = split_dataset(ds, cfg.train_fraction, 3)
         target, sub = load_model(inputs[3]), load_substitute(inputs[5])
         for src, dst in (("camera", "hub_00"), ("switch", "camera_00")):
             out, gen = tmp_path / f"{src}.csv", tmp_path / f"{src}.npz"

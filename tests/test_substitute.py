@@ -117,28 +117,6 @@ class TestTrainSubstitute:
         with pytest.raises(ValidationError):
             train_substitute(corpus, epochs=0)
 
-    def test_extra_rows_train_only(self, corpus, pool_schema, rng):
-        """Holdout indices address the eavesdropped corpus, so agreement is
-        unaffected by how many extra probe rows are appended for training."""
-        probes = rng.uniform(
-            pool_schema.lows, pool_schema.highs, size=(200, len(pool_schema))
-        )
-        extra = Dataset(
-            pool_schema, probes, rng.integers(0, 8, 200), corpus.class_labels
-        )
-        sub = train_substitute(corpus, epochs=5, seed=11, train_extra=extra)
-        assert sub.holdout_idx.max() < len(corpus)
-
-    def test_extra_schema_mismatch_rejected(self, corpus, target_schema, rng):
-        probes = rng.uniform(
-            target_schema.lows, target_schema.highs, size=(10, len(target_schema))
-        )
-        extra = Dataset(
-            target_schema, probes, np.zeros(10, dtype=int), corpus.class_labels
-        )
-        with pytest.raises(ValidationError):
-            train_substitute(corpus, epochs=2, train_extra=extra)
-
 
 class TestFeatureWeights:
     def test_informative_feature_beats_decoy(self, corpus, base_sub):
