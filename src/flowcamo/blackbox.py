@@ -6,8 +6,6 @@ attacker's feature pool is projected onto the target's schema inside.
 """
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
 from .core import Dataset, DeviceClass, FeatureSchema, ValidationError, validate_matrix
@@ -23,7 +21,6 @@ class Oracle:
         self.__target = target
         self.__pool_schema = pool_schema
         self.__cols = cols
-        self.__lock = threading.Lock()
         self.__count = 0
 
     @property
@@ -32,8 +29,7 @@ class Oracle:
 
     def __predict_ids(self, X: np.ndarray) -> np.ndarray:
         X = validate_matrix(self.__pool_schema, X, "query")
-        with self.__lock:
-            self.__count += X.shape[0]
+        self.__count += X.shape[0]
         return self.__target.predict_ids(X[:, self.__cols])
 
     def query(self, x) -> DeviceClass:

@@ -10,7 +10,7 @@ true victim is only touched at evaluation time (transferability).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Union
 
 import numpy as np
 
@@ -31,6 +31,12 @@ from .learners.base import check_shape, scalar_int
 from .learners.io import load_archive, save_archive
 from .substitute import SubstituteModel
 
+# Hidden layer widths of the generator network.
+HIDDEN = (64, 64)
+# Perturbation amplitude in units of the reference spread, not the schema
+# range: wide-range features would otherwise dominate the gradient into the
+# network and saturate the tanh irrecoverably.
+DELTA_SCALE = 6.0
 BATCH_SIZE = 128
 # Training stops early once the success metric moved less than the mode's
 # plateau band over PLATEAU_WINDOW epochs, but not before PLATEAU_MIN_EPOCHS.
@@ -164,21 +170,12 @@ class Generator:
         return g
 
 
-def build_generator(
-    schema: FeatureSchema,
-    reference_X: np.ndarray,
-    hidden: Sequence[int] = (64, 64),
-    delta_scale: float = 6.0,
-    seed: int = 0,
-) -> Generator:
+def build_generator(schema: FeatureSchema, reference_X: np.ndarray, seed: int = 0) -> Generator:
     """Generator with input normalization fitted to reference traffic."""
     scaler = Scaler.fit(np.asarray(reference_X, dtype=float))
     k = len(schema)
-    net = Net([2 * k, *hidden, k], seed=seed, zero_init_last=True)
-    # Perturbation amplitude in units of the reference spread, not the
-    # schema range: wide-range features would otherwise dominate the
-    # gradient into the network and saturate the tanh irrecoverably.
-    return Generator(schema, scaler, net, delta_scale * scaler.scale * schema.mutable_mask)
+    net = Net([2 * k, *HIDDEN, k], seed=seed, zero_init_last=True)
+    return Generator(schema, scaler, net, DELTA_SCALE * scaler.scale * schema.mutable_mask)
 
 
 def save_generator(g: Generator, path: str) -> None:

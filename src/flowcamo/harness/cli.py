@@ -4,7 +4,9 @@ Subcommands: gen-data, ingest, train-target, train-substitute,
 scan-features, attack, spoof, defend, report, run. Only ``run`` reads a
 JSON config file (``--config``, the fields of ``ExperimentConfig``); its
 flags override the file, and the file overrides the defaults.
-Exit codes: 0 ok, 1 validation error, 2 stage failure, 3 I/O error.
+Every command reads dataset CSVs in the attacker pool schema.
+Exit codes: 0 ok (``--help`` too), 1 validation error (bad input or a
+usage error), 2 stage failure, 3 I/O error.
 """
 from __future__ import annotations
 
@@ -25,7 +27,6 @@ from ..camouflage import (
 )
 from ..core import (
     DeviceClass,
-    FeatureSchema,
     UnreachableTargetError,
     ValidationError,
     identification_rate,
@@ -51,19 +52,6 @@ from .experiment import ExperimentConfig, StageFailure, run_experiment, spoof_ce
 DEFAULTS = ExperimentConfig()
 
 
-def _load_schema(arg: str):
-    if arg == "pool":
-        return synth.attacker_pool_schema()
-    if arg == "target":
-        return synth.target_schema()
-    with open(arg, encoding="utf-8") as fh:
-        return FeatureSchema.from_json(fh.read())
-
-
-def _ingest(path: str, schema_arg: str):
-    return ingest_csv(path, _load_schema(schema_arg))
-
-
 def cmd_gen_data(args) -> int:
     schema = synth.attacker_pool_schema()
     profiles = synth.default_profiles(schema, args.n_classes)
@@ -76,7 +64,7 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    ds = _ingest(args.path, args.schema)
+    ds = ingest_csv(args.path, synth.attacker_pool_schema())
     counts = np.bincount(ds.y, minlength=ds.n_classes)
     print(f"{args.path}: {len(ds)} rows, {ds.n_classes} classes")
     for lab, c in zip(ds.class_labels, counts):
@@ -85,9 +73,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_train_target(args) -> int:
-    ds = _ingest(args.data, args.schema)
-    if args.project_target:
-        ds = ds.project(synth.target_schema())
+    ds = ingest_csv(args.data, synth.attacker_pool_schema()).project(synth.target_schema())
     train, test = split_dataset(ds, DEFAULTS.train_fraction, args.seed)
     model = fit(args.kind, train, seed=args.seed)
     save_model(model, args.out)
@@ -97,7 +83,7 @@ def cmd_train_target(args) -> int:
 
 
 def cmd_train_substitute(args) -> int:
-    ds = _ingest(args.data, args.schema)
+    ds = ingest_csv(args.data, synth.attacker_pool_schema())
     target = load_model(args.target)
     oracle = make_oracle(target, ds.schema)
     corpus = oracle.collect(ds.X)
@@ -109,7 +95,7 @@ def cmd_train_substitute(args) -> int:
 
 
 def cmd_scan_features(args) -> int:
-    ds = _ingest(args.data, args.schema)
+    ds = ingest_csv(args.data, synth.attacker_pool_schema())
     target = load_model(args.target)
     sub = load_substitute(args.sub)
     oracle = make_oracle(target, ds.schema)
@@ -125,7 +111,7 @@ def cmd_scan_features(args) -> int:
 
 
 def _attack_inputs(args):
-    ds = _ingest(args.data, args.schema)
+    ds = ingest_csv(args.data, synth.attacker_pool_schema())
     train, test = split_dataset(ds, DEFAULTS.train_fraction, args.seed)
     return ds, load_model(args.target), load_substitute(args.sub), train, test
 
@@ -181,7 +167,7 @@ def cmd_defend(args) -> int:
     if args.generator:
         load_generator(args.generator)
     if args.data:
-        _ingest(args.data, args.schema)
+        ingest_csv(args.data, synth.attacker_pool_schema())
     identities = make_identities(args.n_devices, seed=args.seed)
     P, Csi, y = signature_batch(identities, args.train_per_device, noise_seed=args.seed + 1)
     prof = fit_profiler(P, Csi, y, seed=args.seed)
@@ -238,8 +224,15 @@ def cmd_run(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error raises ``ValidationError``, so it exits 1 with one line."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="flowcamo")
+    p = _Parser(prog="flowcamo")
     sub = p.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **kw):
@@ -256,19 +249,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("ingest", cmd_ingest, help="validate and summarize a dataset CSV")
     sp.add_argument("path")
-    sp.add_argument("--schema", default="pool")
 
     sp = add("train-target", cmd_train_target, help="fit one target classifier")
     sp.add_argument("--data", required=True)
-    sp.add_argument("--schema", default="pool")
     sp.add_argument("--kind", choices=KINDS, required=True)
     sp.add_argument("--out", required=True)
-    sp.add_argument("--project-target", action=argparse.BooleanOptionalAction, default=True)
     sp.add_argument("--seed", type=int, default=DEFAULTS.seed)
 
     sp = add("train-substitute", cmd_train_substitute, help="fit the substitute")
     sp.add_argument("--data", required=True)
-    sp.add_argument("--schema", default="pool")
     sp.add_argument("--target", required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--epochs", type=int, default=DEFAULTS.substitute_epochs)
@@ -276,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("scan-features", cmd_scan_features, help="performance-gain scan")
     sp.add_argument("--data", required=True)
-    sp.add_argument("--schema", default="pool")
     sp.add_argument("--target", required=True)
     sp.add_argument("--sub", required=True)
     sp.add_argument("--L", default=",".join(map(str, DEFAULTS.scan_L)))
@@ -287,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn in (("attack", cmd_attack), ("spoof", cmd_spoof)):
         sp = add(name, fn, help=f"train a generator and run the {name}")
         sp.add_argument("--data", required=True)
-        sp.add_argument("--schema", default="pool")
         sp.add_argument("--target", required=True)
         sp.add_argument("--sub", required=True)
         sp.add_argument("--epochs", type=int, default=DEFAULTS.generator_epochs)
@@ -305,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--train-per-device", type=int, default=DEFAULTS.defense_train_per_device)
     sp.add_argument("--generator")
     sp.add_argument("--data")
-    sp.add_argument("--schema", default="pool")
     sp.add_argument("--seed", type=int, default=DEFAULTS.seed)
 
     sp = add("report", cmd_report, help="print report CSVs as tables")
@@ -326,9 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except StageFailure as e:
         print(f"error: {e}", file=sys.stderr)

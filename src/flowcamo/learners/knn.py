@@ -9,6 +9,9 @@ from .base import ClassifierModel, Scaler, check_shape, check_trainable, scalar_
 # Upper bound on query x train distance entries held at once: 2 MiB of
 # float64, so predict's working set stays a few MB at any query count.
 DISTANCE_CHUNK_ELEMENTS = 2**18
+# Neighbours voting in the knn target kind. The constructor takes any k,
+# because an archive carries its own.
+NEIGHBOURS = 5
 
 
 def _blocks(n: int, rows: int) -> list:
@@ -58,11 +61,11 @@ class KnnClassifier(ClassifierModel):
         self._neg2_train_T.flags.writeable = False
 
     @classmethod
-    def fit(cls, train: Dataset, k: int = 5, seed: int = 0) -> "KnnClassifier":
+    def fit(cls, train: Dataset, seed: int = 0) -> "KnnClassifier":
         check_trainable(train)
         scaler = Scaler.fit(train.X)
         return cls(train.schema, train.class_labels, scaler,
-                   scaler.transform(train.X), train.y.copy(), int(k))
+                   scaler.transform(train.X), train.y.copy(), NEIGHBOURS)
 
     def to_arrays(self) -> dict:
         return {**super().to_arrays(), **self.scaler.to_arrays(),

@@ -3,9 +3,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import Dataset, ValidationError
+from ..core import Dataset
 from .base import ClassifierModel, Scaler, check_shape, check_trainable
 from .mlp import stable_scores
+
+# Subgradient steps of the svm target kind.
+EPOCHS = 800
 
 
 class LinearSvmClassifier(ClassifierModel):
@@ -22,15 +25,8 @@ class LinearSvmClassifier(ClassifierModel):
         self.b = b  # (n_classes,)
 
     @classmethod
-    def fit(
-        cls,
-        train: Dataset,
-        epochs: int = 800,
-        seed: int = 0,
-    ) -> "LinearSvmClassifier":
+    def fit(cls, train: Dataset, seed: int = 0) -> "LinearSvmClassifier":
         check_trainable(train)
-        if epochs < 1:
-            raise ValidationError(f"epochs must be >= 1, got {epochs}")
         scaler = Scaler.fit(train.X)
         X = scaler.transform(train.X)
         n, k = X.shape
@@ -39,7 +35,7 @@ class LinearSvmClassifier(ClassifierModel):
         Y[np.arange(n), train.y] = 1.0
         W = np.zeros((nc, k))
         b = np.zeros(nc)
-        for t in range(1, epochs + 1):
+        for t in range(1, EPOCHS + 1):
             margins = Y * (X @ W.T + b)
             viol = (margins < 1.0).astype(float) * Y  # (n, nc)
             gW = 1e-5 * W - (viol.T @ X) / n

@@ -17,6 +17,8 @@ _MIN_GAIN = 1e-12
 # about 1e-14; every cut ranked within this much gain of the best is
 # re-scored with the float gain.
 _RESCORE_MARGIN = 1e-9
+# Trees of the random_forest target kind. Neither tree kind has a depth limit.
+N_TREES = 20
 
 
 class _TreeArrays:
@@ -213,16 +215,9 @@ class DecisionTreeClassifier(ClassifierModel):
         self.tree = tree
 
     @classmethod
-    def fit(
-        cls,
-        train: Dataset,
-        max_depth: Optional[int] = None,
-        seed: int = 0,
-    ) -> "DecisionTreeClassifier":
+    def fit(cls, train: Dataset, seed: int = 0) -> "DecisionTreeClassifier":
         check_trainable(train)
-        if max_depth is not None and max_depth < 1:
-            raise ValidationError(f"max_depth must be >= 1, got {max_depth}")
-        tree = build_tree(train.X, train.y, train.n_classes, max_depth)
+        tree = build_tree(train.X, train.y, train.n_classes)
         return cls(train.schema, train.class_labels, tree)
 
     def to_arrays(self) -> dict:
@@ -249,28 +244,16 @@ class RandomForestClassifier(ClassifierModel):
         self.trees = trees
 
     @classmethod
-    def fit(
-        cls,
-        train: Dataset,
-        n_trees: int = 20,
-        max_depth: Optional[int] = None,
-        seed: int = 0,
-    ) -> "RandomForestClassifier":
+    def fit(cls, train: Dataset, seed: int = 0) -> "RandomForestClassifier":
         check_trainable(train)
-        if n_trees < 1:
-            raise ValidationError(f"n_trees must be >= 1, got {n_trees}")
-        if max_depth is not None and max_depth < 1:
-            raise ValidationError(f"max_depth must be >= 1, got {max_depth}")
         mtry = max(1, int(round(np.sqrt(len(train.schema)))))
         rng = np.random.default_rng(seed)
         trees = []
         n = len(train)
-        for _ in range(n_trees):
+        for _ in range(N_TREES):
             boot = rng.integers(0, n, size=n)
-            trees.append(
-                build_tree(train.X[boot], train.y[boot], train.n_classes, max_depth,
-                           rng=rng, mtry=mtry)
-            )
+            trees.append(build_tree(train.X[boot], train.y[boot], train.n_classes,
+                                    rng=rng, mtry=mtry))
         return cls(train.schema, train.class_labels, trees)
 
     def to_arrays(self) -> dict:

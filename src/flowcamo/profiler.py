@@ -201,10 +201,23 @@ class MultiStageClassifier:
         return ids, scores
 
 
-def _subtree_leaves(tree, node: int) -> List[int]:
-    if tree.feature[node] < 0:
-        return [node]
-    return _subtree_leaves(tree, tree.left[node]) + _subtree_leaves(tree, tree.right[node])
+def _group_leaves(tree, leaves: np.ndarray, y: np.ndarray) -> Dict[int, int]:
+    """Stage-two group of each leaf that the training rows ``leaves`` reach.
+
+    A leaf's anchor is the leaf itself if its training rows hold two or
+    more classes, or if it is the root; otherwise it is the leaf's parent.
+    A split node's rows always hold two or more classes and each of its
+    children gets a row, so the parent always qualifies. Leaves with one
+    anchor form one group; groups are numbered in anchor order.
+    """
+    parent = {int(child): int(node) for node in np.flatnonzero(tree.feature >= 0)
+              for child in (tree.left[node], tree.right[node])}
+    leaf_to_anchor = {}
+    for leaf in np.unique(leaves).tolist():
+        pure = np.unique(y[leaves == leaf]).size < 2
+        leaf_to_anchor[leaf] = parent[leaf] if pure and leaf in parent else leaf
+    anchors = sorted(set(leaf_to_anchor.values()))
+    return {leaf: anchors.index(a) for leaf, a in leaf_to_anchor.items()}
 
 
 def fit_profiler(
@@ -233,39 +246,13 @@ def fit_profiler(
 
     tree = build_tree(P, y, n_classes, max_depth=3)
     leaves = tree_apply(tree, P)
-
-    # Parent map for the sibling-merge prune.
-    parent = {}
-    for node in range(tree.feature.size):
-        if tree.feature[node] >= 0:
-            parent[int(tree.left[node])] = node
-            parent[int(tree.right[node])] = node
-
-    # Nearest ancestor-or-self whose training subtree holds >= 2 classes.
-    leaf_rows = {int(l): np.flatnonzero(leaves == l) for l in np.unique(leaves)}
-    leaf_to_anchor = {}
-    for leaf in leaf_rows:
-        node = leaf
-        while True:
-            members = [l for l in _subtree_leaves(tree, node) if l in leaf_rows]
-            classes = set()
-            for l in members:
-                classes.update(int(c) for c in np.unique(y[leaf_rows[l]]))
-            if len(classes) >= 2 or node not in parent:
-                break
-            node = parent[node]
-        leaf_to_anchor[leaf] = node
-
-    # Anchors are consistent: a leaf's nearest qualifying ancestor is unique,
-    # so mapping each leaf to its anchor partitions the leaves into groups.
-    anchors = sorted(set(leaf_to_anchor.values()))
-    leaf_to_group = {leaf: anchors.index(a) for leaf, a in leaf_to_anchor.items()}
+    leaf_to_group = _group_leaves(tree, leaves, y)
 
     features = np.hstack([P, Csi])
     stages: List[_StageTwo] = []
-    for gidx, _anchor in enumerate(anchors):
+    for gidx in range(max(leaf_to_group.values()) + 1):
         rows = np.concatenate(
-            [leaf_rows[l] for l, gg in leaf_to_group.items() if gg == gidx]
+            [np.flatnonzero(leaves == l) for l, gg in leaf_to_group.items() if gg == gidx]
         )
         classes = np.unique(y[rows])
         if classes.size == 1:

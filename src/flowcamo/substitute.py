@@ -131,6 +131,10 @@ def feature_weights(corpus: Dataset, base: SubstituteModel, seed: int = 0) -> np
     return weights
 
 
+# How far below the full-pool agreement a selected subset may fall.
+SELECT_EPS = 0.02
+
+
 @dataclass(frozen=True)
 class PerformanceGainPoint:
     L: int
@@ -197,18 +201,13 @@ def performance_gain_scan(
     return points
 
 
-def select_subset(
-    scan: List[PerformanceGainPoint],
-    full_agreement: Optional[float] = None,
-    eps: float = 0.02,
-) -> int:
-    """Smallest L whose agreement is within eps of the full-pool agreement."""
+def select_subset(scan: List[PerformanceGainPoint], full_agreement: float) -> int:
+    """Smallest L whose agreement is within ``SELECT_EPS`` of the full-pool
+    agreement; the best-agreeing L when none is."""
     if not scan:
         raise ValidationError("empty scan")
-    if full_agreement is None:
-        full_agreement = max(p.agreement for p in scan)
     for p in scan:
-        if p.agreement >= full_agreement - eps:
+        if p.agreement >= full_agreement - SELECT_EPS:
             return p.L
     best = max(range(len(scan)), key=lambda i: (scan[i].agreement, -scan[i].L))
     return scan[best].L

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from flowcamo.blackbox import make_oracle
 from flowcamo.camouflage import (
     BATCH_SIZE,
+    DELTA_SCALE,
     PLATEAU_MIN_EPOCHS,
     PLATEAU_WINDOW,
     AttackMode,
@@ -189,7 +190,7 @@ class TestFunctionalityPreservation:
     def test_contract_on_arbitrary_schemas(self, case):
         """Immutable columns stay bit-equal and every value stays in range."""
         schema, X, seed, scale = case
-        g = build_generator(schema, X, hidden=(8,), seed=seed)
+        g = build_generator(schema, X, seed=seed)
         rng = np.random.default_rng(seed)
         for W in g.net.weights:  # leave the identity map, so rows really move
             W[:] = scale * rng.normal(size=W.shape)
@@ -226,7 +227,8 @@ class TestGeneratorGradients:
         Clipped coordinates are masked out of the objective so the check
         exercises the smooth part of the map (clip handling is covered by
         the pass-through test below)."""
-        g = build_generator(pool_schema, small_dataset.X, delta_scale=0.5, seed=4)
+        g = build_generator(pool_schema, small_dataset.X, seed=4)
+        g.amp *= 0.5 / DELTA_SCALE  # a small amplitude keeps most coordinates unclipped
         rng = np.random.default_rng(5)
         # Small random head so the residual is non-trivial but unclipped.
         g.net.weights[-1][:] = rng.normal(0, 0.05, size=g.net.weights[-1].shape)

@@ -515,11 +515,7 @@ class TestCli:
         assert rc == 0
         assert "oracle agreement" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("flag, schema", [
-        ([], synth.target_schema()),
-        (["--project-target"], synth.target_schema()),
-        (["--no-project-target"], synth.attacker_pool_schema()),
-    ])
+    @pytest.mark.parametrize("flag, schema", [([], synth.target_schema())])
     def test_train_target_projection_flag(self, flag, schema, tmp_path):
         data = str(tmp_path / "d.csv")
         main(["gen-data", "--out", data, "--n-classes", "3",
@@ -570,6 +566,33 @@ class TestCli:
         assert main(["report", "--dir", str(tmp_path)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "ragged.csv" in err[0]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["defend", "--out", "x", "--bogus"], "unrecognized arguments: --bogus"),
+        (["train-target", "--data", "d.csv", "--kind", "knn"],
+         "the following arguments are required: --out"),
+        (["ingest", "d.csv", "--schema", "pool"], "unrecognized arguments: --schema pool"),
+        (["train-target", "--data", "d.csv", "--kind", "knn", "--out", "m.npz",
+          "--no-project-target"], "unrecognized arguments: --no-project-target"),
+        (["train-target", "--data", "d.csv", "--kind", "boosted", "--out", "m.npz"],
+         "argument --kind: invalid choice: 'boosted'"),
+    ], ids=["unknown_flag", "missing_out", "removed_schema", "removed_project_target",
+            "bad_choice"])
+    def test_usage_error_is_a_validation_exit(self, argv, message, tmp_path, capsys,
+                                              monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        err = err.splitlines()
+        assert out == "" and len(err) == 1, err
+        assert err[0].startswith("error: flowcamo") and message in err[0], err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["defend", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: flowcamo defend")
 
     def test_bad_input_is_an_error_exit(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.csv")

@@ -24,14 +24,6 @@ from flowcamo.learners import KINDS, load_model, save_model
 from flowcamo.learners.kinds import MODELS
 from flowcamo.substitute import load_substitute, save_substitute, train_substitute
 
-HYPERPARAMS = {
-    "knn": {},
-    "decision_tree": {"max_depth": 4},
-    "random_forest": {"n_trees": 2, "max_depth": 4},
-    "svm": {"epochs": 20},
-    "neural_net": {},
-}
-
 _MODEL_HEADER = ["format_version:i", "kind:U", "schema_json:U", "class_labels:U"]
 _SCALER = ["scaler_mean:f", "scaler_scale:f"]
 
@@ -49,13 +41,14 @@ def _tree(prefix):
 ARCHIVE_KEYS = {
     "knn": _MODEL_HEADER + _SCALER + ["train_X:f", "train_y:i", "k:i"],
     "decision_tree": _MODEL_HEADER + _tree("t_"),
-    "random_forest": _MODEL_HEADER + ["n_trees:i"] + _tree("t0_") + _tree("t1_"),
+    "random_forest": _MODEL_HEADER + ["n_trees:i"]
+    + [key for i in range(20) for key in _tree(f"t{i}_")],
     "svm": _MODEL_HEADER + _SCALER + ["W:f", "b:f"],
     "neural_net": _MODEL_HEADER + _SCALER + _net(2),
     "substitute": _MODEL_HEADER + _SCALER + _net(2)
     + ["pool_schema_json:U", "subset:i", "training_curve:f", "holdout_idx:i"],
     "generator": ["format_version:i", "schema_json:U"] + _SCALER
-    + ["amp:f", "trained:i", "training_curve:f"] + _net(1),
+    + ["amp:f", "trained:i", "training_curve:f"] + _net(2),
 }
 LOADERS = {"substitute": load_substitute, "generator": load_generator}
 SAVERS = {"substitute": save_substitute, "generator": save_generator}
@@ -67,10 +60,10 @@ def saved(small_split, tmp_path_factory):
     """``{name: (object, path)}`` for the seven archive types."""
     train, _ = small_split
     d = tmp_path_factory.mktemp("archives")
-    objs = {k: MODELS[k].fit(train, seed=1, **HYPERPARAMS[k]) for k in KINDS}
+    objs = {k: MODELS[k].fit(train, seed=1) for k in KINDS}
     corpus = make_oracle(objs["decision_tree"], train.schema).collect(train.X)
     objs["substitute"] = train_substitute(corpus, epochs=3, seed=2)
-    g = build_generator(train.schema, train.X, hidden=(8,), seed=4)
+    g = build_generator(train.schema, train.X, seed=4)
     objs["generator"] = train_generator(g, objs["substitute"], train, misidentify(),
                                         epochs=2, seed=4)
     out = {}

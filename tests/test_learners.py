@@ -17,6 +17,7 @@ from flowcamo.learners import (
     DecisionTreeClassifier,
     KnnClassifier,
     RandomForestClassifier,
+    Scaler,
     fit,
     load_model,
     save_model,
@@ -39,6 +40,14 @@ def blob_dataset(n_classes=3, n_per=40, k=4, seed=0, sep=8.0):
     y = np.repeat(np.arange(n_classes), n_per)
     X = np.clip(X, -100.0, 100.0)
     return Dataset(toy_schema(k), X, y, tuple(f"c{i}" for i in range(n_classes)))
+
+
+def knn_with_k(ds, k):
+    """The knn recipe at another k. ``fit`` always uses 5 neighbours; the
+    constructor takes any k, because an archive carries its own."""
+    scaler = Scaler.fit(ds.X)
+    return KnnClassifier(ds.schema, ds.class_labels, scaler, scaler.transform(ds.X),
+                         ds.y.copy(), k)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -107,7 +116,7 @@ class TestKnnOracle:
     def test_matches_brute_force_neighbors(self):
         """[DERIVED] compare against an independent O(n^2) majority vote."""
         ds = blob_dataset(n_classes=3, n_per=25, seed=10, sep=30.0)
-        model = KnnClassifier.fit(ds, k=5)
+        model = KnnClassifier.fit(ds)
         rng = np.random.default_rng(11)
         Q = rng.uniform(-60.0, 60.0, size=(50, 4))
         # Same standardization the model uses.
@@ -178,7 +187,7 @@ class TestKnnTiePolicy:
     @given(knn_tie_cases())
     def test_matches_stable_argsort_reference(self, case):
         ds, k, Q, chunk_rows = case
-        model = KnnClassifier.fit(ds, k=k)
+        model = knn_with_k(ds, k)
         with pytest.MonkeyPatch.context() as mp:
             # Several distance chunks per call.
             mp.setattr(knn_module, "DISTANCE_CHUNK_ELEMENTS", chunk_rows * len(ds))
@@ -195,7 +204,7 @@ class TestKnnTiePolicy:
         ds = Dataset(toy_schema(2), X, y, ("a", "b", "c"))
         q = np.zeros((1, 2))
         for k, want in ((1, [0.0, 1.0, 0.0]), (3, [1 / 3, 1 / 3, 1 / 3]), (5, [0.4, 0.4, 0.2])):
-            scores = KnnClassifier.fit(ds, k=k).predict_scores(q)
+            scores = knn_with_k(ds, k).predict_scores(q)
             np.testing.assert_array_equal(scores, [want])
 
 
@@ -233,7 +242,7 @@ def real_knn(rng, n_train, n_feat, n_classes=28, k=5):
     X = rng.uniform(-50.0, 50.0, size=(n_train, n_feat))
     y = np.arange(n_train) % n_classes
     ds = Dataset(real_schema(n_feat), X, y, tuple(f"c{i}" for i in range(n_classes)))
-    return KnnClassifier.fit(ds, k=k)
+    return knn_with_k(ds, k)
 
 
 @st.composite
@@ -279,7 +288,7 @@ class TestKnnBlocks:
     @given(knn_real_cases())
     def test_scores_bit_equal_to_the_chunked_reference(self, case):
         ds, k, Q, block_rows = case
-        model = KnnClassifier.fit(ds, k=k)
+        model = knn_with_k(ds, k)
         want = reference_predict_scores(model, Q)
         with pytest.MonkeyPatch.context() as mp:
             if block_rows is not None:
@@ -306,7 +315,7 @@ class TestKnnBlocks:
         """A query's scores have the same bits alone, among any other
         queries and at any block height."""
         ds, k, Q, block_rows = case
-        model = KnnClassifier.fit(ds, k=k)
+        model = knn_with_k(ds, k)
         full = model.predict_scores(Q)
         pick = np.array(data.draw(st.lists(st.integers(0, len(Q) - 1), min_size=1,
                                            max_size=40)))
@@ -398,7 +407,7 @@ class TestKnnArchiveValidation:
     )
     def test_tampered_archive_rejected(self, tamper, tmp_path):
         path = str(tmp_path / "knn.npz")
-        save_model(KnnClassifier.fit(blob_dataset(seed=15), k=5), path)
+        save_model(KnnClassifier.fit(blob_dataset(seed=15)), path)
         with np.load(path) as data:
             arrays = dict(data)
         tamper(arrays)
@@ -470,8 +479,8 @@ class TestTreeTieDeterminism:
     def test_forest_is_bit_equal_for_one_seed(self, case, seed):
         X, y, labels, _ = case
         ds = Dataset(toy_schema(X.shape[1]), X, y, labels)
-        a = RandomForestClassifier.fit(ds, n_trees=5, seed=seed)
-        b = RandomForestClassifier.fit(ds, n_trees=5, seed=seed)
+        a = RandomForestClassifier.fit(ds, seed=seed)
+        b = RandomForestClassifier.fit(ds, seed=seed)
         assert _arrays_equal(a.to_arrays(), b.to_arrays())
 
 
@@ -575,7 +584,7 @@ class TestBatchedSplitSearch:
     def test_forest_equals_one_grown_with_the_reference_search(self, case, seed):
         X, y, labels, _ = case
         ds = Dataset(toy_schema(X.shape[1]), X, y, labels)
-        batched = RandomForestClassifier.fit(ds, n_trees=4, seed=seed)
+        batched = RandomForestClassifier.fit(ds, seed=seed)
 
         def reference(cols, ys, n_classes, features):
             best = _reference_best_split(cols.T, ys, n_classes, range(len(features)))
@@ -583,7 +592,7 @@ class TestBatchedSplitSearch:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(trees_module, "_best_split", reference)
-            old = RandomForestClassifier.fit(ds, n_trees=4, seed=seed)
+            old = RandomForestClassifier.fit(ds, seed=seed)
         assert _arrays_equal(batched.to_arrays(), old.to_arrays())
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from flowcamo import profiler as profiler_module
 from flowcamo.core import ValidationError
+from flowcamo.learners import build_tree, tree_apply
 from flowcamo.profiler import (
     CARRIER_HZ,
     DEFAULT_NOISE,
@@ -281,6 +282,61 @@ class TestProfilerIdentification:
         arrays[cut] = arrays[cut][:-1]
         with pytest.raises(ValidationError, match="row counts differ"):
             fit_profiler(**arrays)
+
+
+# ---- reference: the ancestor search that the anchor rule replaced -------------
+
+
+def _subtree_leaves(tree, node):
+    if tree.feature[node] < 0:
+        return [node]
+    return _subtree_leaves(tree, tree.left[node]) + _subtree_leaves(tree, tree.right[node])
+
+
+def reference_leaf_groups(tree, leaves, y):
+    """A leaf's anchor is its nearest ancestor-or-self whose training
+    subtree holds two or more classes, or else the root; the leaves of one
+    anchor form one group, numbered in anchor order."""
+    parent = {}
+    for node in range(tree.feature.size):
+        if tree.feature[node] >= 0:
+            parent[int(tree.left[node])] = node
+            parent[int(tree.right[node])] = node
+    leaf_rows = {int(l): np.flatnonzero(leaves == l) for l in np.unique(leaves)}
+    leaf_to_anchor = {}
+    for leaf in leaf_rows:
+        node = leaf
+        while True:
+            members = [l for l in _subtree_leaves(tree, node) if l in leaf_rows]
+            classes = set()
+            for l in members:
+                classes.update(int(c) for c in np.unique(y[leaf_rows[l]]))
+            if len(classes) >= 2 or node not in parent:
+                break
+            node = parent[node]
+        leaf_to_anchor[leaf] = node
+    anchors = sorted(set(leaf_to_anchor.values()))
+    return {leaf: anchors.index(a) for leaf, a in leaf_to_anchor.items()}
+
+
+class TestLeafGroups:
+    @settings(max_examples=120, deadline=None)
+    @given(seed=st.integers(0, 2**16), n_devices=st.integers(2, 40),
+           per_device=st.integers(10, 20), depth=st.integers(1, 5))
+    def test_anchor_rule_matches_the_ancestor_search(self, seed, n_devices, per_device,
+                                                     depth):
+        P, _, y = signature_batch(make_identities(n_devices, seed), per_device,
+                                  noise_seed=seed + 1)
+        tree = build_tree(P, y, n_devices, max_depth=depth)
+        leaves = tree_apply(tree, P)
+        want = reference_leaf_groups(tree, leaves, y)
+        assert profiler_module._group_leaves(tree, leaves, y) == want
+
+    def test_fitted_profiler_groups_match_the_ancestor_search(self, profiler, identities):
+        P, _, y = signature_batch(identities, per_device=40, noise_seed=5)  # its training set
+        want = reference_leaf_groups(profiler.tree, tree_apply(profiler.tree, P), y)
+        assert profiler.leaf_to_group == want
+        assert len(profiler.stages) == max(want.values()) + 1
 
 
 class TestDefense:

@@ -146,7 +146,7 @@ class TestScanAndSelect:
         assert scan[0].undefined and math.isnan(scan[0].gain)
         for p in scan[1:]:
             assert p.undefined == math.isnan(p.gain)
-        chosen = select_subset(scan, full_agreement=base_sub.agreement, eps=0.05)
+        chosen = select_subset(scan, full_agreement=base_sub.agreement)
         assert chosen in (4, 12, 28)
 
     def test_scan_rejects_bad_L_values(self, corpus):
@@ -159,25 +159,26 @@ class TestScanAndSelect:
             performance_gain_scan(corpus, w, [0, 4])
 
     def test_select_smallest_within_eps(self):
-        """[DERIVED] 0.95 is within 0.02 of 0.96, so L=8 wins over L=16."""
+        """[DERIVED] 0.95 is within 0.02 of 0.96 but not of 0.975, so L=8 wins
+        over L=16 only against 0.96."""
         scan = [
             PerformanceGainPoint(4, 0.70, 1.0, float("nan"), True),
             PerformanceGainPoint(8, 0.95, 2.0, 1.0, False),
             PerformanceGainPoint(16, 0.96, 3.0, 0.5, False),
         ]
-        assert select_subset(scan, full_agreement=0.96, eps=0.02) == 8
-        assert select_subset(scan, full_agreement=0.96, eps=0.001) == 16
+        assert select_subset(scan, full_agreement=0.96) == 8
+        assert select_subset(scan, full_agreement=0.975) == 16
 
     def test_select_falls_back_to_best_agreement(self):
         scan = [
             PerformanceGainPoint(4, 0.50, 1.0, float("nan"), True),
             PerformanceGainPoint(8, 0.60, 2.0, 1.0, False),
         ]
-        assert select_subset(scan, full_agreement=0.99, eps=0.02) == 8
+        assert select_subset(scan, full_agreement=0.99) == 8
 
     def test_select_rejects_empty(self):
         with pytest.raises(ValidationError):
-            select_subset([])
+            select_subset([], full_agreement=0.9)
 
 
 class TestScanCsv:

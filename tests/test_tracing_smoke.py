@@ -40,7 +40,7 @@ corpus = make_oracle(target, schema).collect(train.X)
 sub = experiment.train_substitute(corpus, epochs=3, seed=2)
 tid = int(sub.predict_ids_pool(train.X)[0])
 src = train.take(np.flatnonzero(train.y != tid))
-g = build_generator(schema, train.X, hidden=(16,), seed=3)
+g = build_generator(schema, train.X, seed=3)
 experiment.train_generator(
     g, sub, src, spoof(DeviceClass(tid, train.class_labels[tid])), epochs=2, seed=4,
     anchor_X=train.X,
