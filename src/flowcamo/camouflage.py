@@ -4,8 +4,9 @@ The generator is residual: h' = h + mask * amp * tanh(net([h, s])), with
 the final layer zero-initialized so training starts at the identity map.
 Immutable coordinates are restored bit-exactly after the network, and all
 coordinates are clamped into schema range, so functionality preservation
-holds unconditionally. Training happens against a frozen substitute; the
-true victim is only touched at evaluation time (transferability).
+holds unconditionally. Training happens against a substitute over the
+generator's own schema, whose weights it never updates; the true victim is
+only touched at evaluation time (transferability).
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from .core import (
     spoofing_rate,
 )
 from .learners import ClassifierModel, Net, Scaler, bce_dlogits_unchecked, one_hot
-from .learners.base import check_shape, scalar_int
+from .learners.base import check_shape
 from .learners.io import load_archive, save_archive
 from .substitute import SubstituteModel
 
@@ -94,7 +95,6 @@ class Generator:
         self.scaler = scaler
         self.net = net
         self.amp = amp
-        self.trained = False
         self.training_curve: List[float] = []
 
     def _input_buffer(self, H: np.ndarray) -> np.ndarray:
@@ -154,7 +154,6 @@ class Generator:
             "schema_json": np.asarray(self.schema.to_json()),
             **self.scaler.to_arrays(),
             "amp": self.amp,
-            "trained": np.asarray(int(self.trained)),
             "training_curve": np.asarray(self.training_curve, dtype=float),
             **self.net.to_arrays("net_"),
         }
@@ -163,7 +162,6 @@ class Generator:
     def from_arrays(cls, data) -> "Generator":
         g = cls(FeatureSchema.from_json(str(data["schema_json"])), Scaler.from_arrays(data),
                 Net.from_arrays(data, "net_"), np.array(data["amp"]))
-        g.trained = bool(scalar_int(data, "trained"))
         curve = np.array(data["training_curve"], dtype=float)
         check_shape("generator training_curve", curve, (curve.size,))
         g.training_curve = curve.tolist()
@@ -194,7 +192,7 @@ def _success_metric(
     network input, whose noise half this overwrites."""
     np.divide(sample_multipliers(g.schema, X.shape[0], rng) * X, g.scaler.scale,
               out=Z[:, len(g.schema):])
-    pred = sub.predict_ids_pool(g._manipulate(X, Z))
+    pred = sub.predict_ids(g._manipulate(X, Z))
     if mode.mode == "misidentify":
         return float(np.mean(pred != orig_labels))
     return float(np.mean(pred == mode.target.id))
@@ -210,7 +208,7 @@ def train_generator(
     lr: float = 0.01,
     anchor_X: Optional[np.ndarray] = None,
 ) -> Generator:
-    """Gradient-train the generator against a frozen substitute.
+    """Gradient-train the generator against a substitute over its schema.
 
     Misidentify mode ascends the substitute's cross-entropy against its
     own clean-traffic labels at a constant ``lr``. Spoof mode descends
@@ -230,12 +228,13 @@ def train_generator(
     substitute's logits counted as a success in that epoch's batches,
     before each batch's step; the plateau test reads this curve.
     """
-    if not getattr(sub, "frozen", False):
-        raise ContractViolationError("substitute must be trained and frozen")
+    if not isinstance(sub, SubstituteModel):
+        raise ContractViolationError(
+            f"train_generator needs a SubstituteModel, got {type(sub).__name__}")
     if epochs < 1:
         raise ValidationError(f"epochs must be >= 1, got {epochs}")
-    if tuple(g.schema.names) != tuple(train.schema.names):
-        raise ValidationError("generator and training data schemas differ")
+    if not g.schema == train.schema == sub.schema:
+        raise ValidationError("generator, training data and substitute schemas differ")
     if len(train) == 0:
         raise ValidationError("training dataset is empty")
     misidentify_mode = mode.mode == "misidentify"
@@ -250,12 +249,12 @@ def train_generator(
     rng = np.random.default_rng(seed)
     orig_labels = None
     if misidentify_mode:
-        orig_labels = sub.predict_ids_pool(X)  # frozen clean labels
+        orig_labels = sub.predict_ids(X)  # frozen clean labels
         targets = one_hot(orig_labels, sub.n_classes)  # row i is sample i's target
     else:
         # Every row has the same target, so any batch uses a leading slice.
         targets = one_hot(np.full(min(n, BATCH_SIZE), mode.target.id), sub.n_classes)
-        rows = anchor_X[sub.predict_ids_pool(anchor_X) == mode.target.id]
+        rows = anchor_X[sub.predict_ids(anchor_X) == mode.target.id]
         if rows.shape[0] == 0:
             raise UnreachableTargetError(
                 "anchor_X has no rows the substitute assigns to the spoof target"
@@ -264,7 +263,6 @@ def train_generator(
         anchor_scale2 = g.scaler.scale**2
         mut = g.schema.mutable_mask
 
-    sub_cols = np.asarray(sub.subset, dtype=int)
     # Network input of every training row. Its noise half is refilled for
     # the first probe and once per epoch; batches gather their rows.
     Z = g._input_buffer(X)
@@ -279,8 +277,7 @@ def train_generator(
         for start in range(0, n, BATCH_SIZE):
             idx = order[start : start + BATCH_SIZE]
             Hp, grad_cache = g._manipulate(X[idx], Z[idx], want_grad_cache=True)
-            Xs = sub.scaler.transform(Hp[:, sub_cols])
-            z, sub_cache = sub.net.forward_logits(Xs, want_cache=True)
+            z, sub_cache = sub.net.forward_logits(sub.scaler.transform(Hp), want_cache=True)
             pred = np.argmax(z, axis=1)
             if misidentify_mode:
                 hits += np.count_nonzero(pred != orig_labels[idx])
@@ -291,11 +288,9 @@ def train_generator(
                 hits += np.count_nonzero(spoofed)
                 dz = bce_dlogits_unchecked(z, targets[: idx.size])
                 dz[spoofed] = 0.0
-            dXs = sub.net.input_grad(sub_cache, dz)
-            dXs *= ce_weight
-            dXs /= sub.scaler.scale
-            dHp = np.zeros_like(Hp)
-            dHp[:, sub_cols] = dXs
+            dHp = sub.net.input_grad(sub_cache, dz)
+            dHp *= ce_weight
+            dHp /= sub.scaler.scale
             if not misidentify_mode:
                 pull = Hp - anchor
                 pull *= 2.0
@@ -314,7 +309,6 @@ def train_generator(
             and max(recent) - min(recent) < plateau_band
         ):
             break
-    g.trained = True
     return g
 
 

@@ -38,7 +38,7 @@ class NumericError(ArithmeticError):
 
 
 class ContractViolationError(RuntimeError):
-    """A caller broke an interface contract (e.g. passed an unfrozen model)."""
+    """A caller broke an interface contract (e.g. passed a target model as the substitute)."""
 
 
 @dataclass(frozen=True)

@@ -186,6 +186,8 @@ def cmd_report(args) -> int:
     import glob
     import os
 
+    if not os.path.isdir(args.dir):
+        raise FileNotFoundError(f"{args.dir}: no such report directory")
     for path in sorted(glob.glob(os.path.join(args.dir, "*.csv"))):
         print(f"\n== {os.path.basename(path)} ==")
         with open(path, encoding="utf-8") as fh:

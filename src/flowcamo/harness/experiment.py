@@ -144,6 +144,8 @@ class ExperimentConfig:
     def from_file(cls, path: str, overrides: Optional[dict] = None) -> "ExperimentConfig":
         with open(path, encoding="utf-8") as fh:
             d = json.load(fh)
+        if not isinstance(d, dict):
+            raise ValidationError(f"{path}: config must be a JSON object, got {type(d).__name__}")
         d.update(overrides or {})
         return cls.from_dict(d)
 
@@ -201,11 +203,7 @@ def _substitute(cfg: ExperimentConfig, results: dict, out) -> None:
             corpora[kind], epochs=cfg.substitute_epochs, seed=cfg.seed + 100 + i,
         )
         # Substitute's own identification rates against ground truth.
-        sub_rates[kind] = (
-            identification_rate(train_pool.y, sub.predict_ids_pool(train_pool.X)),
-            identification_rate(test_pool.y, sub.predict_ids_pool(test_pool.X)),
-            sub.agreement,
-        )
+        sub_rates[kind] = (_rate(sub, train_pool), _rate(sub, test_pool), sub.agreement)
 
     target_rates = results["target_rates"]
     out(

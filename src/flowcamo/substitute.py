@@ -1,10 +1,13 @@
 """Substitute-model training against oracle labels and feature-pool pruning.
 
-Feature weights come from permutation importance measured as the drop in
-held-out oracle agreement; the performance-gain metric compares relative
-accuracy growth against relative prediction-time growth across subset
-sizes. Selection itself uses an agreement-epsilon policy (the gain value
-is undefined when prediction times tie, so it is reported, not decisive).
+A substitute is the neural_net classifier over the schema of the corpus it
+was fit to. Feature weights come from permutation importance measured as
+the drop in held-out oracle agreement; the performance-gain scan retrains
+on each top-L projection of the corpus and compares relative accuracy
+growth against relative prediction-time growth. The scan only reports:
+selection uses an agreement-epsilon policy (the gain value is undefined
+when prediction times tie, so it is not decisive), and no later stage
+trains against a narrowed substitute.
 """
 from __future__ import annotations
 
@@ -14,7 +17,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .core import Dataset, FeatureSchema, ValidationError, stratified_split
+from .core import Dataset, ValidationError, stratified_split
 from .learners import MlpClassifier, Net, Scaler
 from .learners.base import check_trainable
 from .learners.io import load_archive, save_archive
@@ -31,18 +34,14 @@ def top_l_indices(weights: np.ndarray, L: int) -> tuple:
 
 
 class SubstituteModel(MlpClassifier):
-    """The neural_net classifier over a subset of the attacker pool, fit to
-    oracle labels by ``train_substitute``. It keeps its per-epoch held-out
-    agreement and the corpus rows that were held out."""
+    """The neural_net classifier over a corpus schema, fit to oracle labels
+    by ``train_substitute``. It keeps its per-epoch held-out agreement and
+    the corpus rows that were held out."""
 
     kind = "substitute"
-    frozen = True
 
-    def __init__(self, pool_schema, subset, class_labels, scaler, net, training_curve,
-                 holdout_idx):
-        super().__init__(pool_schema.subset(subset), class_labels, scaler, net)
-        self.pool_schema = pool_schema
-        self.subset = tuple(int(i) for i in subset)
+    def __init__(self, schema, class_labels, scaler, net, training_curve, holdout_idx):
+        super().__init__(schema, class_labels, scaler, net)
         curve = np.asarray(training_curve, dtype=float)
         if curve.ndim != 1 or curve.size == 0 or not np.isfinite(curve).all():
             raise ValidationError("substitute training_curve must be non-empty, 1-D and finite")
@@ -59,65 +58,44 @@ class SubstituteModel(MlpClassifier):
         """Final held-out agreement with the oracle."""
         return self.training_curve[-1]
 
-    def predict_ids_pool(self, X_pool: np.ndarray) -> np.ndarray:
-        """``predict_ids`` of pool-schema rows, without the input checks of
-        ``predict_scores``: generator training and permutation importance
-        call it on rows that are already pool rows."""
-        X = np.asarray(X_pool, dtype=float)
-        return np.argmax(self.net.scores(self.scaler.transform(X[:, self.subset])), axis=1)
-
     def to_arrays(self) -> dict:
         return {
             **super().to_arrays(),
-            "pool_schema_json": np.asarray(self.pool_schema.to_json()),
-            "subset": np.asarray(self.subset, dtype=int),
             "training_curve": np.asarray(self.training_curve, dtype=float),
             "holdout_idx": self.holdout_idx,
         }
 
     @classmethod
     def from_arrays(cls, data) -> "SubstituteModel":
-        schema, class_labels = cls.header_from_arrays(data)
-        sub = cls(FeatureSchema.from_json(str(data["pool_schema_json"])), np.array(data["subset"]),
-                  class_labels, Scaler.from_arrays(data), Net.from_arrays(data, "net_"),
-                  np.array(data["training_curve"]), np.array(data["holdout_idx"]))
-        if sub.schema != schema:
-            raise ValidationError("substitute schema_json is not the pool schema's subset")
-        return sub
+        return cls(*cls.header_from_arrays(data), Scaler.from_arrays(data),
+                   Net.from_arrays(data, "net_"), np.array(data["training_curve"]),
+                   np.array(data["holdout_idx"]))
 
 
-def train_substitute(
-    corpus: Dataset,
-    subset: Optional[Sequence[int]] = None,
-    epochs: int = 60,
-    seed: int = 0,
-) -> SubstituteModel:
+def train_substitute(corpus: Dataset, epochs: int = 60, seed: int = 0) -> SubstituteModel:
     """Fit the neural_net recipe to the eavesdropped labels; records the
     per-epoch held-out agreement."""
     check_trainable(corpus)
-    subset = tuple(range(len(corpus.schema))) if subset is None else tuple(subset)
     train_idx, hold_idx = stratified_split(corpus.y, 0.8, seed)
-    Xs = corpus.X[:, subset]
     scaler, net, curve = fit_scaled_net(
-        Xs[train_idx], corpus.y[train_idx], corpus.n_classes, epochs, seed,
-        holdout=(Xs[hold_idx], corpus.y[hold_idx]),
+        corpus.X[train_idx], corpus.y[train_idx], corpus.n_classes, epochs, seed,
+        holdout=(corpus.X[hold_idx], corpus.y[hold_idx]),
     )
-    return SubstituteModel(corpus.schema, subset, corpus.class_labels, scaler, net, curve,
-                           hold_idx)
+    return SubstituteModel(corpus.schema, corpus.class_labels, scaler, net, curve, hold_idx)
 
 
 def feature_weights(corpus: Dataset, base: SubstituteModel, seed: int = 0) -> np.ndarray:
-    """Permutation importance of every pool feature, floored at zero: the
+    """Permutation importance of every corpus feature, floored at zero: the
     mean agreement drop over 10 shuffles of its holdout column."""
-    if len(base.subset) != len(corpus.schema):
-        raise ValidationError("base substitute must be trained on the full pool")
+    if base.schema != corpus.schema:
+        raise ValidationError("base substitute must be trained on the corpus schema")
     hold = base.holdout_idx
     if hold.max() >= len(corpus):
         raise ValidationError(
             f"substitute holdout_idx reaches row {hold.max()}; the corpus has {len(corpus)}")
     X = corpus.X[hold]
     y = corpus.y[hold]
-    base_agree = float(np.mean(base.predict_ids_pool(X) == y))
+    base_agree = float(np.mean(base.predict_ids(X) == y))
     rng = np.random.default_rng(seed)
     K = len(corpus.schema)
     weights = np.zeros(K)
@@ -126,7 +104,7 @@ def feature_weights(corpus: Dataset, base: SubstituteModel, seed: int = 0) -> np
         for r in range(drops.size):
             Xp = X.copy()
             Xp[:, i] = Xp[rng.permutation(X.shape[0]), i]
-            drops[r] = base_agree - float(np.mean(base.predict_ids_pool(Xp) == y))
+            drops[r] = base_agree - float(np.mean(base.predict_ids(Xp) == y))
         weights[i] = max(0.0, float(drops.mean()))
     return weights
 
@@ -161,7 +139,7 @@ def _median_predict_time(model: SubstituteModel, probe: np.ndarray) -> float:
     times = []
     for _ in range(5):
         t0 = time.perf_counter()
-        model.predict_ids_pool(probe)
+        model.predict_ids(probe)
         times.append(time.perf_counter() - t0)
     return float(np.median(times))
 
@@ -173,8 +151,9 @@ def performance_gain_scan(
     epochs: int = 30,
     seed: int = 0,
 ) -> List[PerformanceGainPoint]:
-    """Retrain per subset size; each overhead is the median of 5 serialized
-    predictions on 1,000 corpus rows."""
+    """Retrain on the top-L projection of the corpus per size L; each
+    overhead is the median of 5 serialized predictions on the same 1,000
+    corpus rows, projected alike."""
     L_values = list(L_values)
     if not L_values:
         raise ValidationError("L_values is empty")
@@ -184,12 +163,13 @@ def performance_gain_scan(
     if any(not 1 <= L <= K for L in L_values):
         raise ValidationError(f"every L must be in [1, {K}]")
     rng = np.random.default_rng(seed)
-    probe = corpus.X[rng.integers(0, len(corpus), size=1000)]
+    probe_idx = rng.integers(0, len(corpus), size=1000)
     points: List[PerformanceGainPoint] = []
     prev: Optional[PerformanceGainPoint] = None
     for L in L_values:
-        sub = train_substitute(corpus, top_l_indices(weights, L), epochs=epochs, seed=seed)
-        overhead = _median_predict_time(sub, probe)
+        narrow = corpus.project(corpus.schema.subset(top_l_indices(weights, L)))
+        sub = train_substitute(narrow, epochs=epochs, seed=seed)
+        overhead = _median_predict_time(sub, narrow.X[probe_idx])
         if prev is None:
             gain, undefined = float("nan"), True
         else:

@@ -1,5 +1,3 @@
-import copy
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,7 +33,7 @@ from flowcamo.core import (
 from flowcamo.harness import experiment, synth
 from flowcamo.harness.experiment import ExperimentConfig
 from flowcamo.learners import bce_dlogits, fit, one_hot
-from flowcamo.substitute import train_substitute
+from flowcamo.substitute import SubstituteModel, train_substitute
 
 
 # ---- reference: the training loop before the shared network input -----------
@@ -64,7 +62,7 @@ def reference_backward_to_params(g, grad_cache, dHp):
 
 def _reference_success(g, sub, X, mode, orig_labels, rng):
     S = sample_multipliers(g.schema, X.shape[0], rng) * X
-    pred = sub.predict_ids_pool(_reference_manipulate(g, X, S))
+    pred = sub.predict_ids(_reference_manipulate(g, X, S))
     if mode.mode == "misidentify":
         return float(np.mean(pred != orig_labels))
     return float(np.mean(pred == mode.target.id))
@@ -85,20 +83,19 @@ def reference_train_generator(g, sub, train, mode, epochs, seed=0, lr=0.01, anch
     n = X.shape[0]
     rng = np.random.default_rng(seed)
     eval_rng = np.random.default_rng(seed + 1)
-    orig_labels = sub.predict_ids_pool(X)
+    orig_labels = sub.predict_ids(X)
     anchor = None
     if mode.mode == "misidentify":
         targets = one_hot(orig_labels, sub.n_classes)
     else:
         targets = one_hot(np.full(min(n, BATCH_SIZE), mode.target.id), sub.n_classes)
         if anchor_X is not None and anchor_weight > 0.0:
-            rows = anchor_X[sub.predict_ids_pool(anchor_X) == mode.target.id]
+            rows = anchor_X[sub.predict_ids(anchor_X) == mode.target.id]
             if rows.shape[0] == 0:
                 raise UnreachableTargetError("no anchor row is assigned to the target")
             anchor = rows.mean(axis=0)
             anchor_scale2 = g.scaler.scale**2
             mut = g.schema.mutable_mask
-    sub_cols = np.asarray(sub.subset, dtype=int)
     g.training_curve = [_reference_success(g, sub, X, mode, orig_labels, eval_rng)]
     for _epoch in range(epochs):
         S = sample_multipliers(g.schema, n, rng) * X
@@ -107,8 +104,7 @@ def reference_train_generator(g, sub, train, mode, epochs, seed=0, lr=0.01, anch
         for start in range(0, n, BATCH_SIZE):
             idx = order[start : start + BATCH_SIZE]
             Hp, grad_cache = _reference_manipulate(g, X[idx], S[idx], want_grad_cache=True)
-            Xs = sub.scaler.transform(Hp[:, sub_cols])
-            z, sub_cache = sub.net.forward_logits(Xs, want_cache=True)
+            z, sub_cache = sub.net.forward_logits(sub.scaler.transform(Hp), want_cache=True)
             if mode.mode == "misidentify":
                 successes.append(np.argmax(z, axis=1) != orig_labels[idx])
                 dz = -bce_dlogits(z, targets[idx])
@@ -117,9 +113,7 @@ def reference_train_generator(g, sub, train, mode, epochs, seed=0, lr=0.01, anch
                 dz = bce_dlogits(z, targets[: idx.size])
                 if gate_success:
                     dz[np.argmax(z, axis=1) == mode.target.id] = 0.0
-            dXs = sub.net.input_grad(sub_cache, dz)
-            dHp = np.zeros_like(Hp)
-            dHp[:, sub_cols] = bce_weight * dXs / sub.scaler.scale
+            dHp = bce_weight * sub.net.input_grad(sub_cache, dz) / sub.scaler.scale
             if anchor is not None:
                 dHp += anchor_weight * 2.0 * (Hp - anchor) * mut / anchor_scale2 / idx.size
             dWs, dbs = reference_backward_to_params(g, grad_cache, dHp)
@@ -130,7 +124,6 @@ def reference_train_generator(g, sub, train, mode, epochs, seed=0, lr=0.01, anch
         if (len(g.training_curve) > plateau_min_epochs and len(recent) == PLATEAU_WINDOW
                 and max(recent) - min(recent) < plateau_delta):
             break
-    g.trained = True
     return g
 
 
@@ -288,13 +281,38 @@ class TestGeneratorGradients:
 
 
 class TestTraining:
-    def test_unfrozen_substitute_rejected(self, gen, trained_sub, small_split):
+    def test_unfrozen_substitute_rejected(self, gen, small_split):
+        """A neural_net target has the substitute's network and schema but
+        is not a SubstituteModel."""
+        train_pool, _ = small_split
+        target = fit("neural_net", train_pool, seed=0)
+        with pytest.raises(ContractViolationError, match="MlpClassifier"):
+            train_generator(gen, target, train_pool, misidentify(), epochs=1)
+        assert gen.training_curve == []
+
+    def test_substitute_on_a_feature_subset_rejected(self, pool_schema, trained_sub,
+                                                     small_split):
+        _, _, oracle = trained_sub
+        train_pool, _ = small_split
+        narrow = oracle.collect(train_pool.X).project(pool_schema.subset((7, 2, 11, 0, 5)))
+        sub = train_substitute(narrow, epochs=3, seed=4)
+        g = build_generator(pool_schema, train_pool.X, seed=4)
+        with pytest.raises(ValidationError, match="schemas differ"):
+            train_generator(g, sub, train_pool, misidentify(), epochs=1)
+        assert g.training_curve == []
+
+    def test_substitute_with_a_reordered_schema_rejected(self, pool_schema, trained_sub,
+                                                         small_split):
+        """Same names, same width, other column order: the substitute would
+        read every row's columns shuffled."""
         sub, _, _ = trained_sub
         train_pool, _ = small_split
-        loose = copy.copy(sub)
-        loose.frozen = False
-        with pytest.raises(ContractViolationError):
-            train_generator(gen, loose, train_pool, misidentify(), epochs=1)
+        reordered = SubstituteModel(FeatureSchema(pool_schema.features[::-1]), sub.class_labels,
+                                    sub.scaler, sub.net, sub.training_curve, sub.holdout_idx)
+        g = build_generator(pool_schema, train_pool.X, seed=4)
+        with pytest.raises(ValidationError, match="schemas differ"):
+            train_generator(g, reordered, train_pool, misidentify(), epochs=1)
+        assert g.training_curve == []
 
     def test_zero_lr_is_null_update(self, pool_schema, trained_sub, small_split):
         sub, _, _ = trained_sub
@@ -303,7 +321,7 @@ class TestTraining:
         before = g.net.get_flat_params()
         train_generator(g, sub, train_pool, misidentify(), epochs=2, lr=0.0)
         np.testing.assert_array_equal(before, g.net.get_flat_params())
-        assert g.trained
+        assert len(g.training_curve) > 1
 
     def test_spoof_target_out_of_range_rejected(self, pool_schema, trained_sub, small_split):
         sub, _, _ = trained_sub
@@ -320,7 +338,7 @@ class TestTraining:
         before = g.net.get_flat_params()
         with pytest.raises(ValidationError, match="empty"):
             train_generator(g, sub, train_pool.take(np.arange(0)), misidentify(), epochs=3)
-        assert not g.trained and g.training_curve == []
+        assert g.training_curve == []
         np.testing.assert_array_equal(before, g.net.get_flat_params())
 
     @pytest.mark.parametrize("spoofing", [False, True])
@@ -334,7 +352,7 @@ class TestTraining:
         # 300 rows: batches of 128, 128 and 44.
         train = train_pool.take(np.arange(300))
         X, n = train.X, 300
-        clean = sub.predict_ids_pool(X)
+        clean = sub.predict_ids(X)
         mode, anchor_X = misidentify(), None
         if spoofing:
             tid = int(np.bincount(clean).argmax())
@@ -349,7 +367,7 @@ class TestTraining:
         for _epoch in range(epochs):
             S = sample_multipliers(pool_schema, n, rng) * X
             rng.permutation(n)
-            pred = sub.predict_ids_pool(g.manipulate_batch(X, S))
+            pred = sub.predict_ids(g.manipulate_batch(X, S))
             want.append(float(np.mean(pred == tid if spoofing else pred != clean)))
         assert g.training_curve[1:] == want
         assert len(set(want)) > 1  # the noise really moves the rate
@@ -370,7 +388,7 @@ class TestTraining:
         train_pool, _ = small_split
         mode, anchor_X = misidentify(), None
         if spoofing:
-            tid = int(sub.predict_ids_pool(train_pool.X)[0])
+            tid = int(sub.predict_ids(train_pool.X)[0])
             mode, anchor_X = spoof(DeviceClass(tid, "t")), train_pool.X
         g = build_generator(pool_schema, train_pool.X, seed=9)
         train_generator(g, sub, train_pool, mode, epochs=60, lr=0.0, anchor_X=anchor_X)
@@ -386,7 +404,7 @@ class TestTraining:
         with pytest.raises(ValidationError, match="anchor_X"):
             train_generator(gen, sub, train_pool, misidentify(), epochs=1,
                             anchor_X=train_pool.X)
-        assert not gen.trained
+        assert gen.training_curve == []
 
     def test_anchor_requires_matching_rows(self, pool_schema, trained_sub, small_split):
         sub, _, _ = trained_sub
@@ -394,7 +412,7 @@ class TestTraining:
         g = build_generator(pool_schema, train_pool.X, seed=10)
         # Identical anchor rows get one label; target any other class.
         far = np.tile(pool_schema.highs, (8, 1))
-        tid = min(set(range(sub.n_classes)) - set(sub.predict_ids_pool(far).tolist()))
+        tid = min(set(range(sub.n_classes)) - set(sub.predict_ids(far).tolist()))
         tgt = spoof(DeviceClass(tid, train_pool.class_labels[tid]))
         with pytest.raises(UnreachableTargetError):
             train_generator(g, sub, train_pool, tgt, epochs=1,
@@ -452,7 +470,7 @@ class TestTrainingMatchesReference:
         # divisions by the batch size are not exact.
         train = train_pool.take(np.tile(np.arange(300), 4))
         anchor_X = test_pool.X.copy()
-        tid = int(np.bincount(sub.predict_ids_pool(anchor_X)).argmax())
+        tid = int(np.bincount(sub.predict_ids(anchor_X)).argmax())
         mode = spoof(DeviceClass(tid, train_pool.class_labels[tid]))
         g = self.check(pool_schema, sub, train, mode, epochs=40, lr=0.05, anchor_X=anchor_X)
         # 1,200 rows rate in steps of 1/1,200: training stops on a plateau
@@ -460,15 +478,6 @@ class TestTrainingMatchesReference:
         recent = g.training_curve[-PLATEAU_WINDOW:]
         assert len(g.training_curve) < 41
         assert 1e-4 < max(recent) - min(recent) < 2e-3
-
-    def test_substitute_on_a_feature_subset(self, pool_schema, trained_sub, small_split):
-        _, _, oracle = trained_sub
-        train_pool, _ = small_split
-        subset = (7, 2, 11, 0, 5)
-        sub = train_substitute(oracle.collect(train_pool.X), subset=subset, epochs=3, seed=4)
-        tid = int(np.bincount(sub.predict_ids_pool(train_pool.X)).argmax())
-        mode = spoof(DeviceClass(tid, train_pool.class_labels[tid]))
-        self.check(pool_schema, sub, train_pool, mode, epochs=3, lr=0.05, anchor_X=train_pool.X)
 
     def test_schema_with_a_fixed_value_feature(self, pool_schema, small_split):
         train_pool, _ = small_split
@@ -542,7 +551,6 @@ class TestEvaluateAndIo:
         np.testing.assert_array_equal(
             g.manipulate_batch(X, S), g2.manipulate_batch(X, S)
         )
-        assert g2.trained
         assert g2.training_curve == g.training_curve
 
 

@@ -567,6 +567,27 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "ragged.csv" in err[0]
 
+    def test_report_of_a_missing_directory_is_an_io_exit(self, tmp_path, capsys):
+        missing = tmp_path / "nope"
+        assert main(["report", "--dir", str(missing)]) == 3
+        out, err = capsys.readouterr()
+        err = err.splitlines()
+        assert out == "" and len(err) == 1 and err[0].startswith("error: ")
+        assert str(missing) in err[0]
+        missing.mkdir()
+        assert main(["report", "--dir", str(missing)]) == 0
+        assert capsys.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("body", ["[1, 2]", "3", '"seed"', "null"])
+    def test_config_that_is_not_an_object_is_a_validation_exit(self, body, tmp_path, capsys):
+        path = tmp_path / "f.json"
+        path.write_text(body)
+        assert main(["run", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and str(path) in err[0], err
+        assert "JSON object" in err[0]
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("argv, message", [
         (["defend", "--out", "x", "--bogus"], "unrecognized arguments: --bogus"),
         (["train-target", "--data", "d.csv", "--kind", "knn"],

@@ -19,7 +19,8 @@ from flowcamo.camouflage import (
 )
 from flowcamo.core import ValidationError
 from flowcamo.harness.cli import main
-from flowcamo.harness.csvio import dataset_to_csv
+from flowcamo.harness import synth
+from flowcamo.harness.csvio import dataset_to_csv, ingest_csv
 from flowcamo.learners import KINDS, load_model, save_model
 from flowcamo.learners.kinds import MODELS
 from flowcamo.substitute import load_substitute, save_substitute, train_substitute
@@ -45,10 +46,9 @@ ARCHIVE_KEYS = {
     + [key for i in range(20) for key in _tree(f"t{i}_")],
     "svm": _MODEL_HEADER + _SCALER + ["W:f", "b:f"],
     "neural_net": _MODEL_HEADER + _SCALER + _net(2),
-    "substitute": _MODEL_HEADER + _SCALER + _net(2)
-    + ["pool_schema_json:U", "subset:i", "training_curve:f", "holdout_idx:i"],
+    "substitute": _MODEL_HEADER + _SCALER + _net(2) + ["training_curve:f", "holdout_idx:i"],
     "generator": ["format_version:i", "schema_json:U"] + _SCALER
-    + ["amp:f", "trained:i", "training_curve:f"] + _net(2),
+    + ["amp:f", "training_curve:f"] + _net(2),
 }
 LOADERS = {"substitute": load_substitute, "generator": load_generator}
 SAVERS = {"substitute": save_substitute, "generator": save_generator}
@@ -79,8 +79,6 @@ def _load(name, path):
 
 
 def _outputs(name, obj, X):
-    if name == "substitute":
-        return obj.predict_scores(X[:, obj.subset])
     if name == "generator":
         return obj.manipulate_batch(X, np.random.default_rng(0).uniform(0, 0.1, X.shape) * X)
     return obj.predict_scores(X)
@@ -245,14 +243,8 @@ TAMPERED_OTHER = {
                             "substitute scaler_mean holds non-finite"),
     "substitute_nan_weight": ("substitute", _set_entry("net_W0", np.nan),
                               "net_W0/net_b0 hold non-finite"),
-    "substitute_subset_past_pool": ("substitute", _set_entry("subset", 10**6),
-                                    "subset indices must be 1-D integers in 0..27"),
-    "substitute_subset_2d": ("substitute", lambda a: {"subset": a["subset"][None, :]},
-                             "subset indices must be 1-D integers"),
     "substitute_fewer_labels": ("substitute", lambda a: {"class_labels": a["class_labels"][:-1]},
                                 "substitute sizes .* do not map"),
-    "substitute_schema_not_the_subset": ("substitute", _reverse_schema,
-                                         "schema_json is not the pool schema's subset"),
     "substitute_empty_curve": ("substitute", lambda a: {"training_curve": np.zeros(0)},
                                "training_curve must be non-empty, 1-D and finite"),
     "substitute_nan_curve": ("substitute", _set_entry("training_curve", np.nan),
@@ -275,8 +267,6 @@ TAMPERED_OTHER = {
     "generator_amp_short": ("generator", lambda a: {"amp": a["amp"][:-1]},
                             "generator amp has shape"),
     "generator_extra_output": ("generator", _grow_last_layer, "generator sizes .* do not map"),
-    "generator_trained_not_scalar": ("generator", lambda a: {"trained": np.asarray([1, 1])},
-                                     "trained has shape"),
     "generator_2d_curve": ("generator", lambda a: {"training_curve": np.zeros((2, 2))},
                            "generator training_curve has shape"),
 }
@@ -315,6 +305,23 @@ def test_non_finite_neural_net_target_is_a_validation_exit(edit, message, saved,
     assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
 
 
+def test_archives_with_retired_keys_still_load(saved, small_split, tmp_path):
+    """Archives that still hold a substitute's pool schema and column subset,
+    or a generator's trained flag, load: extra keys are ignored."""
+    X = small_split[1].X
+    sub, src = saved["substitute"]
+    path = str(tmp_path / "old_sub.npz")
+    _rewrite(src, path, pool_schema_json=np.asarray(sub.schema.to_json()),
+             subset=np.arange(len(sub.schema)))
+    assert _outputs("substitute", load_substitute(path), X).tobytes() == \
+        _outputs("substitute", sub, X).tobytes()
+    g, src = saved["generator"]
+    path = str(tmp_path / "old_gen.npz")
+    _rewrite(src, path, trained=np.asarray(1))
+    assert _outputs("generator", load_generator(path), X).tobytes() == \
+        _outputs("generator", g, X).tobytes()
+
+
 def test_unknown_kind_in_archive_rejected(saved, tmp_path):
     path = str(tmp_path / "odd.npz")
     _rewrite(saved["svm"][1], path, kind=np.asarray("lstm"))
@@ -333,12 +340,17 @@ class TestCliWrongArchive:
                      "--out", f["target"], "--seed", "3"]) == 0
         assert main(["train-substitute", "--data", f["data"], "--target", f["target"],
                      "--out", f["sub"], "--epochs", "2"]) == 0
-        for name, edit in (("sub_subset_past_pool", _set_entry("subset", 10**6)),
+        for name, edit in (("sub_schema_reversed", _reverse_schema),
                            ("sub_empty_curve", lambda a: {"training_curve": np.zeros(0)})):
             f[name] = str(d / f"{name}.npz")
             with np.load(f["sub"]) as data:
                 changes = edit(dict(data))
             _rewrite(f["sub"], f[name], **changes)
+        ds = ingest_csv(f["data"], synth.attacker_pool_schema())
+        corpus = make_oracle(load_model(f["target"]), ds.schema).collect(ds.X)
+        f["sub_narrow"] = str(d / "sub_narrow.npz")
+        save_substitute(train_substitute(corpus.project(ds.schema.subset((0, 1, 2))), epochs=2),
+                        f["sub_narrow"])
         return f
 
     @pytest.mark.parametrize("argv, message", [
@@ -349,13 +361,16 @@ class TestCliWrongArchive:
         (lambda f: ["defend", "--generator", f["sub"], "--n-devices", "2",
                     "--train-per-device", "10", "--rounds", "1"], "archive"),
         (lambda f: ["attack", "--data", f["data"], "--target", f["target"],
-                    "--sub", f["sub_subset_past_pool"], "--epochs", "1"],
-         "subset indices must be 1-D integers"),
+                    "--sub", f["sub_schema_reversed"], "--epochs", "1"],
+         "schemas differ"),
+        (lambda f: ["attack", "--data", f["data"], "--target", f["target"],
+                    "--sub", f["sub_narrow"], "--epochs", "1"], "schemas differ"),
         (lambda f: ["scan-features", "--data", f["data"], "--target", f["target"],
                     "--sub", f["sub_empty_curve"], "--L", "2", "--epochs", "1"],
          "training_curve must be non-empty"),
     ], ids=["target_is_substitute", "sub_is_target", "generator_is_substitute",
-            "attack_sub_subset_past_pool", "scan_sub_empty_curve"])
+            "attack_sub_schema_reversed", "attack_sub_on_a_feature_subset",
+            "scan_sub_empty_curve"])
     def test_exit_1_with_one_error_line(self, argv, message, files):
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
         env["PYTHONPATH"] = os.pathsep.join(

@@ -128,8 +128,9 @@ class TestFeatureWeights:
         assert np.all(w >= 0.0)
 
     def test_requires_full_pool_base(self, corpus):
-        narrow = train_substitute(corpus, subset=(0, 1, 2, 3), epochs=3, seed=0)
-        with pytest.raises(ValidationError):
+        narrow = train_substitute(corpus.project(corpus.schema.subset((0, 1, 2, 3))),
+                                  epochs=3, seed=0)
+        with pytest.raises(ValidationError, match="corpus schema"):
             feature_weights(corpus, narrow)
 
     def test_holdout_past_the_corpus_rejected(self, corpus, base_sub):
@@ -148,6 +149,12 @@ class TestScanAndSelect:
             assert p.undefined == math.isnan(p.gain)
         chosen = select_subset(scan, full_agreement=base_sub.agreement)
         assert chosen in (4, 12, 28)
+
+    def test_full_size_point_is_the_unprojected_substitute(self, corpus):
+        """Projecting onto every column, in schema order, changes no number."""
+        w = np.arange(len(corpus.schema), dtype=float)
+        (point,) = performance_gain_scan(corpus, w, [len(corpus.schema)], epochs=3, seed=2)
+        assert point.agreement == train_substitute(corpus, epochs=3, seed=2).agreement
 
     def test_scan_rejects_bad_L_values(self, corpus):
         w = np.ones(len(corpus.schema))
@@ -214,11 +221,9 @@ class TestPersistence:
         path = str(tmp_path / "sub.npz")
         save_substitute(base_sub, path)
         loaded = load_substitute(path)
-        np.testing.assert_array_equal(
-            loaded.predict_ids_pool(train.X), base_sub.predict_ids_pool(train.X)
-        )
+        np.testing.assert_array_equal(loaded.predict_ids(train.X), base_sub.predict_ids(train.X))
         np.testing.assert_array_equal(
             loaded.net.get_flat_params(), base_sub.net.get_flat_params()
         )
-        assert loaded.subset == base_sub.subset
+        assert loaded.schema == base_sub.schema
         assert loaded.agreement == base_sub.agreement

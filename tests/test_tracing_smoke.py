@@ -38,7 +38,7 @@ train, _ = split_dataset(ds, 0.8, seed=1)
 target = fit("decision_tree", train.project(synth.target_schema()), seed=0)
 corpus = make_oracle(target, schema).collect(train.X)
 sub = experiment.train_substitute(corpus, epochs=3, seed=2)
-tid = int(sub.predict_ids_pool(train.X)[0])
+tid = int(sub.predict_ids(train.X)[0])
 src = train.take(np.flatnonzero(train.y != tid))
 g = build_generator(schema, train.X, seed=3)
 experiment.train_generator(
