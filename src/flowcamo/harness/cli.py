@@ -101,7 +101,7 @@ def cmd_scan_features(args) -> int:
     oracle = make_oracle(target, ds.schema)
     corpus = oracle.collect(ds.X)
     weights = feature_weights(corpus, sub, seed=args.seed)
-    L_values = sorted(int(v) for v in args.L.split(","))
+    L_values = [int(v) for v in args.L.split(",")]
     scan = performance_gain_scan(corpus, weights, L_values, epochs=args.epochs, seed=args.seed)
     chosen = select_subset(scan, full_agreement=sub.agreement)
     rows = scan_to_csv_rows(scan)

@@ -84,8 +84,8 @@ _VALUE_RULES = (
      f"a non-empty list of distinct kinds from {list(KINDS)}"),
     (("spoof_trial_lrs",), lambda v: len(v) > 0 and all(0 < lr < np.inf for lr in v),
      "a non-empty list of positive, finite learning rates"),
-    (("scan_L",), lambda v: len(v) > 0 and list(v) == sorted(v) and v[0] >= 1,
-     "a non-empty ascending list of sizes >= 1"),
+    (("scan_L",), lambda v: len(v) > 0 and v[0] >= 1 and all(a < b for a, b in zip(v, v[1:])),
+     "a non-empty strictly ascending list of sizes >= 1"),
 )
 
 
@@ -124,6 +124,10 @@ class ExperimentConfig:
                 value = getattr(self, key)
                 if not ok(value):
                     raise ValidationError(f"config key {key!r} must be {need}, got {value!r}")
+        pool = len(synth.attacker_pool_schema(self.n_decoys))
+        if self.scan_L[-1] > pool:
+            raise ValidationError(f"config key 'scan_L' must be within the attacker pool's "
+                                  f"{pool} features (n_decoys={self.n_decoys}), got {self.scan_L!r}")
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -222,8 +226,7 @@ def _substitute(cfg: ExperimentConfig, results: dict, out) -> None:
 
 
 def _scan(cfg: ExperimentConfig, results: dict, out) -> None:
-    """Performance-gain scan, report-only: ``selected_L`` feeds no later stage.
-    Timing-based, so excluded from reproducibility."""
+    """Performance-gain scan, report-only: ``selected_L`` feeds no later stage."""
     kind = cfg.target_kinds[0]
     corpus = results["corpora"][kind]  # the oracle is deterministic: no re-query
     sub = results["substitutes"][kind]

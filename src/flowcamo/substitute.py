@@ -4,14 +4,14 @@ A substitute is the neural_net classifier over the schema of the corpus it
 was fit to. Feature weights come from permutation importance measured as
 the drop in held-out oracle agreement; the performance-gain scan retrains
 on each top-L projection of the corpus and compares relative accuracy
-growth against relative prediction-time growth. The scan only reports:
-selection uses an agreement-epsilon policy (the gain value is undefined
-when prediction times tie, so it is not decisive), and no later stage
+growth against relative growth in multiply-adds per prediction, a
+deterministic proxy for the paper's computing overhead. The scan only
+reports: selection uses an agreement-epsilon policy (the gain value is
+undefined when two costs tie, so it is not decisive), and no later stage
 trains against a narrowed substitute.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -117,15 +117,15 @@ SELECT_EPS = 0.02
 class PerformanceGainPoint:
     L: int
     agreement: float
-    overhead_s: float
+    multiply_adds: int
     gain: float  # nan when undefined
     undefined: bool
 
 
 def performance_gain(r_c: float, r_p: float, c_c: float, c_p: float):
-    """Relative accuracy growth over relative overhead growth.
+    """Relative accuracy growth over relative cost growth.
 
-    Undefined (returns nan with a flag) when the overheads tie or the
+    Undefined (returns nan with a flag) when the costs tie or the
     current accuracy is zero; never divides by zero.
     """
     if c_c == c_p or r_c == 0.0:
@@ -135,15 +135,6 @@ def performance_gain(r_c: float, r_p: float, c_c: float, c_p: float):
     return (rel_r - rel_c) / rel_c, False
 
 
-def _median_predict_time(model: SubstituteModel, probe: np.ndarray) -> float:
-    times = []
-    for _ in range(5):
-        t0 = time.perf_counter()
-        model.predict_ids(probe)
-        times.append(time.perf_counter() - t0)
-    return float(np.median(times))
-
-
 def performance_gain_scan(
     corpus: Dataset,
     weights: np.ndarray,
@@ -151,32 +142,31 @@ def performance_gain_scan(
     epochs: int = 30,
     seed: int = 0,
 ) -> List[PerformanceGainPoint]:
-    """Retrain on the top-L projection of the corpus per size L; each
-    overhead is the median of 5 serialized predictions on the same 1,000
-    corpus rows, projected alike."""
+    """Retrain on the top-L projection of the corpus per strictly ascending
+    size L; each cost is the trained net's multiply-adds per prediction."""
     L_values = list(L_values)
     if not L_values:
         raise ValidationError("L_values is empty")
-    if any(b < a for a, b in zip(L_values, L_values[1:])):
-        raise ValidationError("L_values must be sorted ascending")
+    if any(b <= a for a, b in zip(L_values, L_values[1:])):
+        raise ValidationError(
+            f"scan sizes (scan_L, --L) must be strictly ascending, got {L_values}")
     K = len(corpus.schema)
     if any(not 1 <= L <= K for L in L_values):
         raise ValidationError(f"every L must be in [1, {K}]")
-    rng = np.random.default_rng(seed)
-    probe_idx = rng.integers(0, len(corpus), size=1000)
     points: List[PerformanceGainPoint] = []
     prev: Optional[PerformanceGainPoint] = None
     for L in L_values:
         narrow = corpus.project(corpus.schema.subset(top_l_indices(weights, L)))
         sub = train_substitute(narrow, epochs=epochs, seed=seed)
-        overhead = _median_predict_time(sub, narrow.X[probe_idx])
+        sizes = sub.net.layer_sizes
+        cost = sum(a * b for a, b in zip(sizes, sizes[1:]))
         if prev is None:
             gain, undefined = float("nan"), True
         else:
             gain, undefined = performance_gain(
-                sub.agreement, prev.agreement, overhead, prev.overhead_s
+                sub.agreement, prev.agreement, cost, prev.multiply_adds
             )
-        prev = PerformanceGainPoint(L, sub.agreement, overhead, gain, undefined)
+        prev = PerformanceGainPoint(L, sub.agreement, cost, gain, undefined)
         points.append(prev)
     return points
 
@@ -202,12 +192,8 @@ def load_substitute(path: str) -> SubstituteModel:
 
 
 def scan_to_csv_rows(scan: List[PerformanceGainPoint]) -> List[list]:
-    """Header plus one row per point; the wall-clock columns are fixed-width
-    (``.6e``/``+.6e``) so the file size does not depend on timing noise."""
-    header = ["L", "agreement", "overhead_s", "gain", "undefined_flag"]
-    rows = [
-        [p.L, p.agreement, f"{p.overhead_s:.6e}", "" if p.undefined else f"{p.gain:+.6e}",
-         int(p.undefined)]
-        for p in scan
-    ]
+    """Header plus one row per point; an undefined gain is left empty."""
+    header = ["L", "agreement", "multiply_adds", "gain", "undefined_flag"]
+    rows = [[p.L, p.agreement, p.multiply_adds, "" if p.undefined else p.gain, int(p.undefined)]
+            for p in scan]
     return [header] + rows

@@ -39,11 +39,6 @@ from flowcamo.learners import (
     one_hot,
     sigmoid,
 )
-from flowcamo.substitute import (
-    feature_weights,
-    performance_gain_scan,
-    select_subset,
-)
 
 REQUIRED_SPOOF_PAIRS = [
     ("camera", "hub"), ("hub", "camera"),
@@ -56,10 +51,10 @@ REPORTED_SPOOF_PAIRS = [("camera", "switch"), ("switch", "camera")]
 
 @pytest.fixture(scope="module")
 def full_run(tmp_path_factory):
-    """One default-benchmark pipeline run shared by criteria 1-9; every
-    criterion that takes it is marked ``slow``."""
+    """One default-benchmark pipeline run, with the report-only scan on,
+    shared by criteria 1-9; every criterion that takes it is marked ``slow``."""
     out_dir = str(tmp_path_factory.mktemp("bench"))
-    cfg = ExperimentConfig(out_dir=out_dir)
+    cfg = ExperimentConfig(out_dir=out_dir, run_scan=True)
     return run_experiment(cfg)
 
 
@@ -154,23 +149,13 @@ class TestAcceptance:
 
     @pytest.mark.slow
     def test_c07_feature_subset_selection(self, full_run, capsys):
-        cfg = full_run["config"]
-        kind = cfg.target_kinds[0]
-        sub = full_run["substitutes"][kind]
-        # The pipeline's own oracle-labelled rows: the oracle is
-        # deterministic, so querying it again would return the same labels.
-        corpus = full_run["corpora"][kind]
-        schema = corpus.schema
-        weights = feature_weights(corpus, sub, seed=cfg.seed + 500)
-        scan = performance_gain_scan(
-            corpus, weights, list(cfg.scan_L), epochs=cfg.scan_epochs, seed=cfg.seed + 501,
-        )
+        sub = full_run["substitutes"][full_run["config"].target_kinds[0]]
+        scan, chosen = full_run["scan"], full_run["selected_L"]
         # Undefined points are flagged, never raised: the metric refuses
         # division rather than producing inf/nan silently.
         flags_consistent = all(p.undefined == (not np.isfinite(p.gain)) for p in scan)
-        chosen = select_subset(scan, full_agreement=sub.agreement)
         chosen_agree = next(p.agreement for p in scan if p.L == chosen)
-        half = len(schema) // 2
+        half = len(sub.schema) // 2
         ok = (
             flags_consistent
             and chosen <= half
@@ -268,6 +253,9 @@ class TestAcceptance:
             "substitute_epochs": 10,
             "generator_epochs": 10,
             "spoof_grid": False,
+            "run_scan": True,
+            "scan_L": [2, 8, 28],
+            "scan_epochs": 3,
             "defense_rounds": 3,
             "defense_per_device": 4,
             "defense_train_per_device": 12,
@@ -286,7 +274,7 @@ class TestAcceptance:
             b = open(os.path.join(dirs[1], n), "rb").read()
             if a != b:
                 diffs.append(n)
-        ok = not diffs and len(names) >= 3
+        ok = not diffs and len(names) >= 3 and "scan.csv" in names
         announce(
             capsys, 10, ok,
             f"two runs from one manifest: {len(names)} report CSVs compared, "

@@ -280,6 +280,9 @@ class TestExperimentConfig:
         ({"spoof_trial_lrs": []}, "spoof_trial_lrs"),
         ({"target_kinds": ["knn", "knn"]}, "target_kinds"),
         ({"scan_L": [8, 4]}, "scan_L"),
+        ({"scan_L": [4, 4]}, "scan_L"),
+        ({"run_scan": True, "scan_L": [2, 40]}, "scan_L"),
+        ({"n_decoys": 0, "scan_L": [2, 28]}, "scan_L"),
     ])
     def test_unusable_value_is_a_validation_exit(self, cfg, key, tmp_path, capsys):
         with pytest.raises(ValidationError, match=key):
@@ -669,11 +672,20 @@ class TestCliSuccess:
         assert main(["scan-features", *inputs, "--L", "2,8", "--epochs", "2",
                      "--out", str(out)]) == 0
         meta, header, rows = _report(out)
-        assert header == ["L", "agreement", "overhead_s", "gain", "undefined_flag"]
+        assert header == ["L", "agreement", "multiply_adds", "gain", "undefined_flag"]
         assert [r[0] for r in rows] == ["2", "8"]
         chosen = meta[0].removeprefix("# selected_L=")
         assert chosen in ("2", "8")
         assert f"selected L={chosen}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("sizes", ["4,4", "8,4"])
+    def test_scan_sizes_not_strictly_ascending(self, sizes, inputs, tmp_path, capsys):
+        out = tmp_path / "scan.csv"
+        assert main(["scan-features", *inputs, "--L", sizes, "--epochs", "2",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "--L" in err[0] and "strictly ascending" in err[0]
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, extra, mode", [
         ("attack", [], "misidentify"),

@@ -1,5 +1,5 @@
 """Substitute extraction: permutation importance, subset selection, the
-accuracy-per-overhead gain metric, and model persistence."""
+accuracy-per-cost gain metric, and model persistence."""
 import math
 
 import numpy as np
@@ -43,7 +43,7 @@ def base_sub(corpus):
 class TestPerformanceGain:
     def test_hand_computed_value(self):
         """[DERIVED] r_c=0.95, r_p=0.90, c_c=2, c_p=1:
-        rel accuracy growth = 0.05/0.95, rel overhead growth = 0.5,
+        rel accuracy growth = 0.05/0.95, rel cost growth = 0.5,
         gain = (0.05/0.95 - 0.5)/0.5 = -0.894736842..."""
         gain, undefined = performance_gain(0.95, 0.90, 2.0, 1.0)
         assert not undefined
@@ -72,7 +72,7 @@ class TestPerformanceGain:
         c_p=st.floats(1e-9, 10.0),
     )
     def test_never_divides_by_zero(self, r_c, r_p, c_c, c_p):
-        """Any accuracy pair and positive overhead pair either yields a
+        """Any accuracy pair and positive cost pair either yields a
         real number or is flagged undefined; no exception escapes."""
         gain, undefined = performance_gain(r_c, r_p, c_c, c_p)
         if undefined:
@@ -164,22 +164,44 @@ class TestScanAndSelect:
             performance_gain_scan(corpus, w, [12, 4])
         with pytest.raises(ValidationError):
             performance_gain_scan(corpus, w, [0, 4])
+        with pytest.raises(ValidationError, match="strictly ascending"):
+            performance_gain_scan(corpus, w, [4, 4])
+
+    def test_cost_is_the_trained_nets_multiply_adds(self, corpus):
+        """[DERIVED] a 64-64 net over L features and C classes does
+        64·L + 64·64 + 64·C multiply-adds per prediction."""
+        w = np.arange(len(corpus.schema), dtype=float)
+        scan = performance_gain_scan(corpus, w, [2, 8, 28], epochs=2, seed=2)
+        for p in scan:
+            narrow = corpus.project(corpus.schema.subset(top_l_indices(w, p.L)))
+            sizes = train_substitute(narrow, epochs=2, seed=2).net.layer_sizes
+            assert p.multiply_adds == sum(a * b for a, b in zip(sizes, sizes[1:]))
+            assert p.multiply_adds == 64 * p.L + 64 * 64 + 64 * corpus.n_classes
+        costs = [p.multiply_adds for p in scan]
+        assert costs == sorted(set(costs))
+        assert [p.undefined for p in scan] == [True, False, False]
+
+    def test_rerun_returns_equal_points(self, corpus):
+        w = np.arange(len(corpus.schema), dtype=float)
+        first, again = (performance_gain_scan(corpus, w, [4, 12], epochs=3, seed=5)
+                        for _ in range(2))
+        assert repr(first) == repr(again)  # exact floats; nan gains compare equal
 
     def test_select_smallest_within_eps(self):
         """[DERIVED] 0.95 is within 0.02 of 0.96 but not of 0.975, so L=8 wins
         over L=16 only against 0.96."""
         scan = [
-            PerformanceGainPoint(4, 0.70, 1.0, float("nan"), True),
-            PerformanceGainPoint(8, 0.95, 2.0, 1.0, False),
-            PerformanceGainPoint(16, 0.96, 3.0, 0.5, False),
+            PerformanceGainPoint(4, 0.70, 1000, float("nan"), True),
+            PerformanceGainPoint(8, 0.95, 2000, 1.0, False),
+            PerformanceGainPoint(16, 0.96, 3000, 0.5, False),
         ]
         assert select_subset(scan, full_agreement=0.96) == 8
         assert select_subset(scan, full_agreement=0.975) == 16
 
     def test_select_falls_back_to_best_agreement(self):
         scan = [
-            PerformanceGainPoint(4, 0.50, 1.0, float("nan"), True),
-            PerformanceGainPoint(8, 0.60, 2.0, 1.0, False),
+            PerformanceGainPoint(4, 0.50, 1000, float("nan"), True),
+            PerformanceGainPoint(8, 0.60, 2000, 1.0, False),
         ]
         assert select_subset(scan, full_agreement=0.99) == 8
 
@@ -189,30 +211,17 @@ class TestScanAndSelect:
 
 
 class TestScanCsv:
-    def test_timing_does_not_change_the_byte_count(self, tmp_path):
-        """Two scans that differ only in their wall-clock columns."""
-        fast = [
-            PerformanceGainPoint(4, 0.75, 0.001, float("nan"), True),
-            PerformanceGainPoint(8, 0.9375, 0.0015, 0.25, False),
-            PerformanceGainPoint(16, 0.96875, 0.002, -0.8947368421052632, False),
-        ]
-        slow = [
-            PerformanceGainPoint(4, 0.75, 0.00123456789012345, float("nan"), True),
-            PerformanceGainPoint(8, 0.9375, 0.1, -3.0, False),
-            PerformanceGainPoint(16, 0.96875, 12.5, 1.0 / 3.0, False),
-        ]
-        sizes = []
-        for name, scan in (("fast", fast), ("slow", slow)):
-            rows = scan_to_csv_rows(scan)
-            path = tmp_path / f"{name}.csv"
-            write_report_csv(str(path), rows[0], rows[1:], {"selected_L": "8"})
-            sizes.append(len(path.read_bytes()))
-        assert sizes[0] == sizes[1]
-
-    def test_columns_parse_back(self):
-        rows = scan_to_csv_rows([PerformanceGainPoint(8, 0.9375, 0.0015, -0.25, False)])
-        assert rows[1][2] == "1.500000e-03" and rows[1][3] == "-2.500000e-01"
-        assert float(rows[1][2]) == 0.0015 and float(rows[1][3]) == -0.25
+    def test_columns_parse_back(self, tmp_path):
+        rows = scan_to_csv_rows([PerformanceGainPoint(4, 0.75, 6208, float("nan"), True),
+                                 PerformanceGainPoint(8, 0.9375, 6464, -1.0 / 3.0, False)])
+        path = tmp_path / "scan.csv"
+        write_report_csv(str(path), rows[0], rows[1:], {"selected_L": "8"})
+        header, *lines = path.read_text().splitlines()[1:]
+        assert header == "L,agreement,multiply_adds,gain,undefined_flag"
+        assert lines[0] == "4,0.75,6208,,1"
+        L, agree, cost, gain, flag = lines[1].split(",")
+        assert (int(L), float(agree), int(cost), float(gain), int(flag)) == (
+            8, 0.9375, 6464, -1.0 / 3.0, 0)
 
 
 class TestPersistence:
