@@ -118,12 +118,15 @@ class ExperimentConfig:
     out_dir: str = "out"
 
     def __post_init__(self):
-        """ValidationError naming the first field whose value no run can use."""
+        """ValidationError naming the first field whose value no run can use.
+        ``scan_L`` must also fit the attacker pool, but only when the scan runs."""
         for keys, ok, need in _VALUE_RULES:
             for key in keys:
                 value = getattr(self, key)
                 if not ok(value):
                     raise ValidationError(f"config key {key!r} must be {need}, got {value!r}")
+        if not self.run_scan:
+            return
         pool = len(synth.attacker_pool_schema(self.n_decoys))
         if self.scan_L[-1] > pool:
             raise ValidationError(f"config key 'scan_L' must be within the attacker pool's "

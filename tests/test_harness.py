@@ -282,7 +282,7 @@ class TestExperimentConfig:
         ({"scan_L": [8, 4]}, "scan_L"),
         ({"scan_L": [4, 4]}, "scan_L"),
         ({"run_scan": True, "scan_L": [2, 40]}, "scan_L"),
-        ({"n_decoys": 0, "scan_L": [2, 28]}, "scan_L"),
+        ({"run_scan": True, "n_decoys": 0, "scan_L": [2, 28]}, "scan_L"),
     ])
     def test_unusable_value_is_a_validation_exit(self, cfg, key, tmp_path, capsys):
         with pytest.raises(ValidationError, match=key):
@@ -293,6 +293,12 @@ class TestExperimentConfig:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: config key {key!r} must be")
         assert not os.path.exists(tmp_path / "manifest.json")  # no stage ran
+
+    def test_scan_sizes_past_a_narrow_pool_need_the_scan_on(self):
+        """Only the scan reads scan_L: with it off, a pool narrower than the
+        default sizes (24 features at n_decoys=0) is still a usable config."""
+        cfg = ExperimentConfig.from_dict({"n_decoys": 0})
+        assert not cfg.run_scan and cfg.scan_L[-1] == 28
 
     def test_values_are_checked_on_construction(self):
         with pytest.raises(ValidationError, match="n_classes"):
