@@ -133,7 +133,7 @@ class Generator:
         return Hp
 
     def backward_to_params(self, grad_cache, dHp: np.ndarray):
-        """Parameter gradients from d(loss)/d(h').
+        """Parameter gradient, in the ``Net.params`` layout, from d(loss)/d(h').
 
         Clipped coordinates pass gradient only when the descent direction
         points back inside the valid range; outward pushes are blocked.
@@ -298,8 +298,7 @@ def train_generator(
                 pull /= anchor_scale2
                 pull /= idx.size
                 dHp += pull
-            dWs, dbs = g.backward_to_params(grad_cache, dHp)
-            g.net.sgd_step(dWs, dbs, lr)
+            g.net.sgd_step(g.backward_to_params(grad_cache, dHp), lr)
         lr *= lr_factor
         g.training_curve.append(hits / n)
         recent = g.training_curve[-PLATEAU_WINDOW:]

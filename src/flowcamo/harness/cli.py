@@ -6,7 +6,7 @@ JSON config file (``--config``, the fields of ``ExperimentConfig``); its
 flags override the file, and the file overrides the defaults.
 Every command reads dataset CSVs in the attacker pool schema.
 Exit codes: 0 ok (``--help`` too), 1 validation error (bad input or a
-usage error), 2 stage failure, 3 I/O error.
+usage error), 2 stage or numeric failure (in any command), 3 I/O error.
 """
 from __future__ import annotations
 
@@ -27,6 +27,7 @@ from ..camouflage import (
 )
 from ..core import (
     DeviceClass,
+    NumericError,
     UnreachableTargetError,
     ValidationError,
     identification_rate,
@@ -317,7 +318,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.fn(args)
-    except StageFailure as e:
+    except (StageFailure, NumericError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (ValidationError, ValueError, json.JSONDecodeError) as e:

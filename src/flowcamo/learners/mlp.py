@@ -7,6 +7,8 @@ differences in the test suite.
 """
 from __future__ import annotations
 
+import math
+from itertools import accumulate
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -43,7 +45,10 @@ def stable_scores(z: np.ndarray) -> np.ndarray:
 
 
 class Net:
-    """Stack of linear layers; ReLU between them, head handled by callers."""
+    """Stack of linear layers; ReLU between them, head handled by callers.
+
+    ``params`` holds every weight matrix, then every bias, in one float64
+    vector; ``weights`` and ``biases`` are per-layer views of it."""
 
     def __init__(
         self,
@@ -51,19 +56,32 @@ class Net:
         seed: int = 0,
         zero_init_last: bool = False,
     ):
-        if len(layer_sizes) < 2:
-            raise ValidationError("need at least input and output sizes")
-        self.layer_sizes = tuple(int(s) for s in layer_sizes)
+        self._allocate(layer_sizes)
         rng = np.random.default_rng(seed)
-        self.weights: List[np.ndarray] = []
-        self.biases: List[np.ndarray] = []
-        for fan_in, fan_out in zip(self.layer_sizes, self.layer_sizes[1:]):
-            bound = 1.0 / np.sqrt(fan_in)
-            self.weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-            self.biases.append(np.zeros(fan_out))
-        if zero_init_last:
-            self.weights[-1][:] = 0.0
-            self.biases[-1][:] = 0.0
+        for W in self.weights[:-1] if zero_init_last else self.weights:
+            bound = 1.0 / np.sqrt(W.shape[0])
+            W[:] = rng.uniform(-bound, bound, size=W.shape)
+
+    def _allocate(self, layer_sizes) -> None:
+        """Zero ``params`` for ``layer_sizes``, its per-layer views, and
+        ``_layout``: each array's (slice, shape) in it, which ``backward`` reuses."""
+        sizes = np.asarray(layer_sizes)
+        if (sizes.ndim != 1 or sizes.size < 2 or sizes.dtype.kind not in "iu"
+                or (sizes < 1).any()):
+            raise ValidationError(
+                f"layer sizes must be two or more positive integers, got {sizes.tolist()!r}"
+            )
+        sizes = self.layer_sizes = tuple(int(s) for s in sizes)
+        shapes = [*zip(sizes, sizes[1:]), *((s,) for s in sizes[1:])]
+        stops = list(accumulate(math.prod(shape) for shape in shapes))
+        self._layout = [(slice(a, b), shape) for a, b, shape in zip([0, *stops], stops, shapes)]
+        self.params = np.zeros(stops[-1])
+        self.weights, self.biases = self._views(self.params)
+
+    def _views(self, vec: np.ndarray) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+        """Per-layer (weights, biases) views of a vector in the ``params`` layout."""
+        views = [vec[s].reshape(shape) for s, shape in self._layout]
+        return views[: len(views) // 2], views[len(views) // 2 :]
 
     # --- forward / backward -------------------------------------------------
 
@@ -89,18 +107,19 @@ class Net:
             return z, acts
         return z
 
-    def backward(self, cache: List[np.ndarray], d_logits: np.ndarray):
-        """Parameter gradients from d(loss)/d(logits); returns (dWs, dbs)."""
+    def backward(self, cache: List[np.ndarray], d_logits: np.ndarray) -> np.ndarray:
+        """Parameter gradient from d(loss)/d(logits): one vector in the
+        ``params`` layout."""
         d = np.atleast_2d(np.asarray(d_logits, dtype=float))
-        dWs = [None] * len(self.weights)
-        dbs = [None] * len(self.biases)
-        for i in range(len(self.weights) - 1, -1, -1):
-            dWs[i] = cache[i].T @ d
-            dbs[i] = d.sum(axis=0)
+        grad = np.empty(self.params.size)
+        dWs, dbs = self._views(grad)
+        for i in range(len(dWs) - 1, -1, -1):
+            np.matmul(cache[i].T, d, out=dWs[i])
+            np.sum(d, axis=0, out=dbs[i])
             if i > 0:
                 d = d @ self.weights[i].T
                 d *= cache[i] > 0
-        return dWs, dbs
+        return grad
 
     def input_grad(self, cache: List[np.ndarray], d_logits: np.ndarray) -> np.ndarray:
         """d(loss)/d(input) from d(loss)/d(logits); no parameter gradients."""
@@ -117,33 +136,9 @@ class Net:
 
     # --- parameter plumbing -------------------------------------------------
 
-    def get_flat_params(self) -> np.ndarray:
-        return np.concatenate(
-            [W.ravel() for W in self.weights] + [b.ravel() for b in self.biases]
-        )
-
-    def set_flat_params(self, flat: np.ndarray) -> None:
-        flat = np.asarray(flat, dtype=float)
-        expected = sum(W.size for W in self.weights) + sum(b.size for b in self.biases)
-        if flat.size != expected:
-            raise ValidationError(
-                f"flat parameter vector has {flat.size} entries, expected {expected}"
-            )
-        pos = 0
-        for W in self.weights:
-            W[:] = flat[pos : pos + W.size].reshape(W.shape)
-            pos += W.size
-        for b in self.biases:
-            b[:] = flat[pos : pos + b.size]
-            pos += b.size
-        if pos != flat.size:
-            raise ValidationError("flat parameter vector has wrong length")
-
-    def sgd_step(self, dWs, dbs, lr: float) -> None:
-        for W, dW in zip(self.weights, dWs):
-            W -= lr * dW
-        for b, db in zip(self.biases, dbs):
-            b -= lr * db
+    def sgd_step(self, grad: np.ndarray, lr: float) -> None:
+        """One descent step on every parameter, ``grad`` in the ``params`` layout."""
+        self.params -= lr * grad
 
     def to_arrays(self, prefix: str) -> dict:
         out = {f"{prefix}sizes": np.asarray(self.layer_sizes, dtype=int)}
@@ -154,9 +149,10 @@ class Net:
 
     @classmethod
     def from_arrays(cls, data, prefix: str) -> "Net":
-        net = cls(data[f"{prefix}sizes"].tolist(), seed=0)
+        net = cls.__new__(cls)  # no random init: the archive sets every parameter
+        net._allocate(data[f"{prefix}sizes"])
         for i, (W, b) in enumerate(zip(net.weights, net.biases)):
-            Wi, bi = np.array(data[f"{prefix}W{i}"]), np.array(data[f"{prefix}b{i}"])
+            Wi, bi = data[f"{prefix}W{i}"], data[f"{prefix}b{i}"]
             if (Wi.shape, bi.shape) != (W.shape, b.shape):
                 raise ValidationError(
                     f"{prefix}W{i}/{prefix}b{i} have shapes {Wi.shape}/{bi.shape}, "
@@ -164,7 +160,7 @@ class Net:
                 )
             if not (np.isfinite(Wi).all() and np.isfinite(bi).all()):
                 raise ValidationError(f"{prefix}W{i}/{prefix}b{i} hold non-finite values")
-            net.weights[i], net.biases[i] = Wi, bi
+            W[:], b[:] = Wi, bi
         return net
 
 
@@ -208,7 +204,7 @@ def bce_loss_and_dlogits(z: np.ndarray, targets: np.ndarray):
 
 
 def mlp_loss_and_gradients(net: Net, X: np.ndarray, targets: np.ndarray):
-    """Loss plus analytic parameter gradients for one batch."""
+    """Loss plus the analytic parameter gradient (``params`` layout) for one batch."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[0] == 0:
         raise ValidationError("empty batch")
@@ -272,8 +268,7 @@ def train_net(
         for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
             z, cache = net.forward_logits(X[idx], want_cache=True)
-            dWs, dbs = net.backward(cache, bce_dlogits_unchecked(z, targets[idx]))
-            net.sgd_step(dWs, dbs, cur_lr)
+            net.sgd_step(net.backward(cache, bce_dlogits_unchecked(z, targets[idx])), cur_lr)
         if eval_fn is not None:
             eval_curve.append(eval_fn(epoch))
         cur_lr *= LR_DECAY

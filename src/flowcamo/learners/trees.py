@@ -62,6 +62,8 @@ class _TreeArrays:
         for name in ("feature", "threshold", "left", "right"):
             check_shape(f"{what} {name}", getattr(self, name), (n,))
         check_shape(f"{what} dist", self.dist, (n, n_classes))
+        if not (np.isfinite(self.threshold).all() and np.isfinite(self.dist).all()):
+            raise ValidationError(f"{what} threshold/dist hold non-finite values")
         if not all(np.issubdtype(a.dtype, np.integer)
                    for a in (self.feature, self.left, self.right)):
             raise ValidationError(f"{what} feature, left and right must be integer arrays")

@@ -116,8 +116,7 @@ def reference_train_generator(g, sub, train, mode, epochs, seed=0, lr=0.01, anch
             dHp = bce_weight * sub.net.input_grad(sub_cache, dz) / sub.scaler.scale
             if anchor is not None:
                 dHp += anchor_weight * 2.0 * (Hp - anchor) * mut / anchor_scale2 / idx.size
-            dWs, dbs = reference_backward_to_params(g, grad_cache, dHp)
-            g.net.sgd_step(dWs, dbs, lr)
+            g.net.sgd_step(reference_backward_to_params(g, grad_cache, dHp), lr)
         lr *= lr_decay
         g.training_curve.append(float(np.mean(np.concatenate(successes))))
         recent = g.training_curve[-PLATEAU_WINDOW:]
@@ -233,13 +232,12 @@ class TestGeneratorGradients:
         unclipped = ~(at_lo | at_hi)
         Wmat = rng.normal(0, 1, size=Hp.shape) * mut * unclipped
         assert Wmat[:, mut].any(), "need some unclipped mutable coordinates"
-        dWs, dbs = g.backward_to_params(cache, Wmat)
-        analytic = np.concatenate([d.ravel() for d in dWs] + [d.ravel() for d in dbs])
+        analytic = g.backward_to_params(cache, Wmat)
 
-        p0 = g.net.get_flat_params()
+        p0 = g.net.params.copy()
 
         def value(flat):
-            g.net.set_flat_params(flat)
+            g.net.params[:] = flat
             return float(np.sum(Wmat * g.manipulate_batch(X, S)))
 
         eps = 1e-6
@@ -251,7 +249,7 @@ class TestGeneratorGradients:
             p[i] = p0[i] - eps
             vm = value(p)
             fd[i] = (vp - vm) / (2 * eps)
-        g.net.set_flat_params(p0)
+        g.net.params[:] = p0
         denom = max(np.abs(analytic).max(), np.abs(fd).max(), 1e-8)
         assert np.abs(analytic - fd).max() / denom < 1e-4
 
@@ -269,15 +267,13 @@ class TestGeneratorGradients:
         assert at_hi[0, j]
         outward = np.zeros_like(Hp)
         outward[:, j] = -1.0  # descent direction pushes higher: blocked
-        dWs, _ = g.backward_to_params(cache, outward)
-        assert all(np.all(d == 0.0) for d in dWs)
+        assert np.all(g.backward_to_params(cache, outward) == 0.0)
         inward = np.zeros_like(Hp)
         inward[:, j] = 1.0  # descent direction pulls back inside: passes
         # tanh is saturated so upstream gradient vanished anyway; unrail it.
         g2 = build_generator(pool_schema, small_dataset.X, seed=6)
         Hp2, cache2 = g2.manipulate_batch(X, S, want_grad_cache=True)
-        dWs2, _ = g2.backward_to_params(cache2, inward)
-        assert any(np.any(d != 0.0) for d in dWs2)
+        assert np.any(g2.backward_to_params(cache2, inward) != 0.0)
 
 
 class TestTraining:
@@ -318,9 +314,9 @@ class TestTraining:
         sub, _, _ = trained_sub
         train_pool, _ = small_split
         g = build_generator(pool_schema, train_pool.X, seed=7)
-        before = g.net.get_flat_params()
+        before = g.net.params.copy()
         train_generator(g, sub, train_pool, misidentify(), epochs=2, lr=0.0)
-        np.testing.assert_array_equal(before, g.net.get_flat_params())
+        np.testing.assert_array_equal(before, g.net.params)
         assert len(g.training_curve) > 1
 
     def test_spoof_target_out_of_range_rejected(self, pool_schema, trained_sub, small_split):
@@ -335,11 +331,11 @@ class TestTraining:
         sub, _, _ = trained_sub
         train_pool, _ = small_split
         g = build_generator(pool_schema, train_pool.X, seed=9)
-        before = g.net.get_flat_params()
+        before = g.net.params.copy()
         with pytest.raises(ValidationError, match="empty"):
             train_generator(g, sub, train_pool.take(np.arange(0)), misidentify(), epochs=3)
         assert g.training_curve == []
-        np.testing.assert_array_equal(before, g.net.get_flat_params())
+        np.testing.assert_array_equal(before, g.net.params)
 
     @pytest.mark.parametrize("spoofing", [False, True])
     def test_curve_is_the_success_under_each_epochs_training_noise(
@@ -510,7 +506,7 @@ class TestTrainingMatchesReference:
         got = g.backward_to_params(cache, dHp)
         assert _flat_bits([dHp, T, at_lo, at_hi, *layer_acts]) == before
         want = reference_backward_to_params(g, ref_cache, dHp)
-        assert _flat_bits(got[0] + got[1]) == _flat_bits(want[0] + want[1])
+        assert got.tobytes() == want.tobytes()
 
 
 class TestEvaluateAndIo:

@@ -205,6 +205,20 @@ TAMPERED = {
     "knn_k_not_scalar": ("knn", lambda a: {"k": np.asarray([1, 2])}, "k has shape"),
     "forest_n_trees_not_scalar": ("random_forest", lambda a: {"n_trees": np.asarray([2, 2])},
                                   "n_trees has shape"),
+    "mlp_sizes_2d": ("neural_net", lambda a: {"net_sizes": np.asarray([[28, 64], [64, 8]])},
+                     "layer sizes must be two or more positive integers"),
+    "mlp_sizes_scalar": ("neural_net", lambda a: {"net_sizes": np.asarray(28)},
+                         "layer sizes must be two or more positive integers"),
+    "mlp_sizes_zero_width": ("neural_net", lambda a: {"net_sizes": np.asarray([28, 0, 8])},
+                             "layer sizes must be two or more positive integers"),
+    "svm_W_nan": ("svm", _set_entry("W", np.nan), "svm W/b hold non-finite"),
+    "svm_b_inf": ("svm", _set_entry("b", np.inf), "svm W/b hold non-finite"),
+    "tree_threshold_nan": ("decision_tree", _set_first_split("t_threshold", np.nan),
+                           "decision_tree threshold/dist hold non-finite"),
+    "tree_dist_nan": ("decision_tree", _set_entry("t_dist", np.nan),
+                      "decision_tree threshold/dist hold non-finite"),
+    "forest_threshold_inf": ("random_forest", _set_first_split("t0_threshold", -np.inf),
+                             "random_forest tree 0 threshold/dist hold non-finite"),
 }
 
 
@@ -341,7 +355,11 @@ class TestCliWrongArchive:
         assert main(["train-substitute", "--data", f["data"], "--target", f["target"],
                      "--out", f["sub"], "--epochs", "2"]) == 0
         for name, edit in (("sub_schema_reversed", _reverse_schema),
-                           ("sub_empty_curve", lambda a: {"training_curve": np.zeros(0)})):
+                           ("sub_empty_curve", lambda a: {"training_curve": np.zeros(0)}),
+                           ("sub_zero_width", lambda a: {"net_sizes": np.asarray([28, 0, 8])}),
+                           # Finite, so they load, but the network output overflows.
+                           ("sub_huge_weights", lambda a: {"net_W0": a["net_W0"] * 1e200,
+                                                           "net_W1": a["net_W1"] * 1e200})):
             f[name] = str(d / f"{name}.npz")
             with np.load(f["sub"]) as data:
                 changes = edit(dict(data))
@@ -368,20 +386,35 @@ class TestCliWrongArchive:
         (lambda f: ["scan-features", "--data", f["data"], "--target", f["target"],
                     "--sub", f["sub_empty_curve"], "--L", "2", "--epochs", "1"],
          "training_curve must be non-empty"),
+        (lambda f: ["attack", "--data", f["data"], "--target", f["target"],
+                    "--sub", f["sub_zero_width"], "--epochs", "1"],
+         "sub_zero_width.npz: layer sizes must be two or more positive integers"),
     ], ids=["target_is_substitute", "sub_is_target", "generator_is_substitute",
             "attack_sub_schema_reversed", "attack_sub_on_a_feature_subset",
-            "scan_sub_empty_curve"])
+            "scan_sub_empty_curve", "attack_sub_zero_width_layer"])
     def test_exit_1_with_one_error_line(self, argv, message, files):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-        env["PYTHONPATH"] = os.pathsep.join(
-            [SRC] + [p for p in [env.get("PYTHONPATH")] if p]
-        )
-        proc = subprocess.run(
-            [sys.executable, "-m", "flowcamo.harness.cli", *argv(files), "--out", files["out"]],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
+        proc = _run_cli([*argv(files), "--out", files["out"]])
         assert proc.returncode == 1, proc.stderr
         assert "Traceback" not in proc.stderr
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
         assert message in lines[0]
+
+    def test_numeric_failure_exits_2_with_one_error_line(self, files):
+        proc = _run_cli(["attack", "--data", files["data"], "--target", files["target"],
+                         "--sub", files["sub_huge_weights"], "--epochs", "1",
+                         "--out", files["out"]])
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        # numpy's overflow warnings may come first; the error is one last line.
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("error: ")]
+        assert errors == [proc.stderr.splitlines()[-1]], proc.stderr
+        assert "non-finite network output" in errors[0]
+
+
+def _run_cli(argv):
+    """``python -m flowcamo.harness.cli`` in a child process, as a user runs it."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join([SRC] + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, "-m", "flowcamo.harness.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=120)

@@ -101,23 +101,11 @@ class TestParameterGradients:
             n = int(rng.integers(1, 5))
             X = rng.normal(0, 1, size=(n, sizes[0]))
             while relu_kink_margin(net, X) < 1e-4:
-                net.set_flat_params(
-                    net.get_flat_params() + rng.normal(0, 1e-3, net.get_flat_params().size)
-                )
+                net.params += rng.normal(0, 1e-3, net.params.size)
             T = one_hot(rng.integers(0, sizes[-1], size=n), sizes[-1])
-            _, (dWs, dbs) = mlp_loss_and_gradients(net, X, T)
-            analytic = np.concatenate(
-                [d.ravel() for d in dWs] + [d.ravel() for d in dbs]
-            )
-            p0 = net.get_flat_params()
-
-            def loss_at(flat):
-                net.set_flat_params(flat)
-                val, _ = mlp_loss_and_gradients(net, X, T)
-                return val
-
-            fd = central_diff(loss_at, p0.copy())
-            net.set_flat_params(p0)
+            _, analytic = mlp_loss_and_gradients(net, X, T)
+            # Perturbs net.params in place, entry by entry.
+            fd = central_diff(lambda _: mlp_loss_and_gradients(net, X, T)[0], net.params)
             assert rel_err(analytic, fd) < 1e-4, f"trial {trial}"
 
     def test_input_gradients_twenty_networks(self):
@@ -146,24 +134,23 @@ class TestParameterGradients:
 class TestNetPlumbing:
     def test_flat_params_round_trip(self):
         net = Net([3, 5, 2], seed=0)
-        p = net.get_flat_params()
         other = Net([3, 5, 2], seed=99)
-        other.set_flat_params(p)
+        other.params[:] = net.params
         X = np.random.default_rng(0).normal(size=(4, 3))
         np.testing.assert_array_equal(net.forward_logits(X), other.forward_logits(X))
 
-    def test_wrong_flat_length_rejected(self):
-        with pytest.raises(ValidationError):
-            Net([3, 2], seed=0).set_flat_params(np.zeros(3))
+    @pytest.mark.parametrize("sizes", [[5], [[3, 5], [5, 2]], 3, [3, 0, 2], [3, -1, 2],
+                                       [3.0, 2.0], [True, True]],
+                             ids=["one_size", "2d", "scalar", "zero_width", "negative",
+                                  "float", "bool"])
+    def test_malformed_layer_sizes_rejected(self, sizes):
+        with pytest.raises(ValidationError, match="two or more positive integers"):
+            Net(sizes, seed=0)
 
     def test_zero_init_last_starts_at_zero_output(self):
         net = Net([4, 8, 3], seed=0, zero_init_last=True)
         X = np.random.default_rng(1).normal(size=(6, 4))
         np.testing.assert_array_equal(net.forward_logits(X), np.zeros((6, 3)))
-
-    def test_single_layer_rejected(self):
-        with pytest.raises(ValidationError):
-            Net([5], seed=0)
 
     @pytest.mark.parametrize("targets, error", [
         (np.zeros((6, 2)), ValidationError),  # one class short
@@ -172,11 +159,11 @@ class TestNetPlumbing:
     ])
     def test_train_net_checks_targets_once_up_front(self, targets, error):
         net = Net([4, 5, 3], seed=0)
-        before = net.get_flat_params()
+        before = net.params.copy()
         X = np.random.default_rng(0).normal(size=(6, 4))
         with pytest.raises(error):
             train_net(net, X, targets, epochs=2, lr=0.1, batch_size=4, seed=0)
-        np.testing.assert_array_equal(net.get_flat_params(), before)
+        np.testing.assert_array_equal(net.params, before)
 
     def test_one_hot(self):
         T = one_hot(np.array([1, 0, 2]), 3)
@@ -233,6 +220,10 @@ def full_backward(net, cache, d_logits):
         if i > 0:
             d = d * (cache[i] > 0)
     return dWs, dbs, d
+
+
+def flat(arrays):
+    return np.concatenate([np.ravel(a) for a in arrays])
 
 
 def same_bits(a, b):
@@ -321,10 +312,29 @@ class TestAgainstEarlierAlgorithms:
         assert len(cache) == len(cache_ref)
         assert all(same_bits(a, b) for a, b in zip(cache, cache_ref))
         dWs_ref, dbs_ref, dX_ref = full_backward(net, cache_ref, d)
-        dWs, dbs = net.backward(cache, d)
-        assert all(same_bits(a, b) for a, b in zip(dWs, dWs_ref))
-        assert all(same_bits(a, b) for a, b in zip(dbs, dbs_ref))
+        assert same_bits(net.backward(cache, d), flat(dWs_ref + dbs_ref))
         assert same_bits(net.input_grad(cache, d), dX_ref)
+
+    @settings(max_examples=200, deadline=None)
+    @given(net_cases(), st.floats(1e-4, 1.0))
+    def test_vector_step_matches_per_layer_steps(self, case, lr):
+        """[DERIVED] the earlier per-layer step: the list-returning backward,
+        then W -= lr*dW and b -= lr*db for each layer. A net loaded through
+        from_arrays steps the same, so its views alias its params."""
+        net, X, d = case
+        _, cache = net.forward_logits(X, want_cache=True)
+        dWs, dbs, _ = full_backward(net, cache, d)
+        Ws, bs = [W.copy() for W in net.weights], [b.copy() for b in net.biases]
+        for W, dW in zip(Ws, dWs):
+            W -= lr * dW
+        for b, db in zip(bs, dbs):
+            b -= lr * db
+        loaded = Net.from_arrays({k: np.array(v) for k, v in net.to_arrays("n_").items()}, "n_")
+        for stepped in (net, loaded):
+            stepped.sgd_step(stepped.backward(cache, d), lr)
+            assert same_bits(stepped.params, flat(Ws + bs))
+            assert all(same_bits(a, b) for a, b in zip(stepped.weights + stepped.biases, Ws + bs))
+        assert same_bits(loaded.forward_logits(X), net.forward_logits(X))
 
     def test_single_layer_net(self):
         """[in, out]: no hidden layer, so no ReLU mask anywhere."""
@@ -333,7 +343,6 @@ class TestAgainstEarlierAlgorithms:
         d = np.random.default_rng(6).normal(size=(4, 2))
         _, cache = net.forward_logits(X, want_cache=True)
         dWs, dbs, dX = full_backward(net, cache, d)
-        got_W, got_b = net.backward(cache, d)
-        assert same_bits(got_W[0], dWs[0]) and same_bits(got_b[0], dbs[0])
+        assert same_bits(net.backward(cache, d), flat(dWs + dbs))
         assert same_bits(net.input_grad(cache, d), dX)
         assert same_bits(net.input_grad(cache, d), d @ net.weights[0].T)

@@ -228,8 +228,6 @@ class TestPersistence:
         save_substitute(base_sub, path)
         loaded = load_substitute(path)
         np.testing.assert_array_equal(loaded.predict_ids(train.X), base_sub.predict_ids(train.X))
-        np.testing.assert_array_equal(
-            loaded.net.get_flat_params(), base_sub.net.get_flat_params()
-        )
+        np.testing.assert_array_equal(loaded.net.params, base_sub.net.params)
         assert loaded.schema == base_sub.schema
         assert loaded.agreement == base_sub.agreement
