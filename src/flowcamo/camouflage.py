@@ -27,7 +27,7 @@ from .core import (
     identification_rate,
     spoofing_rate,
 )
-from .learners import ClassifierModel, Net, Scaler, bce_dlogits_unchecked, one_hot
+from .learners import ClassifierModel, Net, Scaler, bce_dlogits, one_hot
 from .learners.base import check_shape
 from .learners.io import load_archive, save_archive
 from .substitute import SubstituteModel
@@ -281,12 +281,12 @@ def train_generator(
             pred = np.argmax(z, axis=1)
             if misidentify_mode:
                 hits += np.count_nonzero(pred != orig_labels[idx])
-                dz = bce_dlogits_unchecked(z, targets[idx])
+                dz = bce_dlogits(z, targets[idx])
                 np.negative(dz, out=dz)  # ascend the loss against the frozen labels
             else:
                 spoofed = pred == mode.target.id
                 hits += np.count_nonzero(spoofed)
-                dz = bce_dlogits_unchecked(z, targets[: idx.size])
+                dz = bce_dlogits(z, targets[: idx.size])
                 dz[spoofed] = 0.0
             dHp = sub.net.input_grad(sub_cache, dz)
             dHp *= ce_weight

@@ -3,10 +3,6 @@ from .knn import KnnClassifier
 from .mlp import (
     Net,
     bce_dlogits,
-    bce_dlogits_unchecked,
-    bce_loss_and_dlogits,
-    mlp_input_gradient,
-    mlp_loss_and_gradients,
     one_hot,
     sigmoid,
     stable_scores,
@@ -26,10 +22,6 @@ __all__ = [
     "KnnClassifier",
     "Net",
     "bce_dlogits",
-    "bce_dlogits_unchecked",
-    "bce_loss_and_dlogits",
-    "mlp_input_gradient",
-    "mlp_loss_and_gradients",
     "one_hot",
     "sigmoid",
     "stable_scores",

@@ -12,6 +12,10 @@ DISTANCE_CHUNK_ELEMENTS = 2**18
 # Neighbours voting in the knn target kind. The constructor takes any k,
 # because an archive carries its own.
 NEIGHBOURS = 5
+# Widest feature set the constructor takes. From 32 features on, BLAS can
+# round a query's distances differently by the height of its block, so its
+# scores would depend on the other rows sent with it.
+MAX_FEATURES = 31
 
 
 def _blocks(n: int, rows: int) -> list:
@@ -31,6 +35,8 @@ class KnnClassifier(ClassifierModel):
 
     def __init__(self, schema, class_labels, scaler, train_X, train_y, k):
         super().__init__(schema, class_labels)
+        if len(schema) > MAX_FEATURES:
+            raise ValidationError(f"knn takes at most {MAX_FEATURES} features, got {len(schema)}")
         if train_y.ndim != 1:
             raise ValidationError(f"knn train_y must be 1-D, got shape {train_y.shape}")
         check_shape("knn train_X", train_X, (train_y.shape[0], len(schema)))
@@ -50,8 +56,8 @@ class KnnClassifier(ClassifierModel):
         # is built in place with the same rounding as the plain expression.
         # Zero columns pad -2 t^T to a multiple of 16 training rows, so BLAS
         # computes every real column with its main kernel: copies of a
-        # training row get equal distances, and under 32 features a row's
-        # distances round alike whatever the block height.
+        # training row get equal distances, and (up to ``MAX_FEATURES``) a
+        # row's distances round alike whatever the block height.
         m = train_X.shape[0]
         neg2_train = np.zeros((m + -m % 16, train_X.shape[1]))
         neg2_train[:m] = -2.0 * train_X
@@ -83,8 +89,8 @@ class KnnClassifier(ClassifierModel):
         feature space; ties at the k-th distance go to the earlier
         training row, so copies of a training row tie at any training
         size. Row ``i`` of the result is the per-class count of those k
-        neighbours divided by k; under 32 features it has the same bits
-        whichever other rows are sent with it.
+        neighbours divided by k; it has the same bits whichever other rows
+        are sent with it.
         """
         X = self._check(X)
         n = X.shape[0]

@@ -56,15 +56,17 @@ class Net:
         seed: int = 0,
         zero_init_last: bool = False,
     ):
-        self._allocate(layer_sizes)
+        self._set_layout(layer_sizes)
+        self.params = np.zeros(self._layout[-1][0].stop)
+        self.weights, self.biases = self._views(self.params)
         rng = np.random.default_rng(seed)
         for W in self.weights[:-1] if zero_init_last else self.weights:
             bound = 1.0 / np.sqrt(W.shape[0])
             W[:] = rng.uniform(-bound, bound, size=W.shape)
 
-    def _allocate(self, layer_sizes) -> None:
-        """Zero ``params`` for ``layer_sizes``, its per-layer views, and
-        ``_layout``: each array's (slice, shape) in it, which ``backward`` reuses."""
+    def _set_layout(self, layer_sizes) -> None:
+        """Check ``layer_sizes`` and set them, with ``_layout``: each weight's,
+        then each bias's (slice, shape) in ``params``, which ``backward`` reuses."""
         sizes = np.asarray(layer_sizes)
         if (sizes.ndim != 1 or sizes.size < 2 or sizes.dtype.kind not in "iu"
                 or (sizes < 1).any()):
@@ -75,8 +77,6 @@ class Net:
         shapes = [*zip(sizes, sizes[1:]), *((s,) for s in sizes[1:])]
         stops = list(accumulate(math.prod(shape) for shape in shapes))
         self._layout = [(slice(a, b), shape) for a, b, shape in zip([0, *stops], stops, shapes)]
-        self.params = np.zeros(stops[-1])
-        self.weights, self.biases = self._views(self.params)
 
     def _views(self, vec: np.ndarray) -> Tuple[List[np.ndarray], List[np.ndarray]]:
         """Per-layer (weights, biases) views of a vector in the ``params`` layout."""
@@ -94,12 +94,15 @@ class Net:
         acts = [X]
         h = X
         last = len(self.weights) - 1
-        for i, (W, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ W
-            h += b
-            if i != last:
-                np.maximum(h, 0.0, out=h)
-                acts.append(h)
+        # An overflow surfaces once, as the NumericError below, not first as
+        # numpy's RuntimeWarnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, (W, b) in enumerate(zip(self.weights, self.biases)):
+                h = h @ W
+                h += b
+                if i != last:
+                    np.maximum(h, 0.0, out=h)
+                    acts.append(h)
         if not np.isfinite(h).all():
             raise NumericError("non-finite network output")
         z = h[0] if squeeze else h
@@ -150,90 +153,34 @@ class Net:
     @classmethod
     def from_arrays(cls, data, prefix: str) -> "Net":
         net = cls.__new__(cls)  # no random init: the archive sets every parameter
-        net._allocate(data[f"{prefix}sizes"])
-        for i, (W, b) in enumerate(zip(net.weights, net.biases)):
-            Wi, bi = data[f"{prefix}W{i}"], data[f"{prefix}b{i}"]
-            if (Wi.shape, bi.shape) != (W.shape, b.shape):
+        net._set_layout(data[f"{prefix}sizes"])
+        n = len(net.layer_sizes) - 1
+        arrays = [np.asarray(data[f"{prefix}{p}{i}"]) for p in "Wb" for i in range(n)]
+        # Checked before ``params`` is allocated: sizes the arrays miss ask for no memory.
+        for i in range(n):
+            Wi, bi = arrays[i], arrays[n + i]
+            W_shape, b_shape = net._layout[i][1], net._layout[n + i][1]
+            if (Wi.shape, bi.shape) != (W_shape, b_shape):
                 raise ValidationError(
                     f"{prefix}W{i}/{prefix}b{i} have shapes {Wi.shape}/{bi.shape}, "
-                    f"expected {W.shape}/{b.shape} from the sizes"
+                    f"expected {W_shape}/{b_shape} from the sizes"
                 )
             if not (np.isfinite(Wi).all() and np.isfinite(bi).all()):
                 raise ValidationError(f"{prefix}W{i}/{prefix}b{i} hold non-finite values")
-            W[:], b[:] = Wi, bi
+        net.params = np.concatenate([a.ravel() for a in arrays], dtype=float)
+        net.weights, net.biases = net._views(net.params)
         return net
 
 
 def bce_dlogits(z: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Gradient of ``bce_loss_and_dlogits``'s loss w.r.t. the logits only."""
-    z = np.atleast_2d(np.asarray(z, dtype=float))
-    t = np.atleast_2d(np.asarray(targets, dtype=float))
-    if z.shape != t.shape:
-        raise ValidationError(f"logit/target shape mismatch {z.shape} vs {t.shape}")
-    if not np.isfinite(z).all() or not np.isfinite(t).all():
-        raise NumericError("non-finite loss inputs")
-    return bce_dlogits_unchecked(z, t)
-
-
-def bce_dlogits_unchecked(z: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """``bce_dlogits`` of 2-D float arrays, without its shape and finiteness
-    checks: for training loops whose targets are checked or built once and
-    whose ``z`` comes from ``Net.forward_logits``, which rejects non-finite
-    logits."""
+    """Logit gradient of the per-class binary cross-entropy against sigmoid(z),
+    summed over classes and averaged over rows. Unchecked: ``targets`` (built
+    once by the caller) and ``z`` (from ``Net.forward_logits``, which rejects
+    non-finite logits) are 2-D float arrays of one shape."""
     dz = sigmoid(z)
     dz -= targets
     dz /= z.shape[0]
     return dz
-
-
-def bce_loss_and_dlogits(z: np.ndarray, targets: np.ndarray):
-    """Per-class binary cross-entropy against sigmoid(z).
-
-    Summed over output classes and averaged over rows, so the gradient
-    magnitude is independent of both batch size and class count. Uses the
-    log-sum-exp form so the loss and gradient stay finite for any finite
-    logits. Gradient is w.r.t. the logits.
-    """
-    dz = bce_dlogits(z, targets)
-    z = np.atleast_2d(np.asarray(z, dtype=float))
-    t = np.atleast_2d(np.asarray(targets, dtype=float))
-    # softplus(z) - t*z  ==  -t*log(s) - (1-t)*log(1-s)
-    softplus = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
-    loss = float(np.sum(softplus - t * z) / z.shape[0])
-    return loss, dz
-
-
-def mlp_loss_and_gradients(net: Net, X: np.ndarray, targets: np.ndarray):
-    """Loss plus the analytic parameter gradient (``params`` layout) for one batch."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[0] == 0:
-        raise ValidationError("empty batch")
-    z, cache = net.forward_logits(X, want_cache=True)
-    loss, dz = bce_loss_and_dlogits(z, targets)
-    return loss, net.backward(cache, dz)
-
-
-def mlp_input_gradient(
-    net: Net,
-    x: np.ndarray,
-    objective: Callable[[np.ndarray], Tuple[float, np.ndarray]],
-) -> np.ndarray:
-    """Gradient of a scalar objective of the sigmoid scores w.r.t. the input.
-
-    ``objective(scores) -> (value, d_value/d_scores)``.
-    """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    X = x[None, :] if single else x
-    z, cache = net.forward_logits(X, want_cache=True)
-    s = sigmoid(z)
-    _, ds = objective(s[0] if single else s)
-    ds = np.atleast_2d(np.asarray(ds, dtype=float))
-    dz = ds * s * (1.0 - s)
-    dX = net.input_grad(cache, dz)
-    if not np.isfinite(dX).all():
-        raise NumericError("non-finite input gradient")
-    return dX[0] if single else dX
 
 
 def train_net(
@@ -268,7 +215,7 @@ def train_net(
         for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
             z, cache = net.forward_logits(X[idx], want_cache=True)
-            net.sgd_step(net.backward(cache, bce_dlogits_unchecked(z, targets[idx])), cur_lr)
+            net.sgd_step(net.backward(cache, bce_dlogits(z, targets[idx])), cur_lr)
         if eval_fn is not None:
             eval_curve.append(eval_fn(epoch))
         cur_lr *= LR_DECAY

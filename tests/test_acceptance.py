@@ -32,13 +32,9 @@ import pytest
 from flowcamo.blackbox import make_oracle
 from flowcamo.camouflage import sample_multipliers
 from flowcamo.harness.experiment import ExperimentConfig, run_experiment
-from flowcamo.learners import (
-    Net,
-    mlp_input_gradient,
-    mlp_loss_and_gradients,
-    one_hot,
-    sigmoid,
-)
+from flowcamo.learners import Net, bce_dlogits, one_hot
+
+from finite_diff import bce_loss, central_diff, rel_err, relu_kink_margin
 
 REQUIRED_SPOOF_PAIRS = [
     ("camera", "hub"), ("hub", "camera"),
@@ -191,32 +187,19 @@ class TestAcceptance:
             net = Net(sizes, seed=trial)
             n = int(rng.integers(1, 5))
             X = rng.normal(0, 1, size=(n, sizes[0]))
-            while _kink_margin(net, X) < 1e-4:
+            while relu_kink_margin(net, X) < 1e-4:
                 X = rng.normal(0, 1, size=(n, sizes[0]))
             T = one_hot(rng.integers(0, sizes[-1], size=n), sizes[-1])
 
-            _, analytic = mlp_loss_and_gradients(net, X, T)
+            # The path training runs: logits, BCE logit gradient, backprop.
+            z, cache = net.forward_logits(X, want_cache=True)
+            dz = bce_dlogits(z, T)
+            analytic, dX = net.backward(cache, dz), net.input_grad(cache, dz)
             # Perturbs net.params in place, entry by entry.
-            fd = _central_diff(lambda _: mlp_loss_and_gradients(net, X, T)[0], net.params)
-            worst_param = max(worst_param, _rel_err(analytic, fd))
-
-            w = rng.normal(0, 1, size=sizes[-1])
-
-            def objective(s, w=w):
-                return float(np.sum(w * s)), w * np.ones_like(s)
-
-            dX = mlp_input_gradient(net, X, objective)
-            fdX = np.zeros_like(X)
-            eps = 1e-6
-            for r in range(n):
-                for c in range(sizes[0]):
-                    Xp, Xm = X.copy(), X.copy()
-                    Xp[r, c] += eps
-                    Xm[r, c] -= eps
-                    fp = float(np.sum(w * sigmoid(net.forward_logits(Xp))))
-                    fm = float(np.sum(w * sigmoid(net.forward_logits(Xm))))
-                    fdX[r, c] = (fp - fm) / (2 * eps)
-            worst_input = max(worst_input, _rel_err(dX, fdX))
+            fd = central_diff(lambda _: bce_loss(net.forward_logits(X), T), net.params)
+            worst_param = max(worst_param, rel_err(analytic, fd))
+            fdX = central_diff(lambda XX: bce_loss(net.forward_logits(XX), T), X.copy())
+            worst_input = max(worst_input, rel_err(dX, fdX))
 
         grad_ok = worst_param < 1e-4 and worst_input < 1e-4
 
@@ -275,31 +258,3 @@ class TestAcceptance:
         )
         assert ok
 
-
-def _rel_err(a, b):
-    denom = max(np.abs(a).max(), np.abs(b).max(), 1e-8)
-    return np.abs(a - b).max() / denom
-
-
-def _central_diff(f, x, eps=1e-6):
-    g = np.zeros_like(x)
-    for i in range(x.size):
-        orig = x[i]
-        x[i] = orig + eps
-        fp = f(x)
-        x[i] = orig - eps
-        fm = f(x)
-        x[i] = orig
-        g[i] = (fp - fm) / (2 * eps)
-    return g
-
-
-def _kink_margin(net, X):
-    h = X
-    margin = np.inf
-    for i, (W, b) in enumerate(zip(net.weights, net.biases)):
-        pre = h @ W + b
-        if i < len(net.weights) - 1:
-            margin = min(margin, float(np.abs(pre).min()))
-            h = np.maximum(pre, 0.0)
-    return margin

@@ -155,6 +155,18 @@ def _grow_last_layer(a):
             f"net_W{last}": np.hstack([W, W[:, :1]]), f"net_b{last}": np.append(b, 0.0)}
 
 
+def _widen_to_32_features(a):
+    """A knn archive padded with zero features to 32, the width from which
+    its scores can depend on the batch."""
+    schema = json.loads(str(a["schema_json"]))
+    extra = 32 - len(schema)
+    schema += [dict(schema[0], name=f"pad{i}") for i in range(extra)]
+    return {"schema_json": np.asarray(json.dumps(schema)),
+            "scaler_mean": np.append(a["scaler_mean"], np.zeros(extra)),
+            "scaler_scale": np.append(a["scaler_scale"], np.ones(extra)),
+            "train_X": np.hstack([a["train_X"], np.zeros((len(a["train_X"]), extra))])}
+
+
 def _set_entry(key, value):
     """Rewrite the first entry of array ``key``."""
     def edit(a):
@@ -203,6 +215,7 @@ TAMPERED = {
     "svm_class_labels_0d": ("svm", lambda a: {"class_labels": np.asarray("a")},
                             "class_labels has shape"),
     "knn_k_not_scalar": ("knn", lambda a: {"k": np.asarray([1, 2])}, "k has shape"),
+    "knn_32_features": ("knn", _widen_to_32_features, "knn takes at most 31 features, got 32"),
     "forest_n_trees_not_scalar": ("random_forest", lambda a: {"n_trees": np.asarray([2, 2])},
                                   "n_trees has shape"),
     "mlp_sizes_2d": ("neural_net", lambda a: {"net_sizes": np.asarray([[28, 64], [64, 8]])},
@@ -211,6 +224,9 @@ TAMPERED = {
                          "layer sizes must be two or more positive integers"),
     "mlp_sizes_zero_width": ("neural_net", lambda a: {"net_sizes": np.asarray([28, 0, 8])},
                              "layer sizes must be two or more positive integers"),
+    # Sizes of a 7.28 TiB net: the shapes must be checked before allocating.
+    "mlp_sizes_past_memory": ("neural_net", lambda a: {"net_sizes": np.asarray(
+        [a["net_sizes"][0], 10**6, 10**6, a["net_sizes"][-1]])}, "net_W0/net_b0 have shapes"),
     "svm_W_nan": ("svm", _set_entry("W", np.nan), "svm W/b hold non-finite"),
     "svm_b_inf": ("svm", _set_entry("b", np.inf), "svm W/b hold non-finite"),
     "tree_threshold_nan": ("decision_tree", _set_first_split("t_threshold", np.nan),
@@ -357,6 +373,9 @@ class TestCliWrongArchive:
         for name, edit in (("sub_schema_reversed", _reverse_schema),
                            ("sub_empty_curve", lambda a: {"training_curve": np.zeros(0)}),
                            ("sub_zero_width", lambda a: {"net_sizes": np.asarray([28, 0, 8])}),
+                           # Sizes of a 7.28 TiB net that the arrays do not match.
+                           ("sub_huge_sizes", lambda a: {"net_sizes": np.asarray(
+                               [28, 10**6, 10**6, a["net_sizes"][-1]])}),
                            # Finite, so they load, but the network output overflows.
                            ("sub_huge_weights", lambda a: {"net_W0": a["net_W0"] * 1e200,
                                                            "net_W1": a["net_W1"] * 1e200})):
@@ -389,9 +408,13 @@ class TestCliWrongArchive:
         (lambda f: ["attack", "--data", f["data"], "--target", f["target"],
                     "--sub", f["sub_zero_width"], "--epochs", "1"],
          "sub_zero_width.npz: layer sizes must be two or more positive integers"),
+        (lambda f: ["attack", "--data", f["data"], "--target", f["target"],
+                    "--sub", f["sub_huge_sizes"], "--epochs", "1"],
+         "sub_huge_sizes.npz: net_W0/net_b0 have shapes (28, 64)/(64,)"),
     ], ids=["target_is_substitute", "sub_is_target", "generator_is_substitute",
             "attack_sub_schema_reversed", "attack_sub_on_a_feature_subset",
-            "scan_sub_empty_curve", "attack_sub_zero_width_layer"])
+            "scan_sub_empty_curve", "attack_sub_zero_width_layer",
+            "attack_sub_sizes_past_memory"])
     def test_exit_1_with_one_error_line(self, argv, message, files):
         proc = _run_cli([*argv(files), "--out", files["out"]])
         assert proc.returncode == 1, proc.stderr
@@ -405,11 +428,10 @@ class TestCliWrongArchive:
                          "--sub", files["sub_huge_weights"], "--epochs", "1",
                          "--out", files["out"]])
         assert proc.returncode == 2, proc.stderr
-        assert "Traceback" not in proc.stderr
-        # numpy's overflow warnings may come first; the error is one last line.
-        errors = [line for line in proc.stderr.splitlines() if line.startswith("error: ")]
-        assert errors == [proc.stderr.splitlines()[-1]], proc.stderr
-        assert "non-finite network output" in errors[0]
+        # One error line, with no numpy overflow warnings before it.
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+        assert "non-finite network output" in lines[0]
 
 
 def _run_cli(argv):

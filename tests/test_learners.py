@@ -283,6 +283,21 @@ def knn_real_cases(draw):
     return ds, k, np.clip(Q, -999.0, 999.0), block_rows
 
 
+class TestKnnWidth:
+    """Batch independence holds only under 32 features, so wider knns are
+    rejected (``test_io`` covers a 32-feature archive)."""
+
+    def test_31_features_accepted(self, tmp_path):
+        model = real_knn(np.random.default_rng(0), 40, 31)
+        path = str(tmp_path / "knn.npz")
+        save_model(model, path)
+        assert load_model(path).train_X.shape == (40, 31)
+
+    def test_32_features_rejected(self):
+        with pytest.raises(ValidationError, match="knn takes at most 31 features, got 32"):
+            real_knn(np.random.default_rng(0), 40, 32)
+
+
 class TestKnnBlocks:
     @settings(max_examples=60, deadline=None)
     @given(knn_real_cases())

@@ -7,90 +7,40 @@ from hypothesis import strategies as st
 from flowcamo.core import NumericError, ValidationError
 from flowcamo.learners import (
     Net,
-    bce_loss_and_dlogits,
-    mlp_input_gradient,
-    mlp_loss_and_gradients,
+    bce_dlogits,
     one_hot,
     sigmoid,
     train_net,
 )
 
-
-def rel_err(a, b):
-    denom = max(np.abs(a).max(), np.abs(b).max(), 1e-8)
-    return np.abs(a - b).max() / denom
-
-
-def central_diff(f, x, eps=1e-6):
-    """[DERIVED] independent central finite-difference oracle."""
-    x = np.asarray(x, dtype=float)
-    g = np.zeros_like(x)
-    flat = x.ravel()
-    gf = g.ravel()
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        fp = f(x)
-        flat[i] = orig - eps
-        fm = f(x)
-        flat[i] = orig
-        gf[i] = (fp - fm) / (2 * eps)
-    return g
+from finite_diff import bce_loss, central_diff, rel_err, relu_kink_margin
 
 
 class TestBceOracle:
-    def test_loss_value_hand_computed(self):
-        # [DERIVED] single logit z=0, target 1: loss = -log(sigmoid(0)) = log 2.
-        loss, dz = bce_loss_and_dlogits(np.array([[0.0]]), np.array([[1.0]]))
-        assert loss == pytest.approx(np.log(2.0))
-        assert dz[0, 0] == pytest.approx(0.5 - 1.0)
-
-    def test_loss_matches_naive_formula(self):
-        rng = np.random.default_rng(0)
-        z = rng.normal(0, 3, size=(7, 5))
-        t = one_hot(rng.integers(0, 5, size=7), 5)
-        loss, _ = bce_loss_and_dlogits(z, t)
-        s = sigmoid(z)
-        naive = -np.sum(t * np.log(s) + (1 - t) * np.log(1 - s)) / z.shape[0]
-        assert loss == pytest.approx(naive, rel=1e-10)
+    def test_dlogits_hand_computed(self):
+        # [DERIVED] logits 0 and 2 against targets 1 and 0 over two rows:
+        # (sigmoid(z) - t) / 2.
+        dz = bce_dlogits(np.array([[0.0], [2.0]]), np.array([[1.0], [0.0]]))
+        np.testing.assert_allclose(dz, [[-0.25], [0.5 / (1.0 + np.exp(-2.0))]], rtol=1e-15)
 
     def test_extreme_logits_stay_finite(self):
         z = np.array([[800.0, -800.0]])
         t = np.array([[0.0, 1.0]])
-        loss, dz = bce_loss_and_dlogits(z, t)
-        assert np.isfinite(loss) and np.isfinite(dz).all()
+        np.testing.assert_array_equal(bce_dlogits(z, t), [[1.0, -1.0]])
 
     def test_gradient_matches_finite_difference(self):
         rng = np.random.default_rng(1)
         z = rng.normal(0, 2, size=(4, 3))
         t = one_hot(rng.integers(0, 3, size=4), 3)
-        _, dz = bce_loss_and_dlogits(z, t)
-        fd = central_diff(lambda zz: bce_loss_and_dlogits(zz, t)[0], z.copy())
+        dz = bce_dlogits(z, t)
+        fd = central_diff(lambda zz: bce_loss(zz, t), z.copy())
         assert rel_err(dz, fd) < 1e-6
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValidationError):
-            bce_loss_and_dlogits(np.zeros((2, 3)), np.zeros((2, 4)))
-
-    def test_nan_rejected(self):
-        with pytest.raises(NumericError):
-            bce_loss_and_dlogits(np.array([[np.nan]]), np.array([[1.0]]))
-
-
-def relu_kink_margin(net, X):
-    """Smallest |pre-activation| over hidden units; finite differences are
-    only valid away from the ReLU kinks."""
-    h = X
-    margin = np.inf
-    for i, (W, b) in enumerate(zip(net.weights, net.biases)):
-        pre = h @ W + b
-        if i < len(net.weights) - 1:
-            margin = min(margin, float(np.abs(pre).min()))
-            h = np.maximum(pre, 0.0)
-    return margin
 
 
 class TestParameterGradients:
+    """The path training runs: ``forward_logits(..., want_cache=True)``, then
+    ``bce_dlogits``, then ``Net.backward`` or ``Net.input_grad``."""
+
     def test_twenty_random_small_networks(self):
         """Parameter gradients match central differences (<1e-4 relative)."""
         rng = np.random.default_rng(42)
@@ -103,31 +53,27 @@ class TestParameterGradients:
             while relu_kink_margin(net, X) < 1e-4:
                 net.params += rng.normal(0, 1e-3, net.params.size)
             T = one_hot(rng.integers(0, sizes[-1], size=n), sizes[-1])
-            _, analytic = mlp_loss_and_gradients(net, X, T)
+            z, cache = net.forward_logits(X, want_cache=True)
+            analytic = net.backward(cache, bce_dlogits(z, T))
             # Perturbs net.params in place, entry by entry.
-            fd = central_diff(lambda _: mlp_loss_and_gradients(net, X, T)[0], net.params)
+            fd = central_diff(lambda _: bce_loss(net.forward_logits(X), T), net.params)
             assert rel_err(analytic, fd) < 1e-4, f"trial {trial}"
 
     def test_input_gradients_twenty_networks(self):
-        """Input gradients via a scores objective match central differences."""
+        """Input gradients of the loss match central differences."""
         rng = np.random.default_rng(7)
         for trial in range(20):
             k = int(rng.integers(2, 6))
             out = int(rng.integers(2, 5))
+            n = int(rng.integers(1, 5))
             net = Net([k, int(rng.integers(3, 7)), out], seed=100 + trial)
-            w = rng.normal(0, 1, size=out)
-            x = rng.normal(0, 1, size=k)
-            while relu_kink_margin(net, x[None, :]) < 1e-4:
-                x = rng.normal(0, 1, size=k)
-
-            def objective(s):
-                return float(np.sum(w * s)), w * np.ones_like(s)
-
-            analytic = mlp_input_gradient(net, x, objective)
-            fd = central_diff(
-                lambda xx: float(np.sum(w * sigmoid(net.forward_logits(xx)))),
-                x.copy(),
-            )
+            X = rng.normal(0, 1, size=(n, k))
+            while relu_kink_margin(net, X) < 1e-4:
+                X = rng.normal(0, 1, size=(n, k))
+            T = one_hot(rng.integers(0, out, size=n), out)
+            z, cache = net.forward_logits(X, want_cache=True)
+            analytic = net.input_grad(cache, bce_dlogits(z, T))
+            fd = central_diff(lambda XX: bce_loss(net.forward_logits(XX), T), X.copy())
             assert rel_err(analytic, fd) < 1e-4, f"trial {trial}"
 
 
@@ -146,6 +92,14 @@ class TestNetPlumbing:
     def test_malformed_layer_sizes_rejected(self, sizes):
         with pytest.raises(ValidationError, match="two or more positive integers"):
             Net(sizes, seed=0)
+
+    def test_overflowing_forward_raises_numeric_error(self):
+        """Only the typed error: no RuntimeWarning comes first (the suite
+        turns those into errors)."""
+        net = Net([4, 8, 3], seed=0)
+        net.params *= 1e200
+        with pytest.raises(NumericError, match="non-finite network output"):
+            net.forward_logits(np.full((2, 4), 1e200))
 
     def test_zero_init_last_starts_at_zero_output(self):
         net = Net([4, 8, 3], seed=0, zero_init_last=True)
