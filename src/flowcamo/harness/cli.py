@@ -104,7 +104,7 @@ def cmd_scan_features(args) -> int:
     weights = feature_weights(corpus, sub, seed=args.seed)
     L_values = [int(v) for v in args.L.split(",")]
     scan = performance_gain_scan(corpus, weights, L_values, epochs=args.epochs, seed=args.seed)
-    chosen = select_subset(scan, full_agreement=sub.agreement)
+    chosen = select_subset(scan)
     rows = scan_to_csv_rows(scan)
     write_report_csv(args.out, rows[0], rows[1:], {"selected_L": str(chosen)})
     print(f"scan -> {args.out} (selected L={chosen})")

@@ -237,7 +237,7 @@ def _scan(cfg: ExperimentConfig, results: dict, out) -> None:
     scan = performance_gain_scan(
         corpus, weights, list(cfg.scan_L), epochs=cfg.scan_epochs, seed=cfg.seed + 501,
     )
-    chosen = select_subset(scan, full_agreement=sub.agreement)
+    chosen = select_subset(scan)
     rows = scan_to_csv_rows(scan)
     out("scan.csv", rows[0], rows[1:], {"selected_L": str(chosen)})
     results["scan"] = scan

@@ -165,6 +165,9 @@ class Net:
                     f"{prefix}W{i}/{prefix}b{i} have shapes {Wi.shape}/{bi.shape}, "
                     f"expected {W_shape}/{b_shape} from the sizes"
                 )
+            if Wi.dtype.kind not in "fiu" or bi.dtype.kind not in "fiu":
+                raise ValidationError(f"{prefix}W{i}/{prefix}b{i} have dtypes {Wi.dtype}/"
+                                      f"{bi.dtype}, expected real floats or integers")
             if not (np.isfinite(Wi).all() and np.isfinite(bi).all()):
                 raise ValidationError(f"{prefix}W{i}/{prefix}b{i} hold non-finite values")
         net.params = np.concatenate([a.ravel() for a in arrays], dtype=float)

@@ -5,15 +5,15 @@ was fit to. Feature weights come from permutation importance measured as
 the drop in held-out oracle agreement; the performance-gain scan retrains
 on each top-L projection of the corpus and compares relative accuracy
 growth against relative growth in multiply-adds per prediction, a
-deterministic proxy for the paper's computing overhead. The scan only
-reports: selection uses an agreement-epsilon policy (the gain value is
-undefined when two costs tie, so it is not decisive), and no later stage
-trains against a narrowed substitute.
+deterministic proxy for the paper's computing overhead, which grows with
+L. The selected size is the scan's knee, the last L before the gain turns
+non-positive or undefined (a zero agreement). The scan only reports: no
+later stage trains against a narrowed substitute.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -109,10 +109,6 @@ def feature_weights(corpus: Dataset, base: SubstituteModel, seed: int = 0) -> np
     return weights
 
 
-# How far below the full-pool agreement a selected subset may fall.
-SELECT_EPS = 0.02
-
-
 @dataclass(frozen=True)
 class PerformanceGainPoint:
     L: int
@@ -154,33 +150,27 @@ def performance_gain_scan(
     if any(not 1 <= L <= K for L in L_values):
         raise ValidationError(f"every L must be in [1, {K}]")
     points: List[PerformanceGainPoint] = []
-    prev: Optional[PerformanceGainPoint] = None
     for L in L_values:
         narrow = corpus.project(corpus.schema.subset(top_l_indices(weights, L)))
         sub = train_substitute(narrow, epochs=epochs, seed=seed)
         sizes = sub.net.layer_sizes
         cost = sum(a * b for a, b in zip(sizes, sizes[1:]))
-        if prev is None:
-            gain, undefined = float("nan"), True
-        else:
-            gain, undefined = performance_gain(
-                sub.agreement, prev.agreement, cost, prev.multiply_adds
-            )
-        prev = PerformanceGainPoint(L, sub.agreement, cost, gain, undefined)
-        points.append(prev)
+        gain, undefined = (float("nan"), True) if not points else performance_gain(
+            sub.agreement, points[-1].agreement, cost, points[-1].multiply_adds)
+        points.append(PerformanceGainPoint(L, sub.agreement, cost, gain, undefined))
     return points
 
 
-def select_subset(scan: List[PerformanceGainPoint], full_agreement: float) -> int:
-    """Smallest L whose agreement is within ``SELECT_EPS`` of the full-pool
-    agreement; the best-agreeing L when none is."""
+def select_subset(scan: List[PerformanceGainPoint]) -> int:
+    """The knee of the scan: the last L before the first later point whose
+    gain is non-positive or undefined. The walk starts at ``scan[0]``,
+    whose gain is always undefined."""
     if not scan:
         raise ValidationError("empty scan")
-    for p in scan:
-        if p.agreement >= full_agreement - SELECT_EPS:
-            return p.L
-    best = max(range(len(scan)), key=lambda i: (scan[i].agreement, -scan[i].L))
-    return scan[best].L
+    for prev, p in zip(scan, scan[1:]):
+        if p.undefined or p.gain <= 0:
+            return prev.L
+    return scan[-1].L
 
 
 def save_substitute(sub: SubstituteModel, path: str) -> None:

@@ -34,6 +34,7 @@ from flowcamo.camouflage import sample_multipliers
 from flowcamo.harness.experiment import ExperimentConfig, run_experiment
 from flowcamo.learners import Net, bce_dlogits, one_hot
 
+from criteria import feature_subset_selection
 from finite_diff import bce_loss, central_diff, rel_err, relu_kink_margin
 
 REQUIRED_SPOOF_PAIRS = [
@@ -145,24 +146,9 @@ class TestAcceptance:
 
     @pytest.mark.slow
     def test_c07_feature_subset_selection(self, full_run, capsys):
-        sub = full_run["substitutes"][full_run["config"].target_kinds[0]]
-        scan, chosen = full_run["scan"], full_run["selected_L"]
-        # Undefined points are flagged, never raised: the metric refuses
-        # division rather than producing inf/nan silently.
-        flags_consistent = all(p.undefined == (not np.isfinite(p.gain)) for p in scan)
-        chosen_agree = next(p.agreement for p in scan if p.L == chosen)
-        half = len(sub.schema) // 2
-        ok = (
-            flags_consistent
-            and chosen <= half
-            and chosen_agree >= sub.agreement - 0.02
-        )
-        announce(
-            capsys, 7, ok,
-            f"selected L={chosen} (<= {half}), agreement {chosen_agree:.4f} "
-            f"vs full-pool {sub.agreement:.4f}, gain flags consistent={flags_consistent}",
-        )
-        assert ok
+        verdict = feature_subset_selection(full_run)
+        announce(capsys, 7, verdict.ok, verdict.detail)
+        assert verdict.ok
 
     @pytest.mark.slow
     def test_c08_defense(self, full_run, capsys):

@@ -227,6 +227,10 @@ TAMPERED = {
     # Sizes of a 7.28 TiB net: the shapes must be checked before allocating.
     "mlp_sizes_past_memory": ("neural_net", lambda a: {"net_sizes": np.asarray(
         [a["net_sizes"][0], 10**6, 10**6, a["net_sizes"][-1]])}, "net_W0/net_b0 have shapes"),
+    "mlp_W0_strings": ("neural_net", lambda a: {"net_W0": a["net_W0"].astype(str)},
+                       "net_W0/net_b0 have dtypes <U"),
+    "mlp_b1_complex": ("neural_net", lambda a: {"net_b1": a["net_b1"] + 1j},
+                       "net_W1/net_b1 have dtypes float64/complex128"),
     "svm_W_nan": ("svm", _set_entry("W", np.nan), "svm W/b hold non-finite"),
     "svm_b_inf": ("svm", _set_entry("b", np.inf), "svm W/b hold non-finite"),
     "tree_threshold_nan": ("decision_tree", _set_first_split("t_threshold", np.nan),

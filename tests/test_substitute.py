@@ -25,6 +25,8 @@ from flowcamo.substitute import (
     train_substitute,
 )
 
+from criteria import scan_of
+
 
 @pytest.fixture(scope="module")
 def corpus(small_split, pool_schema, target_schema):
@@ -147,8 +149,7 @@ class TestScanAndSelect:
         assert scan[0].undefined and math.isnan(scan[0].gain)
         for p in scan[1:]:
             assert p.undefined == math.isnan(p.gain)
-        chosen = select_subset(scan, full_agreement=base_sub.agreement)
-        assert chosen in (4, 12, 28)
+        assert select_subset(scan) in (4, 12, 28)
 
     def test_full_size_point_is_the_unprojected_substitute(self, corpus):
         """Projecting onto every column, in schema order, changes no number."""
@@ -184,27 +185,34 @@ class TestScanAndSelect:
                         for _ in range(2))
         assert repr(first) == repr(again)  # exact floats; nan gains compare equal
 
-    def test_select_smallest_within_eps(self):
-        """[DERIVED] 0.95 is within 0.02 of 0.96 but not of 0.975, so L=8 wins
-        over L=16 only against 0.96."""
-        scan = [
-            PerformanceGainPoint(4, 0.70, 1000, float("nan"), True),
-            PerformanceGainPoint(8, 0.95, 2000, 1.0, False),
-            PerformanceGainPoint(16, 0.96, 3000, 0.5, False),
-        ]
-        assert select_subset(scan, full_agreement=0.96) == 8
-        assert select_subset(scan, full_agreement=0.975) == 16
+    def test_select_knee_where_agreement_eps_would_not(self):
+        """[DERIVED] costs 4736/4864/5120/5632; the gain at L=4 is
+        (0.4/0.9 - 128/4864)/(128/4864) = +15.9 and at L=8
+        (0.01/0.91 - 256/5120)/(256/5120) = -0.78, so the knee is 4. The
+        smallest L within 0.02 of the 0.97 full pool would be 16."""
+        scan = scan_of([(2, 0.50), (4, 0.90), (8, 0.91), (16, 0.97)], n_classes=8)
+        assert [p.gain > 0 for p in scan[1:]] == [True, False, False]
+        assert select_subset(scan) == 4
 
-    def test_select_falls_back_to_best_agreement(self):
-        scan = [
-            PerformanceGainPoint(4, 0.50, 1000, float("nan"), True),
-            PerformanceGainPoint(8, 0.60, 2000, 1.0, False),
-        ]
-        assert select_subset(scan, full_agreement=0.99) == 8
+    def test_select_stops_at_an_undefined_gain(self):
+        """A zero agreement leaves its gain undefined; the walk ends before
+        it although the next gain is positive."""
+        scan = scan_of([(2, 0.50), (4, 0.90), (8, 0.0), (16, 0.99)], n_classes=8)
+        assert [p.undefined for p in scan] == [True, False, True, False]
+        assert scan[3].gain > 0
+        assert select_subset(scan) == 4
+
+    def test_select_one_point_scan(self):
+        assert select_subset(scan_of([(6, 0.7)], n_classes=8)) == 6
+
+    def test_select_last_L_when_gains_stay_positive(self):
+        scan = scan_of([(2, 0.40), (4, 0.60), (8, 0.80), (16, 0.95)], n_classes=8)
+        assert all(p.gain > 0 for p in scan[1:])
+        assert select_subset(scan) == 16
 
     def test_select_rejects_empty(self):
         with pytest.raises(ValidationError):
-            select_subset([], full_agreement=0.9)
+            select_subset([])
 
 
 class TestScanCsv:
