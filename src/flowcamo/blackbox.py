@@ -1,14 +1,12 @@
 """Label-only oracle around a trained target; eavesdropped traffic comes back labelled.
 
-The oracle exposes exactly three things: ``query``, ``collect`` and
-``query_log``. Target kind, parameters and scores stay hidden; the
-attacker's feature pool is projected onto the target's schema inside.
+The oracle exposes exactly two things: ``collect`` and ``query_log``.
+Target kind, parameters and scores stay hidden; the attacker's feature
+pool is projected onto the target's schema inside.
 """
 from __future__ import annotations
 
-import numpy as np
-
-from .core import Dataset, DeviceClass, FeatureSchema, ValidationError, validate_matrix
+from .core import Dataset, FeatureSchema, ValidationError, validate_matrix
 from .learners import ClassifierModel
 
 
@@ -27,23 +25,14 @@ class Oracle:
     def query_log(self) -> int:
         return self.__count
 
-    def __predict_ids(self, X: np.ndarray) -> np.ndarray:
-        X = validate_matrix(self.__pool_schema, X, "query")
-        self.__count += X.shape[0]
-        return self.__target.predict_ids(X[:, self.__cols])
-
-    def query(self, x) -> DeviceClass:
-        cid = int(self.__predict_ids(np.atleast_2d(np.asarray(x, dtype=float)))[0])
-        return DeviceClass(cid, self.__target.class_labels[cid])
-
     def collect(self, traffic) -> Dataset:
-        """The traffic rows, in the pool schema, labelled with the oracle's ids."""
-        X = np.asarray(traffic, dtype=float)
-        if X.ndim == 1:
-            X = X[None, :]
+        """The ``(n, K)`` traffic rows, in the pool schema, labelled with the
+        oracle's ids; each row counts as one query."""
+        X = validate_matrix(self.__pool_schema, traffic, "query")
         if X.shape[0] == 0:
             raise ValidationError("no traffic to eavesdrop on")
-        labels = self.__predict_ids(X)
+        self.__count += X.shape[0]
+        labels = self.__target.predict_ids(X[:, self.__cols])
         return Dataset(self.__pool_schema, X, labels, self.__target.class_labels)
 
 

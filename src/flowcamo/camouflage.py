@@ -81,6 +81,8 @@ class Generator:
     """Manipulative network over a feature schema; residual and range-safe."""
 
     def __init__(self, schema: FeatureSchema, scaler: Scaler, net: Net, amp: np.ndarray):
+        if not schema.mutable_mask.any():
+            raise ValidationError("a generator needs at least one mutable feature")
         k = len(schema)
         scaler.check(k, "generator")
         sizes = net.layer_sizes
@@ -98,21 +100,24 @@ class Generator:
         self.training_curve: List[float] = []
 
     def _input_buffer(self, H: np.ndarray) -> np.ndarray:
-        """Network input for ``H``: its normalised features, then room for
-        the normalised noise, which the caller fills."""
+        """Network input for the ``(n, k)`` rows ``H``: their normalised
+        features, then room for the normalised noise, which the caller fills."""
         k = len(self.schema)
-        Z = np.empty(H.shape[:-1] + (2 * k,))
-        np.subtract(H, self.scaler.mean, out=Z[..., :k])
-        Z[..., :k] /= self.scaler.scale
+        Z = np.empty((H.shape[0], 2 * k))
+        np.subtract(H, self.scaler.mean, out=Z[:, :k])
+        Z[:, :k] /= self.scaler.scale
         return Z
 
     def manipulate_batch(self, H: np.ndarray, S: np.ndarray, want_grad_cache: bool = False):
+        """The manipulated ``(n, k)`` rows ``H`` under noise ``S`` of one shape."""
         H = np.asarray(H, dtype=float)
         S = np.asarray(S, dtype=float)
-        if S.shape != H.shape:
-            raise ValidationError("noise must match the feature matrix shape")
+        k = len(self.schema)
+        if H.ndim != 2 or H.shape[1] != k or S.shape != H.shape:
+            raise ValidationError(
+                f"features {H.shape} and noise {S.shape} must both be (n, {k}) row batches")
         Z = self._input_buffer(H)
-        np.divide(S, self.scaler.scale, out=Z[..., len(self.schema):])
+        np.divide(S, self.scaler.scale, out=Z[:, k:])
         return self._manipulate(H, Z, want_grad_cache)
 
     def _manipulate(self, H: np.ndarray, Z: np.ndarray, want_grad_cache: bool = False):

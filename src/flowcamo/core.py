@@ -71,8 +71,6 @@ class FeatureSchema:
             raise ValidationError("feature names must be unique")
         if not self.features:
             raise ValidationError("schema is empty")
-        if not any(f.mutable for f in self.features):
-            raise ValidationError("at least one feature must be mutable")
 
     def __len__(self) -> int:
         return len(self.features)
@@ -155,13 +153,12 @@ def readonly_array(a, dtype) -> np.ndarray:
 
 
 def validate_matrix(schema: FeatureSchema, X: np.ndarray, what: str = "X") -> np.ndarray:
-    """Check shape and per-feature ranges; returns X as a float array."""
+    """Check that X is an ``(n, K)`` row batch within the per-feature
+    ranges; returns X as a float array."""
     X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[None, :]
-    if X.shape[1] != len(schema):
+    if X.ndim != 2 or X.shape[1] != len(schema):
         raise ValidationError(
-            f"{what}: expected {len(schema)} features, got {X.shape[1]}"
+            f"{what}: expected an (n, {len(schema)}) row batch, got shape {X.shape}"
         )
     if not np.isfinite(X).all():
         raise ValidationError(f"{what}: non-finite values")

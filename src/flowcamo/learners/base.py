@@ -8,7 +8,6 @@ import numpy as np
 from ..core import (
     Dataset,
     DegenerateTrainingError,
-    DeviceClass,
     FeatureSchema,
     ValidationError,
     validate_matrix,
@@ -64,9 +63,10 @@ class Scaler:
 class ClassifierModel:
     """Trained multi-class model; immutable after fit.
 
-    Subclasses implement ``predict_scores``; ``predict`` is always the
-    score argmax, with ties broken toward the lowest class id. Each also
-    extends ``to_arrays`` and inverts it with ``from_arrays``.
+    Subclasses implement ``predict_scores`` over an ``(n, K)`` row batch;
+    ``predict_ids`` is always the score argmax, with ties broken toward the
+    lowest class id. Each also extends ``to_arrays`` and inverts it with
+    ``from_arrays``.
     """
 
     kind: str = "abstract"
@@ -103,10 +103,6 @@ class ClassifierModel:
     def predict_ids(self, X) -> np.ndarray:
         # np.argmax returns the first maximum, i.e. the lowest class id.
         return np.argmax(self.predict_scores(X), axis=1)
-
-    def predict(self, x) -> DeviceClass:
-        cid = int(self.predict_ids(np.atleast_2d(np.asarray(x, dtype=float)))[0])
-        return DeviceClass(cid, self.class_labels[cid])
 
 
 def check_trainable(train: Dataset) -> None:

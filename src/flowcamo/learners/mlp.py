@@ -86,11 +86,9 @@ class Net:
     # --- forward / backward -------------------------------------------------
 
     def forward_logits(self, X: np.ndarray, want_cache: bool = False):
-        """Pre-head outputs. With ``want_cache`` also returns layer inputs."""
+        """Pre-head outputs of an ``(n, in)`` batch. With ``want_cache`` also
+        returns layer inputs."""
         X = np.asarray(X, dtype=float)
-        squeeze = X.ndim == 1
-        if squeeze:
-            X = X[None, :]
         acts = [X]
         h = X
         last = len(self.weights) - 1
@@ -105,15 +103,14 @@ class Net:
                     acts.append(h)
         if not np.isfinite(h).all():
             raise NumericError("non-finite network output")
-        z = h[0] if squeeze else h
         if want_cache:
-            return z, acts
-        return z
+            return h, acts
+        return h
 
     def backward(self, cache: List[np.ndarray], d_logits: np.ndarray) -> np.ndarray:
         """Parameter gradient from d(loss)/d(logits): one vector in the
         ``params`` layout."""
-        d = np.atleast_2d(np.asarray(d_logits, dtype=float))
+        d = d_logits
         grad = np.empty(self.params.size)
         dWs, dbs = self._views(grad)
         for i in range(len(dWs) - 1, -1, -1):
@@ -126,7 +123,7 @@ class Net:
 
     def input_grad(self, cache: List[np.ndarray], d_logits: np.ndarray) -> np.ndarray:
         """d(loss)/d(input) from d(loss)/d(logits); no parameter gradients."""
-        d = np.atleast_2d(np.asarray(d_logits, dtype=float))
+        d = d_logits
         for i in range(len(self.weights) - 1, -1, -1):
             d = d @ self.weights[i].T
             if i > 0:

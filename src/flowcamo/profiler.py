@@ -181,12 +181,10 @@ class MultiStageClassifier:
         self.stages = stages
 
     def route(self, profiled: np.ndarray) -> np.ndarray:
-        leaves = tree_apply(self.tree, np.atleast_2d(profiled))
+        leaves = tree_apply(self.tree, profiled)
         return np.array([self.leaf_to_group[int(l)] for l in leaves], dtype=int)
 
     def identify_batch(self, P: np.ndarray, Csi: np.ndarray):
-        P = np.atleast_2d(P)
-        Csi = np.atleast_2d(Csi)
         features = np.hstack([P, Csi])
         groups = self.route(P)
         ids = np.empty(P.shape[0], dtype=int)
@@ -231,9 +229,11 @@ def fit_profiler(
     ``P`` holds the four profiled features per row, ``Csi`` the CSI
     magnitudes and ``y`` the class ids; needs >= 10 signatures per class.
     """
-    P = np.atleast_2d(np.asarray(P, dtype=float))
-    Csi = np.atleast_2d(np.asarray(Csi, dtype=float))
+    P = np.asarray(P, dtype=float)
+    Csi = np.asarray(Csi, dtype=float)
     y = np.asarray(y, dtype=int)
+    if P.ndim != 2 or Csi.ndim != 2:
+        raise ValidationError(f"P and Csi must be row batches, got shapes {P.shape}, {Csi.shape}")
     if not P.shape[0] == Csi.shape[0] == y.shape[0]:
         raise ValidationError(
             f"row counts differ: P {P.shape[0]}, Csi {Csi.shape[0]}, y {y.shape[0]}"

@@ -10,6 +10,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
+from flowcamo.camouflage import sample_multipliers
 from flowcamo.substitute import PerformanceGainPoint, performance_gain
 
 
@@ -19,6 +22,40 @@ class Verdict:
     threshold: float
     ok: bool
     detail: str
+
+
+def misidentification(results) -> Verdict:
+    """Criterion 04: every true target identifies at most 0.10 of the
+    attacked test rows; each kind's substitute-to-victim transfer gap is
+    reported."""
+    rows = {kind: (float(te), float(gap)) for kind, _tr, te, _s, _v, gap
+            in results["attack_rows"]}
+    worst, threshold = max(te for te, _gap in rows.values()), 0.10
+    detail = (
+        "post-attack identification "
+        + ", ".join(f"{k}={te:.4f} (transfer gap {gap:+.4f})" for k, (te, gap) in rows.items())
+        + f"; worst {worst:.4f} <= {threshold} (margin {threshold - worst:+.4f})"
+    )
+    return Verdict(worst, threshold, worst <= threshold, detail)
+
+
+def contract_holds(results, n_rows: int = 100_000) -> Verdict:
+    """Criterion 06: no contract violation over ``n_rows`` manipulated test
+    rows of the first attack generator, fresh noise per row. A violation is
+    an immutable value whose bits changed or a value outside its schema
+    range."""
+    g = next(iter(results["attack_generators"].values()))
+    schema = g.schema
+    base = results["test_pool"].X
+    X = np.tile(base, (int(np.ceil(n_rows / base.shape[0])), 1))[:n_rows]
+    rng = np.random.default_rng(606)
+    Hp = g.manipulate_batch(X, sample_multipliers(schema, n_rows, rng) * X)
+    imm = ~schema.mutable_mask
+    violations = int(np.sum(Hp[:, imm].view(np.uint64) != X[:, imm].view(np.uint64)))
+    violations += int(np.sum((Hp < schema.lows) | (Hp > schema.highs)))
+    detail = (f"{violations} violations over {n_rows:,} manipulated vectors "
+              f"(bound 0, margin {-violations:+d})")
+    return Verdict(violations, 0, violations == 0, detail)
 
 
 def feature_subset_selection(results) -> Verdict:

@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from flowcamo.blackbox import Oracle, make_oracle
-from flowcamo.core import Dataset, DeviceClass, ValidationError
+from flowcamo.core import Dataset, ValidationError
 from flowcamo.learners import fit
 
 
@@ -14,20 +16,20 @@ def oracle_setup(small_split, target_schema, pool_schema):
 
 
 class TestOracleSurface:
-    def test_public_surface_is_query_collect_log_only(self, oracle_setup):
-        """The attacker-facing object exposes exactly {query, collect,
-        query_log}; no weights, scores, or training internals leak."""
+    def test_public_surface_is_collect_and_log_only(self, oracle_setup):
+        """The attacker-facing object exposes exactly {collect, query_log};
+        no weights, scores, or training internals leak."""
         oracle, _, _ = oracle_setup
         public = {n for n in dir(oracle) if not n.startswith("_")}
-        assert public == {"query", "collect", "query_log"}
+        assert public == {"collect", "query_log"}
 
-    def test_query_returns_device_class(self, oracle_setup, pool_schema):
+    def test_one_row_batch_label_matches_target(self, oracle_setup, pool_schema):
+        """A single row goes in as a (1, K) batch and comes back as one label."""
         oracle, model, train_pool = oracle_setup
-        dc = oracle.query(train_pool.X[0])
-        assert isinstance(dc, DeviceClass)
+        corpus = oracle.collect(train_pool.X[:1])
         cols = pool_schema.projection_onto(model.schema)
-        expected = int(model.predict_ids(train_pool.X[0][cols][None, :])[0])
-        assert dc.id == expected
+        assert corpus.y.shape == (1,)
+        assert corpus.y[0] == model.predict_ids(train_pool.X[:1, cols])[0]
 
     def test_labels_match_target_on_projected_columns(self, oracle_setup, pool_schema):
         oracle, model, train_pool = oracle_setup
@@ -43,7 +45,7 @@ class TestOracleSurface:
         model = fit("decision_tree", train_pool.project(target_schema), seed=0)
         oracle = make_oracle(model, pool_schema)
         assert oracle.query_log == 0
-        oracle.query(train_pool.X[0])
+        oracle.collect(train_pool.X[:1])
         oracle.collect(train_pool.X[:25])
         assert oracle.query_log == 26
 
@@ -61,8 +63,22 @@ class TestOracleSurface:
 
     def test_out_of_range_query_rejected(self, oracle_setup, pool_schema):
         oracle, _, _ = oracle_setup
-        with pytest.raises(ValidationError):
-            oracle.query(np.full(len(pool_schema), -1e9))
+        before = oracle.query_log
+        with pytest.raises(ValidationError, match="out of range"):
+            oracle.collect(np.full((1, len(pool_schema)), -1e9))
+        assert oracle.query_log == before
+
+    @pytest.mark.parametrize("shape", [(), (28,), (2, 28, 28)])
+    def test_non_batch_traffic_rejected(self, oracle_setup, pool_schema, shape):
+        """A scalar, a bare row and a stack of batches are refused with the
+        shape named, and cost no query."""
+        oracle, _, train_pool = oracle_setup
+        assert len(pool_schema) == 28
+        traffic = np.resize(train_pool.X, shape)  # X's own values, so all in range
+        before = oracle.query_log
+        with pytest.raises(ValidationError, match=re.escape(f"row batch, got shape {shape}")):
+            oracle.collect(traffic)
+        assert oracle.query_log == before
 
 
 class TestCorpus:

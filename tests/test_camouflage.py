@@ -206,6 +206,22 @@ class TestFunctionalityPreservation:
         assert np.array_equal(Hp[:, imm], X[:, imm])  # bit-exact
         assert np.all(Hp >= pool_schema.lows) and np.all(Hp <= pool_schema.highs)
 
+    def test_all_immutable_schema_rejected(self):
+        """A schema may hold no mutable feature (a scan's top-L can), but a
+        generator over it would have nothing to rewrite."""
+        schema = FeatureSchema((Feature("a", "u", 0.0, 1.0, False),
+                                Feature("b", "u", 0.0, 1.0, False)))
+        with pytest.raises(ValidationError, match="generator needs at least one mutable"):
+            build_generator(schema, np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+    @pytest.mark.parametrize("shape", [(28,), (2, 64, 28), (64, 27)])
+    def test_rows_that_are_not_a_batch_rejected(self, gen, small_dataset, shape):
+        """A bare row or a stack of batches would broadcast against the
+        per-feature arrays instead of failing."""
+        X = np.resize(small_dataset.X, shape)
+        with pytest.raises(ValidationError, match="must both be \\(n, 28\\) row batches"):
+            gen.manipulate_batch(X, np.zeros_like(X))
+
     def test_untrained_generator_is_identity(self, gen, small_dataset, pool_schema):
         """Zero-initialised head: before training, manipulation is a no-op."""
         X = small_dataset.X[:64]

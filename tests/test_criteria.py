@@ -1,14 +1,17 @@
-"""Fast controls for the acceptance predicates in ``criteria.py``: doctored
-results with one known defect must read FAIL, and the default run's own
-numbers must read PASS."""
+"""Fast controls for the acceptance predicates in ``criteria.py``: results
+with one known defect must read FAIL, and the same results without it (or
+the default run's own numbers) must read PASS."""
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from flowcamo.harness import synth
+from flowcamo.camouflage import Generator, build_generator
+from flowcamo.harness import experiment, synth
+from flowcamo.harness.experiment import ExperimentConfig, run_experiment
 from flowcamo.substitute import select_subset
 
-from criteria import feature_subset_selection, scan_of
+from criteria import contract_holds, feature_subset_selection, misidentification, scan_of
 
 # The default run's scan at seed 42 (scan.csv, 28 classes): each agreement
 # is a count of the 2,241 held-out corpus rows, as is the full-pool
@@ -61,3 +64,75 @@ class TestFeatureSubsetSelection:
         assert results["selected_L"] == 20
         verdict = feature_subset_selection(results)
         assert not verdict.ok and verdict.value >= verdict.threshold
+
+
+# A knn-only run small enough for the fast suite. At 8 classes x 40 rows the
+# trained generator leaves 0.125-0.141 of the test rows identified (seeds
+# 0-7), above the 0.10 bound; at 60 rows and seed 4 it leaves none.
+TINY_ATTACK = dict(seed=4, n_classes=8, rows_per_class=60, target_kinds=("knn",),
+                   spoof_grid=False, run_defense=False)
+
+
+class TestMisidentification:
+    def test_trained_generator_passes(self, tmp_path):
+        verdict = misidentification(run_experiment(ExperimentConfig(
+            out_dir=str(tmp_path), **TINY_ATTACK)))
+        assert verdict.ok and verdict.value == 0.0
+        assert "knn=0.0000" in verdict.detail and "margin +0.1000" in verdict.detail
+
+    def test_generator_left_at_the_identity_map_fails(self, tmp_path, monkeypatch):
+        """Step size 0: the zero-initialised last layer never moves, so every
+        attacked row is the clean row, and the target identifies most."""
+        train = experiment.train_generator
+
+        def at_step_size_zero(*args, **kwargs):
+            return train(*args, **{**kwargs, "lr": 0.0})
+
+        monkeypatch.setattr(experiment, "train_generator", at_step_size_zero)
+        results = run_experiment(ExperimentConfig(out_dir=str(tmp_path), **TINY_ATTACK))
+        g = results["attack_generators"]["knn"]
+        assert not g.net.weights[-1].any() and not g.net.biases[-1].any()
+        verdict = misidentification(results)
+        assert not verdict.ok and verdict.value > 0.5
+        assert f"margin {0.10 - verdict.value:+.4f}" in verdict.detail
+
+
+class SkipsRestore(Generator):
+    """A generator whose output keeps ``H + amp * T`` on immutable columns
+    too: the bit-exact restore is left out."""
+
+    def _manipulate(self, H, Z, want_grad_cache=False):
+        T = np.tanh(self.net.forward_logits(Z))
+        return np.clip(H + self.amp * T, self.schema.lows, self.schema.highs)
+
+
+def generator_results(ds, cls=Generator, immutable_amp=0.0):
+    """Results holding one generator over ``ds`` whose every layer is random,
+    so rows really move, with ``immutable_amp`` on the first immutable column."""
+    g = build_generator(ds.schema, ds.X, seed=5)
+    rng = np.random.default_rng(6)
+    for W in g.net.weights:
+        W[:] = rng.normal(size=W.shape)
+    amp = g.amp.copy()
+    amp[np.flatnonzero(~ds.schema.mutable_mask)[0]] = immutable_amp
+    return {"attack_generators": {"knn": cls(g.schema, g.scaler, g.net, amp)},
+            "test_pool": ds}
+
+
+class TestContractHolds:
+    def test_restore_kept_passes(self, small_dataset):
+        verdict = contract_holds(generator_results(small_dataset, immutable_amp=1.0), 10_000)
+        assert verdict.ok and verdict.value == 0
+        assert "0 violations over 10,000" in verdict.detail
+
+    def test_restore_skipped_with_an_immutable_amplitude_fails(self, small_dataset):
+        verdict = contract_holds(
+            generator_results(small_dataset, SkipsRestore, immutable_amp=1.0), 10_000)
+        assert not verdict.ok and verdict.value > 0
+        assert f"margin {-verdict.value:+d}" in verdict.detail
+
+    def test_restore_skipped_alone_cannot_fail(self, small_dataset):
+        """``amp`` is 0.0 on every immutable column, so ``H + amp * T``
+        already keeps their bits: skipping the restore alone shows no defect."""
+        verdict = contract_holds(generator_results(small_dataset, SkipsRestore), 10_000)
+        assert verdict.ok

@@ -30,7 +30,7 @@ from flowcamo.harness.experiment import (
     spoof_cell,
 )
 from flowcamo.learners import load_model, save_model
-from flowcamo.substitute import load_substitute
+from flowcamo.substitute import feature_weights, load_substitute, top_l_indices
 
 
 POOL = synth.attacker_pool_schema()
@@ -418,6 +418,20 @@ class TestPipeline:
             assert f"output.{name}={tmp_path / name}" in manifest
         assert not any(line.startswith("failed_stage=") for line in manifest)
 
+    def test_scan_over_an_all_immutable_top_l(self, tmp_path):
+        """At this seed the two heaviest features are both immutable. The
+        scan trains a substitute on them like on any other subset; only a
+        generator needs a mutable feature."""
+        cfg = ExperimentConfig(seed=4, n_classes=8, rows_per_class=20, target_kinds=("knn",),
+                               run_scan=True, scan_L=(2, 8, 28), scan_epochs=2,
+                               spoof_grid=False, run_defense=False, out_dir=str(tmp_path))
+        results = run_experiment(cfg)
+        weights = feature_weights(results["corpora"]["knn"], results["substitutes"]["knn"],
+                                  seed=cfg.seed + 500)
+        assert not POOL.mutable_mask[list(top_l_indices(weights, 2))].any()
+        assert [p.L for p in results["scan"]] == [2, 8, 28]
+        assert "scan.csv" in results["outputs"]
+
     @pytest.mark.parametrize("seed", [42, 11, 23])
     def test_default_defense_meets_the_acceptance_threshold(self, seed):
         """The default config's defense stage (28 devices, 30 rounds, seed
@@ -672,6 +686,26 @@ class TestCliSuccess:
         assert main(["train-substitute", "--data", f["data.csv"], "--target", f["target.npz"],
                      "--out", f["sub.npz"], "--epochs", "5", "--seed", "3"]) == 0
         return ["--data", f["data.csv"], "--target", f["target.npz"], "--sub", f["sub.npz"]]
+
+    def test_scan_features_over_an_all_immutable_top_l(self, tmp_path):
+        """At seed 7 the substitute ranks two immutable features first; the
+        scan still writes every size."""
+        f = {n: str(tmp_path / n) for n in ("data.csv", "target.npz", "sub.npz", "scan.csv")}
+        seed = ["--seed", "7"]
+        assert main(["gen-data", "--out", f["data.csv"], "--n-classes", "8",
+                     "--rows-per-class", "40", *seed]) == 0
+        assert main(["train-target", "--data", f["data.csv"], "--kind", "knn",
+                     "--out", f["target.npz"], *seed]) == 0
+        assert main(["train-substitute", "--data", f["data.csv"], "--target", f["target.npz"],
+                     "--out", f["sub.npz"], "--epochs", "5", *seed]) == 0
+        assert main(["scan-features", "--data", f["data.csv"], "--target", f["target.npz"],
+                     "--sub", f["sub.npz"], "--L", "2,8,28", "--out", f["scan.csv"], *seed]) == 0
+        _meta, _header, rows = _report(pathlib.Path(f["scan.csv"]))
+        assert [r[0] for r in rows] == ["2", "8", "28"]
+        ds = ingest_csv(f["data.csv"], POOL)
+        corpus = make_oracle(load_model(f["target.npz"]), POOL).collect(ds.X)
+        weights = feature_weights(corpus, load_substitute(f["sub.npz"]), seed=7)
+        assert not POOL.mutable_mask[list(top_l_indices(weights, 2))].any()
 
     def test_scan_features(self, inputs, tmp_path, capsys):
         out = tmp_path / "scan.csv"

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -68,10 +69,14 @@ class TestEveryKind:
         assert scores.shape == (200, ds.n_classes)
 
     def test_single_vector_predict(self, kind):
-        ds = blob_dataset(seed=4)
+        """One row is predicted as a (1, K) batch. A scalar, a bare row and a
+        stack of batches are refused with the shape named."""
+        ds = blob_dataset(seed=4, k=28)
         model = fit(kind, ds, seed=0)
-        dc = model.predict(ds.X[0])
-        assert dc.label == ds.class_labels[dc.id]
+        np.testing.assert_array_equal(model.predict_ids(ds.X[:1]), model.predict_ids(ds.X)[:1])
+        for bad in (ds.X[0, 0], ds.X[0], np.stack([ds.X[:28], ds.X[28:56]])):
+            with pytest.raises(ValidationError, match=re.escape(f"got shape {bad.shape}")):
+                model.predict_ids(bad)
 
     def test_save_load_round_trip(self, kind, tmp_path):
         ds = blob_dataset(seed=5)

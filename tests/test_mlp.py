@@ -149,22 +149,19 @@ def where_sigmoid(z):
 
 def full_forward(net, X):
     """[DERIVED] the earlier out-of-place forward: (logits, layer inputs)."""
-    X = np.asarray(X, dtype=float)
-    h = X[None, :] if X.ndim == 1 else X
+    h = np.asarray(X, dtype=float)
     acts = [h]
     for i, (W, b) in enumerate(zip(net.weights, net.biases)):
         h = h @ W + b
         if i != len(net.weights) - 1:
             h = np.maximum(h, 0.0)
             acts.append(h)
-    return (h[0] if X.ndim == 1 else h), acts
+    return h, acts
 
 
 def full_backward(net, cache, d_logits):
     """[DERIVED] the earlier single backward pass: (dWs, dbs, dX)."""
     d = np.asarray(d_logits, dtype=float)
-    if d.ndim == 1:
-        d = d[None, :]
     dWs = [None] * len(net.weights)
     dbs = [None] * len(net.biases)
     for i in range(len(net.weights) - 1, -1, -1):
@@ -189,21 +186,19 @@ def same_bits(a, b):
 
 @st.composite
 def net_cases(draw):
-    """A net (one linear layer up to four), its input and a logit gradient.
-
-    ``rows == 0`` means a single 1-D input vector. Biases are random so
-    the ReLU masks cut through every hidden layer.
+    """A net (one linear layer up to four), an (n, in) input batch and a
+    logit gradient. Biases are random so the ReLU masks cut through every
+    hidden layer.
     """
     sizes = draw(st.lists(st.integers(1, 7), min_size=2, max_size=5))
-    rows = draw(st.integers(0, 6))
+    rows = draw(st.integers(1, 6))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     net = Net(sizes, seed=seed)
     for b in net.biases:
         b[:] = rng.normal(0, 0.5, size=b.shape)
-    shape = (sizes[0],) if rows == 0 else (rows, sizes[0])
-    X = rng.normal(0, 1, size=shape)
-    d = rng.normal(0, 1, size=shape[:-1] + (sizes[-1],))
+    X = rng.normal(0, 1, size=(rows, sizes[0]))
+    d = rng.normal(0, 1, size=(rows, sizes[-1]))
     return net, X, d
 
 

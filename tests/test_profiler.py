@@ -283,6 +283,15 @@ class TestProfilerIdentification:
         with pytest.raises(ValidationError, match="row counts differ"):
             fit_profiler(**arrays)
 
+    @pytest.mark.parametrize("flat", ["P", "Csi"])
+    def test_arrays_that_are_not_row_batches_rejected(self, identities, flat):
+        """A flattened array with one entry per label is refused as a shape
+        error, not read as a single row."""
+        arrays = dict(zip(("P", "Csi", "y"), signature_batch(identities, 12, noise_seed=1)))
+        arrays[flat] = arrays[flat][:, 0]
+        with pytest.raises(ValidationError, match="must be row batches"):
+            fit_profiler(**arrays)
+
 
 # ---- reference: the ancestor search that the anchor rule replaced -------------
 
