@@ -1,30 +1,1 @@
-from .csvio import CsvParseError, dataset_to_csv, ingest_csv, write_report_csv
-from .experiment import ExperimentConfig, StageFailure, run_experiment
-from .synth import (
-    DEVICE_TYPES,
-    SyntheticProfile,
-    attacker_pool_schema,
-    check_separability,
-    classes_of_type,
-    default_profiles,
-    generate_dataset,
-    target_schema,
-)
-
-__all__ = [
-    "CsvParseError",
-    "dataset_to_csv",
-    "ingest_csv",
-    "write_report_csv",
-    "ExperimentConfig",
-    "StageFailure",
-    "run_experiment",
-    "DEVICE_TYPES",
-    "SyntheticProfile",
-    "attacker_pool_schema",
-    "check_separability",
-    "classes_of_type",
-    "default_profiles",
-    "generate_dataset",
-    "target_schema",
-]
+"""Synthetic data, CSV exchange, the staged experiment pipeline and the CLI."""

@@ -104,15 +104,10 @@ def _row_error(cells: Sequence[str], lineno: int, schema: FeatureSchema) -> CsvP
     )
 
 
-def ingest_csv(
-    path: str,
-    schema: FeatureSchema,
-    class_labels: Optional[Sequence[str]] = None,
-) -> Dataset:
+def ingest_csv(path: str, schema: FeatureSchema) -> Dataset:
     """Load and validate a dataset CSV against a schema.
 
-    With ``class_labels`` given, unseen labels are rejected; otherwise the
-    label set is inferred from the file (sorted order). Of the cells that
+    The label set is the file's own, in sorted order. Of the cells that
     fail to parse or lie out of range, the first in file order is reported.
     """
     expected = [f"f_{n}" for n in schema.names] + ["class"]
@@ -154,14 +149,8 @@ def ingest_csv(
         raise error
     if not header_seen:
         raise CsvParseError(f"{path}: no header row found")
-    if class_labels is None:
-        class_labels = sorted(set(rows_label))
-    labels = tuple(class_labels)
+    labels = tuple(sorted(set(rows_label)))
     index = {lab: i for i, lab in enumerate(labels)}
-    y = []
-    for i, lab in enumerate(rows_label):
-        if lab not in index:
-            raise ValidationError(f"unknown class label {lab!r} in {path}")
-        y.append(index[lab])
-    return Dataset(schema, X, np.asarray(y, dtype=int), labels)
+    y = np.array([index[lab] for lab in rows_label], dtype=int)
+    return Dataset(schema, X, y, labels)
 

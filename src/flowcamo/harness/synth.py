@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -126,14 +126,12 @@ _TYPE_BASE = {
 
 
 def default_profiles(
-    schema: Optional[FeatureSchema] = None,
+    schema: FeatureSchema,
     n_classes: int = 28,
     separability: float = 1.0,
 ) -> List[SyntheticProfile]:
     """Deterministic class profiles: type carried by volume/bandwidth-style
     features, within-type identity by the packet-interval grid."""
-    if schema is None:
-        schema = attacker_pool_schema()
     if n_classes < 2:
         raise ValidationError("need at least 2 classes")
     if separability <= 0:
@@ -217,15 +215,13 @@ def generate_dataset(
     profiles: Sequence[SyntheticProfile],
     rows_per_class: int,
     seed: int,
-    schema: Optional[FeatureSchema] = None,
+    schema: FeatureSchema,
 ) -> Dataset:
     """Seeded per-class draws, clamped to schema ranges; deterministic."""
     if len(profiles) < 2:
         raise ValidationError("need at least 2 profiles")
     if rows_per_class < 1:
         raise ValidationError("rows_per_class must be >= 1")
-    if schema is None:
-        schema = attacker_pool_schema()
     check_separability(profiles)
     rng = np.random.default_rng(seed)
     names = schema.names

@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -160,62 +160,57 @@ def signature_batch(
     return np.column_stack([atten, phase, freq, angle]), csi + z[:, 4:], ids
 
 
-@dataclass
-class _StageTwo:
-    classes: np.ndarray  # global class ids, sorted
-    scaler: Optional[Scaler]
-    net: Optional[Net]
-
-    def score(self, features: np.ndarray) -> np.ndarray:
-        if self.net is None:
-            return np.ones((features.shape[0], 1))
-        return self.net.scores(self.scaler.transform(features))
-
-
 class MultiStageClassifier:
-    """Stage-1 tree over profiled features routes to per-group stage-2 nets."""
+    """Stage-1 tree over profiled features routes to per-group stage-2 nets.
 
-    def __init__(self, tree, leaf_to_group: Dict[int, int], stages: List[_StageTwo]):
+    ``group[node]`` is the stage of each tree leaf (-1 at split nodes), and
+    ``stages[g]`` is ``(classes, scaler, net)``: the group's sorted global
+    class ids, and its scaler and net, both None for a one-class group.
+    """
+
+    def __init__(self, tree, group: np.ndarray, stages: List[tuple]):
         self.tree = tree
-        self.leaf_to_group = dict(leaf_to_group)
+        self.group = group
         self.stages = stages
 
-    def route(self, profiled: np.ndarray) -> np.ndarray:
-        leaves = tree_apply(self.tree, profiled)
-        return np.array([self.leaf_to_group[int(l)] for l in leaves], dtype=int)
-
-    def identify_batch(self, P: np.ndarray, Csi: np.ndarray):
+    def identify_batch(self, P: np.ndarray, Csi: np.ndarray) -> np.ndarray:
+        """The class id of each row."""
         features = np.hstack([P, Csi])
-        groups = self.route(P)
+        groups = self.group[tree_apply(self.tree, P)]
         ids = np.empty(P.shape[0], dtype=int)
-        scores = np.empty(P.shape[0])
         for gidx in np.unique(groups):
             rows = np.flatnonzero(groups == gidx)
-            stage = self.stages[gidx]
-            s = stage.score(features[rows])
-            local = np.argmax(s, axis=1)
-            ids[rows] = stage.classes[local]
-            scores[rows] = s[np.arange(rows.size), local]
-        return ids, scores
+            classes, scaler, net = self.stages[gidx]
+            if net is None:
+                ids[rows] = classes[0]
+            else:
+                scores = net.scores(scaler.transform(features[rows]))
+                ids[rows] = classes[np.argmax(scores, axis=1)]
+        return ids
 
 
-def _group_leaves(tree, leaves: np.ndarray, y: np.ndarray) -> Dict[int, int]:
-    """Stage-two group of each leaf that the training rows ``leaves`` reach.
+def _group_leaves(tree, leaves: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Stage-two group of each tree node, -1 at split nodes.
 
-    A leaf's anchor is the leaf itself if its training rows hold two or
-    more classes, or if it is the root; otherwise it is the leaf's parent.
-    A split node's rows always hold two or more classes and each of its
-    children gets a row, so the parent always qualifies. Leaves with one
-    anchor form one group; groups are numbered in anchor order.
+    ``leaves`` are the training rows' leaves; ``build_tree`` splits only
+    when both sides get rows, so they reach every leaf. A leaf's anchor is
+    the leaf itself if its training rows hold two or more classes, or if it
+    is the root; otherwise it is the leaf's parent. A split node's rows
+    always hold two or more classes, so the parent always qualifies. Leaves
+    with one anchor form one group; groups are numbered in anchor order.
     """
-    parent = {int(child): int(node) for node in np.flatnonzero(tree.feature >= 0)
-              for child in (tree.left[node], tree.right[node])}
-    leaf_to_anchor = {}
-    for leaf in np.unique(leaves).tolist():
-        pure = np.unique(y[leaves == leaf]).size < 2
-        leaf_to_anchor[leaf] = parent[leaf] if pure and leaf in parent else leaf
-    anchors = sorted(set(leaf_to_anchor.values()))
-    return {leaf: anchors.index(a) for leaf, a in leaf_to_anchor.items()}
+    split = np.flatnonzero(tree.feature >= 0)
+    parent = np.full(tree.feature.size, -1)
+    parent[tree.left[split]] = split
+    parent[tree.right[split]] = split
+    leaf = np.flatnonzero(tree.feature < 0)
+    anchor = leaf.copy()
+    for i, node in enumerate(leaf):
+        if parent[node] >= 0 and np.unique(y[leaves == node]).size < 2:
+            anchor[i] = parent[node]
+    group = np.full(tree.feature.size, -1)
+    group[leaf] = np.unique(anchor, return_inverse=True)[1]
+    return group
 
 
 def fit_profiler(
@@ -246,17 +241,16 @@ def fit_profiler(
 
     tree = build_tree(P, y, n_classes, max_depth=3)
     leaves = tree_apply(tree, P)
-    leaf_to_group = _group_leaves(tree, leaves, y)
+    group = _group_leaves(tree, leaves, y)
 
     features = np.hstack([P, Csi])
-    stages: List[_StageTwo] = []
-    for gidx in range(max(leaf_to_group.values()) + 1):
-        rows = np.concatenate(
-            [np.flatnonzero(leaves == l) for l, gg in leaf_to_group.items() if gg == gidx]
-        )
+    stages = []
+    for gidx in range(group.max() + 1):
+        # Rows leaf by leaf: their order fixes the scaler's sums and the batches.
+        rows = np.concatenate([np.flatnonzero(leaves == l) for l in np.flatnonzero(group == gidx)])
         classes = np.unique(y[rows])
         if classes.size == 1:
-            stages.append(_StageTwo(classes, None, None))
+            stages.append((classes, None, None))
             continue
         local = np.searchsorted(classes, y[rows])
         scaler = Scaler.fit(features[rows])
@@ -270,8 +264,8 @@ def fit_profiler(
             batch_size=64,
             seed=seed + 1000 + gidx,
         )
-        stages.append(_StageTwo(classes, scaler, net))
-    return MultiStageClassifier(tree, leaf_to_group, stages)
+        stages.append((classes, scaler, net))
+    return MultiStageClassifier(tree, group, stages)
 
 
 def stream_hash(P: np.ndarray, Csi: np.ndarray) -> str:
@@ -312,7 +306,7 @@ def evaluate_defense(
     h = hashlib.sha256()
     for r in range(rounds + 1):
         P, Csi, y = signature_batch(identities, per_device, noise_seed=seed + 7919 * r)
-        ids, _ = classifier.identify_batch(P, Csi)
+        ids = classifier.identify_batch(P, Csi)
         rates.append(identification_rate(y, ids))
         h.update(stream_hash(P, Csi).encode())
     rates, digest = tuple(rates), h.hexdigest()

@@ -24,6 +24,41 @@ class Verdict:
     detail: str
 
 
+def target_identification(results) -> Verdict:
+    """Criterion 01: every target kind identifies at least 0.90 of the
+    held-out test rows."""
+    rates = {kind: float(te) for kind, (_tr, te) in results["target_rates"].items()}
+    worst, threshold = min(rates.values()), 0.90
+    detail = (
+        "target test identification "
+        + ", ".join(f"{k}={r:.4f}" for k, r in rates.items())
+        + f"; worst {worst:.4f} >= {threshold} (margin {worst - threshold:+.4f})"
+    )
+    return Verdict(worst, threshold, worst >= threshold, detail)
+
+
+def substitute_agreement(results) -> Verdict:
+    """Criterion 02: each substitute's held-out oracle agreement is within
+    0.05 of its target's own test rate, reached in at most 60 extraction
+    epochs.
+
+    The epoch half holds by construction: ``training_curve`` has one entry
+    per epoch and extraction never stops early, so it reads the configured
+    ``substitute_epochs`` (60 by default) and no control can fail it. Only
+    the gap half can show a defect."""
+    gaps = {kind: abs(results["sub_rates"][kind][2] - te)
+            for kind, (_tr, te) in results["target_rates"].items()}
+    epochs = max(len(sub.training_curve) for sub in results["substitutes"].values())
+    worst, threshold = max(gaps.values()), 0.05
+    detail = (
+        "substitute vs target ("
+        + ", ".join(f"{k} gap={g:.4f}" for k, g in gaps.items())
+        + f"); worst {worst:.4f} <= {threshold} (margin {threshold - worst:+.4f}), "
+        f"{epochs} <= 60 epochs"
+    )
+    return Verdict(worst, threshold, worst <= threshold and epochs <= 60, detail)
+
+
 def misidentification(results) -> Verdict:
     """Criterion 04: every true target identifies at most 0.10 of the
     attacked test rows; each kind's substitute-to-victim transfer gap is

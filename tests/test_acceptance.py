@@ -32,7 +32,13 @@ import pytest
 from flowcamo.harness.experiment import ExperimentConfig, run_experiment
 from flowcamo.learners import Net, bce_dlogits, one_hot
 
-from criteria import contract_holds, feature_subset_selection, misidentification
+from criteria import (
+    contract_holds,
+    feature_subset_selection,
+    misidentification,
+    substitute_agreement,
+    target_identification,
+)
 from finite_diff import bce_loss, central_diff, rel_err, relu_kink_margin
 
 REQUIRED_SPOOF_PAIRS = [
@@ -61,24 +67,15 @@ def announce(capsys, num: int, ok: bool, detail: str) -> None:
 class TestAcceptance:
     @pytest.mark.slow
     def test_c01_target_identification(self, full_run, capsys):
-        rates = {k: te for k, (_tr, te) in full_run["target_rates"].items()}
-        ok = all(r >= 0.90 for r in rates.values())
-        detail = ", ".join(f"{k}={r:.4f}" for k, r in rates.items())
-        announce(capsys, 1, ok, f"target test identification {detail}")
-        assert ok
+        verdict = target_identification(full_run)
+        announce(capsys, 1, verdict.ok, verdict.detail)
+        assert verdict.ok
 
     @pytest.mark.slow
     def test_c02_substitute_agreement(self, full_run, capsys):
-        gaps = {}
-        epochs_ok = True
-        for kind, (_tr, te) in full_run["target_rates"].items():
-            agree = full_run["sub_rates"][kind][2]
-            gaps[kind] = abs(agree - te)
-            epochs_ok &= len(full_run["substitutes"][kind].training_curve) <= 60
-        ok = epochs_ok and all(g <= 0.05 for g in gaps.values())
-        detail = ", ".join(f"{k} gap={g:.4f}" for k, g in gaps.items())
-        announce(capsys, 2, ok, f"substitute vs target ({detail}), <=60 epochs")
-        assert ok
+        verdict = substitute_agreement(full_run)
+        announce(capsys, 2, verdict.ok, verdict.detail)
+        assert verdict.ok
 
     @pytest.mark.slow
     def test_c03_agreement_converged(self, full_run, capsys):

@@ -7,11 +7,19 @@ import numpy as np
 import pytest
 
 from flowcamo.camouflage import Generator, build_generator
+from flowcamo.core import Dataset
 from flowcamo.harness import experiment, synth
 from flowcamo.harness.experiment import ExperimentConfig, run_experiment
 from flowcamo.substitute import select_subset
 
-from criteria import contract_holds, feature_subset_selection, misidentification, scan_of
+from criteria import (
+    contract_holds,
+    feature_subset_selection,
+    misidentification,
+    scan_of,
+    substitute_agreement,
+    target_identification,
+)
 
 # The default run's scan at seed 42 (scan.csv, 28 classes): each agreement
 # is a count of the 2,241 held-out corpus rows, as is the full-pool
@@ -64,6 +72,61 @@ class TestFeatureSubsetSelection:
         assert results["selected_L"] == 20
         verdict = feature_subset_selection(results)
         assert not verdict.ok and verdict.value >= verdict.threshold
+
+
+# A decision_tree-only run small enough for the fast suite. A knn run at this
+# size reads 0.76-0.85 on its own test rows, below criterion 01's 0.90.
+TINY_TREE = dict(seed=4, n_classes=8, rows_per_class=60, target_kinds=("decision_tree",),
+                 spoof_grid=False, run_defense=False)
+
+
+def permuted(ds: Dataset) -> Dataset:
+    """``ds`` with its labels shuffled across rows."""
+    return Dataset(ds.schema, ds.X, np.random.default_rng(0).permutation(ds.y),
+                   ds.class_labels)
+
+
+@pytest.fixture(scope="module")
+def honest_tree_run(tmp_path_factory):
+    return run_experiment(ExperimentConfig(out_dir=str(tmp_path_factory.mktemp("tree")),
+                                           **TINY_TREE))
+
+
+class TestTargetIdentification:
+    def test_honest_run_passes(self, honest_tree_run):
+        verdict = target_identification(honest_tree_run)
+        assert verdict.ok and verdict.value == pytest.approx(0.9896, abs=5e-5)
+        assert f"margin {verdict.value - 0.90:+.4f}" in verdict.detail
+
+    def test_target_fit_to_permuted_labels_fails(self, tmp_path, monkeypatch):
+        """The target learns no relation between rows and labels, so it
+        identifies its test rows at about chance."""
+        fit = experiment.fit
+        monkeypatch.setattr(experiment, "fit",
+                            lambda kind, train, seed: fit(kind, permuted(train), seed=seed))
+        verdict = target_identification(run_experiment(ExperimentConfig(
+            out_dir=str(tmp_path), **TINY_TREE)))
+        assert not verdict.ok and verdict.value < 0.5
+        assert f"margin {verdict.value - 0.90:+.4f}" in verdict.detail
+
+
+class TestSubstituteAgreement:
+    def test_honest_run_passes(self, honest_tree_run):
+        verdict = substitute_agreement(honest_tree_run)
+        assert verdict.ok and verdict.value == pytest.approx(0.0146, abs=5e-5)
+        assert "60 <= 60 epochs" in verdict.detail
+
+    def test_substitute_fit_to_permuted_oracle_labels_fails(self, tmp_path, monkeypatch):
+        """The substitute agrees with the shuffled oracle labels at about
+        chance, far from the target's own test rate; the target is honest."""
+        train = experiment.train_substitute
+        monkeypatch.setattr(experiment, "train_substitute",
+                            lambda corpus, **kwargs: train(permuted(corpus), **kwargs))
+        results = run_experiment(ExperimentConfig(out_dir=str(tmp_path), **TINY_TREE))
+        assert target_identification(results).ok
+        verdict = substitute_agreement(results)
+        assert not verdict.ok and verdict.value > 0.5
+        assert f"margin {0.05 - verdict.value:+.4f}" in verdict.detail
 
 
 # A knn-only run small enough for the fast suite. At 8 classes x 40 rows the

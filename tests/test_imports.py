@@ -1,6 +1,8 @@
 """Every name a flowcamo module imports is used in that module.
 
-Package ``__init__`` files are skipped: their imports are re-exports.
+Only ``learners/__init__.py`` is skipped: its imports are the re-exports
+that program code and tests import through. The other packages re-export
+nothing, so a list of re-exports cannot grow back there unread.
 """
 import ast
 import pathlib
@@ -8,6 +10,7 @@ import pathlib
 import flowcamo
 
 SRC = pathlib.Path(flowcamo.__file__).parent
+REEXPORTS = SRC / "learners" / "__init__.py"
 
 
 def _unused_imports(path: pathlib.Path):
@@ -26,6 +29,6 @@ def _unused_imports(path: pathlib.Path):
 
 
 def test_no_unused_imports():
-    modules = [p for p in sorted(SRC.rglob("*.py")) if p.name != "__init__.py"]
+    modules = [p for p in sorted(SRC.rglob("*.py")) if p != REEXPORTS]
     assert len(modules) > 10
     assert [u for p in modules for u in _unused_imports(p)] == []

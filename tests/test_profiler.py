@@ -268,7 +268,8 @@ class TestStreamHash:
 class TestProfilerIdentification:
     def test_clean_identification_rate(self, profiler, identities):
         P, Csi, y = signature_batch(identities, 20, noise_seed=991)
-        ids, _ = profiler.identify_batch(P, Csi)
+        ids = profiler.identify_batch(P, Csi)
+        assert ids.shape == y.shape
         assert float(np.mean(ids == y)) >= 0.95
 
     def test_too_few_signatures_rejected(self, identities):
@@ -328,6 +329,14 @@ def reference_leaf_groups(tree, leaves, y):
     return {leaf: anchors.index(a) for leaf, a in leaf_to_anchor.items()}
 
 
+def leaf_groups(tree, group):
+    """``{leaf: group}`` of a node-indexed group array, which must read -1
+    at every split node and a group at every leaf."""
+    assert group.shape == tree.feature.shape
+    assert ((group < 0) == (tree.feature >= 0)).all()
+    return {leaf: int(group[leaf]) for leaf in np.flatnonzero(tree.feature < 0).tolist()}
+
+
 class TestLeafGroups:
     @settings(max_examples=120, deadline=None)
     @given(seed=st.integers(0, 2**16), n_devices=st.integers(2, 40),
@@ -339,12 +348,12 @@ class TestLeafGroups:
         tree = build_tree(P, y, n_devices, max_depth=depth)
         leaves = tree_apply(tree, P)
         want = reference_leaf_groups(tree, leaves, y)
-        assert profiler_module._group_leaves(tree, leaves, y) == want
+        assert leaf_groups(tree, profiler_module._group_leaves(tree, leaves, y)) == want
 
     def test_fitted_profiler_groups_match_the_ancestor_search(self, profiler, identities):
         P, _, y = signature_batch(identities, per_device=40, noise_seed=5)  # its training set
         want = reference_leaf_groups(profiler.tree, tree_apply(profiler.tree, P), y)
-        assert profiler.leaf_to_group == want
+        assert leaf_groups(profiler.tree, profiler.group) == want
         assert len(profiler.stages) == max(want.values()) + 1
 
 

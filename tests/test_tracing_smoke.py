@@ -1,4 +1,4 @@
-"""The benchmark tracer still wraps the ``Net`` and training entry points.
+"""The benchmark tracer still wraps the ``Net``, training and profiler entry points.
 
 ``perfbench/tracing.py`` replaces methods and module globals with wrappers
 whose counters take fixed argument lists, so a changed call signature
@@ -45,6 +45,10 @@ experiment.train_generator(
     g, sub, src, spoof(DeviceClass(tid, train.class_labels[tid])), epochs=2, seed=4,
     anchor_X=train.X,
 )
+identities = experiment.make_identities(5, seed=6)
+P, Csi, y = experiment.signature_batch(identities, 12, noise_seed=7)
+prof = experiment.fit_profiler(P, Csi, y, seed=8)
+experiment.evaluate_defense(prof, identities, rounds=2, per_device=3, seed=9)
 print(json.dumps({"counts": dict(tracer.counts),
                   "spans": sorted({s[0] for s in tracer.spans})}))
 """
@@ -67,6 +71,9 @@ def test_traced_substitute_and_spoof_training():
     assert counts["camouflage.trainings"] == 1
     assert counts["camouflage.spoof_trainings"] == 1
     assert counts["substitute.epochs_run"] == 3
+    # The defense identifies (rounds + 1) x devices x per_device rows.
+    assert counts["profiler.identify_rows"] == 3 * 5 * 3
     for name in ("learners.net.forward", "learners.net.backward",
-                 "substitute.train", "camouflage.train"):
+                 "substitute.train", "camouflage.train", "profiler.fit",
+                 "profiler.defense", "profiler.identify"):
         assert name in record["spans"]
