@@ -41,6 +41,8 @@ DELTA_SCALE = 6.0
 BATCH_SIZE = 128
 # Training stops early once the success metric moved less than the mode's
 # plateau band over PLATEAU_WINDOW epochs, but not before PLATEAU_MIN_EPOCHS.
+# Spoof mode also stops after any epoch that spoofed every row, whatever the
+# epoch count: in such an epoch its gated cross-entropy gave no gradient.
 PLATEAU_WINDOW = 5
 PLATEAU_MIN_EPOCHS = 20
 # Each mode's training recipe: (LR factor per epoch, cross-entropy gradient
@@ -231,7 +233,10 @@ def train_generator(
     ``g.training_curve`` starts with the substitute's success on ``train``
     under fresh noise. Each epoch then appends the share of rows the
     substitute's logits counted as a success in that epoch's batches,
-    before each batch's step; the plateau test reads this curve.
+    before each batch's step; the plateau test reads this curve. Spoof
+    mode also ends after the first epoch whose entry is 1.0: the
+    substitute assigned every row to the target before that row's own
+    step, so the goal is reached without asking the oracle.
     """
     if not isinstance(sub, SubstituteModel):
         raise ContractViolationError(
@@ -306,6 +311,8 @@ def train_generator(
             g.net.sgd_step(g.backward_to_params(grad_cache, dHp), lr)
         lr *= lr_factor
         g.training_curve.append(hits / n)
+        if hits == n and not misidentify_mode:
+            break
         recent = g.training_curve[-PLATEAU_WINDOW:]
         if (
             len(g.training_curve) > PLATEAU_MIN_EPOCHS

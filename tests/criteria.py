@@ -13,7 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from flowcamo.camouflage import sample_multipliers
-from flowcamo.substitute import PerformanceGainPoint, performance_gain
+from flowcamo.substitute import (
+    PerformanceGainPoint,
+    feature_weights,
+    performance_gain,
+    performance_gain_scan,
+)
 
 
 @dataclass(frozen=True)
@@ -74,6 +79,42 @@ def misidentification(results) -> Verdict:
     return Verdict(worst, threshold, worst <= threshold, detail)
 
 
+# Criterion 05's pairs: (source type, destination type), in both directions.
+REQUIRED_SPOOF_PAIRS = (
+    ("camera", "hub"), ("hub", "camera"),
+    ("camera", "health"), ("health", "camera"),
+    ("hub", "health"), ("health", "hub"),
+    ("switch", "health"), ("health", "switch"),
+)
+REPORTED_SPOOF_PAIRS = (("camera", "switch"), ("switch", "camera"))
+
+
+def spoof_pairs(results) -> Verdict:
+    """Criterion 05: every required (source, destination) type pair is
+    spoofed at 0.80 or more by every target kind; camera/switch is only
+    reported. A pair's rate is its lowest over the kinds. A cell with no
+    rate, whose target the substitute assigns no row to, spoofs nothing
+    and reads 0."""
+    rates = results["spoof_rates"]
+    kinds = results["config"].target_kinds
+    threshold = 0.80
+
+    def pair_rate(src, dst):
+        return min(rates.get((kind, src, dst), 0.0) for kind in kinds)
+
+    required = {pair: pair_rate(*pair) for pair in REQUIRED_SPOOF_PAIRS}
+    reported = {pair: pair_rate(*pair) for pair in REPORTED_SPOOF_PAIRS}
+    (w_src, w_dst), worst = min(required.items(), key=lambda kv: kv[1])
+
+    def margins(pairs):
+        return ", ".join(f"{s}>{d}:{r:.4f} ({r - threshold:+.4f})" for (s, d), r in pairs.items())
+
+    detail = (f"min spoofing rate per pair over kinds, required {margins(required)}; "
+              f"reported {margins(reported)}; worst required {w_src}>{w_dst} {worst:.4f} "
+              f">= {threshold} (margin {worst - threshold:+.4f})")
+    return Verdict(worst, threshold, worst >= threshold, detail)
+
+
 def contract_holds(results, n_rows: int = 100_000) -> Verdict:
     """Criterion 06: no contract violation over ``n_rows`` manipulated test
     rows of the first attack generator, fresh noise per row. A violation is
@@ -93,20 +134,37 @@ def contract_holds(results, n_rows: int = 100_000) -> Verdict:
     return Verdict(violations, 0, violations == 0, detail)
 
 
+def retrained_agreement(results) -> float:
+    """Held-out agreement of one substitute retrained at the selected L, with
+    the feature weights, seed and epochs of the scan (``experiment._scan``)."""
+    cfg = results["config"]
+    kind = cfg.target_kinds[0]
+    corpus, sub = results["corpora"][kind], results["substitutes"][kind]
+    weights = feature_weights(corpus, sub, seed=cfg.seed + 500)
+    (point,) = performance_gain_scan(corpus, weights, [results["selected_L"]],
+                                     epochs=cfg.scan_epochs, seed=cfg.seed + 501)
+    return point.agreement
+
+
 def feature_subset_selection(results) -> Verdict:
     """Criterion 07: the selected L is at most half the pool, its agreement
     within 0.02 of the full-pool substitute's, and every undefined gain is
-    flagged rather than computed."""
+    flagged rather than computed. The selected row must also be the scan's
+    own: retraining that L reproduces its agreement bit for bit, so a scan
+    whose agreements sit at the wrong sizes fails."""
     sub = results["substitutes"][results["config"].target_kinds[0]]
     scan, chosen = results["scan"], results["selected_L"]
     flags_consistent = all(p.undefined == (not math.isfinite(p.gain)) for p in scan)
     chosen_agree = next(p.agreement for p in scan if p.L == chosen)
+    retrained = retrained_agreement(results)
     threshold = sub.agreement - 0.02
     half = len(sub.schema) // 2
-    ok = flags_consistent and chosen <= half and chosen_agree >= threshold
+    ok = (flags_consistent and chosen <= half and chosen_agree >= threshold
+          and retrained == chosen_agree)
     detail = (
         f"selected L={chosen} (<= {half}), agreement {chosen_agree:.4f} vs full-pool "
         f"{sub.agreement:.4f} - 0.02 (margin {chosen_agree - threshold:+.4f}), "
+        f"retrained at L={chosen} {retrained:.4f} (reproduced={retrained == chosen_agree}), "
         f"gain flags consistent={flags_consistent}"
     )
     return Verdict(chosen_agree, threshold, ok, detail)

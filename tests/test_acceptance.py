@@ -36,18 +36,11 @@ from criteria import (
     contract_holds,
     feature_subset_selection,
     misidentification,
+    spoof_pairs,
     substitute_agreement,
     target_identification,
 )
 from finite_diff import bce_loss, central_diff, rel_err, relu_kink_margin
-
-REQUIRED_SPOOF_PAIRS = [
-    ("camera", "hub"), ("hub", "camera"),
-    ("camera", "health"), ("health", "camera"),
-    ("hub", "health"), ("health", "hub"),
-    ("switch", "health"), ("health", "switch"),
-]
-REPORTED_SPOOF_PAIRS = [("camera", "switch"), ("switch", "camera")]
 
 
 @pytest.fixture(scope="module")
@@ -96,24 +89,9 @@ class TestAcceptance:
 
     @pytest.mark.slow
     def test_c05_spoofing(self, full_run, capsys):
-        spoof = full_run["spoof_rates"]
-        kinds = full_run["config"].target_kinds
-        worst = {}
-        for src, dst in REQUIRED_SPOOF_PAIRS:
-            worst[(src, dst)] = min(spoof[(k, src, dst)] for k in kinds)
-        ok = all(v >= 0.80 for v in worst.values())
-        reported = {
-            (s, d): min(spoof[(k, s, d)] for k in kinds)
-            for s, d in REPORTED_SPOOF_PAIRS
-        }
-        detail = (
-            "required "
-            + ", ".join(f"{s}>{d}:{v:.3f}" for (s, d), v in worst.items())
-            + "; reported "
-            + ", ".join(f"{s}>{d}:{v:.3f}" for (s, d), v in reported.items())
-        )
-        announce(capsys, 5, ok, f"min spoofing rate per pair over kinds: {detail}")
-        assert ok
+        verdict = spoof_pairs(full_run)
+        announce(capsys, 5, verdict.ok, verdict.detail)
+        assert verdict.ok
 
     @pytest.mark.slow
     def test_c06_contract_holds_at_scale(self, full_run, capsys):

@@ -71,9 +71,10 @@ def _reference_success(g, sub, X, mode, orig_labels, rng):
 def reference_train_generator(g, sub, train, mode, epochs, seed=0, lr=0.01, anchor_X=None):
     """Misidentify: constant LR, BCE weight 1, no gate, no anchor, plateau
     delta 1e-4. Spoof: LR decay 0.93, BCE weight 0.1, gated BCE, anchor
-    weight 1.0, plateau delta 2e-3. Both: plateau minimum 20 epochs. The
-    curve is one fresh-noise probe, then per epoch the share of rows whose
-    batch logits, before the batch's step, count as a success."""
+    weight 1.0, plateau delta 2e-3, and a stop after any epoch whose every
+    row counted as a success. Both: plateau minimum 20 epochs. The curve is
+    one fresh-noise probe, then per epoch the share of rows whose batch
+    logits, before the batch's step, count as a success."""
     if mode.mode == "misidentify":
         lr_decay, bce_weight, gate_success, anchor_weight, plateau_delta = 1.0, 1.0, False, 0.0, 1e-4
     else:
@@ -119,6 +120,8 @@ def reference_train_generator(g, sub, train, mode, epochs, seed=0, lr=0.01, anch
             g.net.sgd_step(reference_backward_to_params(g, grad_cache, dHp), lr)
         lr *= lr_decay
         g.training_curve.append(float(np.mean(np.concatenate(successes))))
+        if mode.mode == "spoof" and g.training_curve[-1] == 1.0:
+            break
         recent = g.training_curve[-PLATEAU_WINDOW:]
         if (len(g.training_curve) > plateau_min_epochs and len(recent) == PLATEAU_WINDOW
                 and max(recent) - min(recent) < plateau_delta):
@@ -407,6 +410,36 @@ class TestTraining:
         assert PLATEAU_MIN_EPOCHS == 20
         assert len(g.training_curve) == PLATEAU_MIN_EPOCHS + 1
         assert len(set(g.training_curve)) == 1
+
+    def test_spoof_stops_after_the_first_epoch_that_spoofs_every_row(
+            self, pool_schema, trained_sub, small_split):
+        """At lr 0 the generator stays the identity map, so rows the
+        substitute already assigns to the target are all spoofed in epoch 1."""
+        sub, _, _ = trained_sub
+        train_pool, _ = small_split
+        clean = sub.predict_ids(train_pool.X)
+        tid = int(clean[0])
+        train = train_pool.take(np.flatnonzero(clean == tid))
+        g = build_generator(pool_schema, train.X, seed=9)
+        train_generator(g, sub, train, spoof(DeviceClass(tid, "t")), epochs=60, lr=0.0,
+                        anchor_X=train_pool.X)
+        assert g.training_curve == [1.0, 1.0]
+
+    def test_misidentify_that_evades_every_row_stops_on_the_plateau(
+            self, pool_schema, trained_sub, small_split):
+        """A last layer with zero weights and large biases makes each row's
+        output independent of its noise; on the rows whose clean label
+        differs from their output's, every epoch of an lr-0 training reads
+        1.0."""
+        sub, _, _ = trained_sub
+        train_pool, _ = small_split
+        g = build_generator(pool_schema, train_pool.X, seed=9)
+        g.net.biases[-1][:] = 10.0
+        moved = sub.predict_ids(g.manipulate_batch(train_pool.X, np.zeros_like(train_pool.X)))
+        train = train_pool.take(np.flatnonzero(sub.predict_ids(train_pool.X) != moved))
+        assert len(train) > BATCH_SIZE
+        train_generator(g, sub, train, misidentify(), epochs=60, lr=0.0)
+        assert g.training_curve == [1.0] * (PLATEAU_MIN_EPOCHS + 1)
 
     def test_anchor_rows_are_needed_for_spoof_only(self, gen, trained_sub, small_split):
         sub, _, _ = trained_sub

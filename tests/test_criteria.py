@@ -6,17 +6,20 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from flowcamo.camouflage import Generator, build_generator
-from flowcamo.core import Dataset
+from flowcamo.blackbox import Oracle
+from flowcamo.camouflage import Generator, build_generator, spoof
+from flowcamo.core import Dataset, DeviceClass
 from flowcamo.harness import experiment, synth
 from flowcamo.harness.experiment import ExperimentConfig, run_experiment
 from flowcamo.substitute import select_subset
 
+import criteria
 from criteria import (
     contract_holds,
     feature_subset_selection,
     misidentification,
     scan_of,
+    spoof_pairs,
     substitute_agreement,
     target_identification,
 )
@@ -38,6 +41,14 @@ def results_of(L_values, hits, full_hits=FULL_HITS):
 
 
 class TestFeatureSubsetSelection:
+    """The knee and threshold half, on doctored seed-42 scans that carry no
+    corpus to retrain on: here the retrain reproduces the selected row."""
+
+    @pytest.fixture(autouse=True)
+    def scan_rows_reproduce(self, monkeypatch):
+        monkeypatch.setattr(criteria, "retrained_agreement", lambda results: next(
+            p.agreement for p in results["scan"] if p.L == results["selected_L"]))
+
     def test_default_seed42_scan_passes(self):
         """[DERIVED] the knee is L=6: margin 2197/2241 - (2196/2241 - 0.02)."""
         verdict = feature_subset_selection(results_of(SEED42_L, SEED42_HITS))
@@ -55,11 +66,10 @@ class TestFeatureSubsetSelection:
         assert verdict.value < verdict.threshold
 
     def test_agreements_shuffled_across_sizes_fail(self):
-        """The seed-42 agreements in a shuffled order, gains recomputed. A
-        shuffle shows only where the knee lands on a low agreement: of the
-        8! orders, the 720 that put 0.872 at L=2 and 0.247 at L=4 fail; in
-        every other order the knee's agreement is within 0.02 of the full
-        pool, a selection the criterion rightly passes."""
+        """The seed-42 agreements in a shuffled order, gains recomputed. The
+        knee half alone fails only where the knee lands on a low agreement:
+        of the 8! orders, the 720 that put 0.872 at L=2 and 0.247 at L=4.
+        In the other orders the retrain is what fails (``TestScanReproduced``)."""
         shuffled = [SEED42_HITS[i] for i in (1, 0, 5, 2, 7, 3, 6, 4)]
         results = results_of(SEED42_L, shuffled)
         assert results["selected_L"] == 2
@@ -89,7 +99,31 @@ def permuted(ds: Dataset) -> Dataset:
 @pytest.fixture(scope="module")
 def honest_tree_run(tmp_path_factory):
     return run_experiment(ExperimentConfig(out_dir=str(tmp_path_factory.mktemp("tree")),
-                                           **TINY_TREE))
+                                           run_scan=True, **TINY_TREE))
+
+
+class TestScanReproduced:
+    """The retrain half of criterion 07, on a real scan: 80 held-out rows,
+    agreements 0.7125 at L=2 and 1.0 at L=4-12, knee L=4."""
+
+    def test_honest_scan_passes(self, honest_tree_run):
+        verdict = feature_subset_selection(honest_tree_run)
+        assert verdict.ok and honest_tree_run["selected_L"] == 4
+        assert "retrained at L=4 1.0000 (reproduced=True)" in verdict.detail
+
+    def test_agreements_shuffled_so_the_selected_row_moves_fail(self, honest_tree_run):
+        """L=2 and L=4 trade agreements, so the knee moves to L=2 and reads
+        1.0, within 0.02 of the full pool: only the retrain, 0.7125, sees it."""
+        scan = honest_tree_run["scan"]
+        agreements = [p.agreement for p in scan]
+        agreements[0], agreements[1] = agreements[1], agreements[0]
+        shuffled = scan_of([(p.L, a) for p, a in zip(scan, agreements)],
+                           TINY_TREE["n_classes"])
+        results = {**honest_tree_run, "scan": shuffled, "selected_L": select_subset(shuffled)}
+        verdict = feature_subset_selection(results)
+        assert results["selected_L"] == 2 and verdict.value >= verdict.threshold
+        assert not verdict.ok
+        assert "retrained at L=2 0.7125 (reproduced=False)" in verdict.detail
 
 
 class TestTargetIdentification:
@@ -158,6 +192,38 @@ class TestMisidentification:
         verdict = misidentification(results)
         assert not verdict.ok and verdict.value > 0.5
         assert f"margin {0.10 - verdict.value:+.4f}" in verdict.detail
+
+
+# A neural_net-only spoof grid small enough for the fast suite: 8 classes, two
+# of each device type, so every type pair is one cell.
+TINY_GRID = dict(seed=0, n_classes=8, rows_per_class=100, target_kinds=("neural_net",),
+                 run_defense=False)
+
+
+class TestSpoofPairs:
+    def test_honest_grid_passes(self, tmp_path):
+        verdict = spoof_pairs(run_experiment(ExperimentConfig(out_dir=str(tmp_path),
+                                                               **TINY_GRID)))
+        assert verdict.ok and verdict.value == pytest.approx(0.975)
+        assert "margin +0.1750" in verdict.detail and "camera>switch:" in verdict.detail
+
+    def test_rates_read_against_the_wrong_target_class_fail(self, tmp_path, monkeypatch):
+        """Each cell trains and is accepted as before, but its reported rate
+        counts the rows the target assigns to the destination type's other
+        class, not to the class the generator was trained toward."""
+        evaluate = experiment.evaluate_attack
+
+        def against_the_next_class(g, victim, test, mode, seed):
+            if mode.mode == "spoof" and not isinstance(victim, Oracle):
+                wrong = (mode.target.id + 1) % len(test.class_labels)
+                mode = spoof(DeviceClass(wrong, test.class_labels[wrong]))
+            return evaluate(g, victim, test, mode, seed=seed)
+
+        monkeypatch.setattr(experiment, "evaluate_attack", against_the_next_class)
+        verdict = spoof_pairs(run_experiment(ExperimentConfig(out_dir=str(tmp_path),
+                                                              **TINY_GRID)))
+        assert not verdict.ok and verdict.value < 0.5
+        assert f"margin {verdict.value - 0.80:+.4f}" in verdict.detail
 
 
 class SkipsRestore(Generator):
