@@ -2,10 +2,10 @@
 
 Builds the spoof-grid workload's shapes (neural_net target, 8 classes, 150
 rows per class, the 28-feature attacker pool, 128-row batches), then times
-the batch step of ``camouflage.train_generator`` section by section, and
-each of its matrix products and bias column sums alone, as medians over
-repeats. The step is the loop body of ``train_generator`` in spoof mode,
-run with step size 0 so every repeat sees the same generator.
+``camouflage.generator_step``, the step ``train_generator`` runs per batch,
+and each of its matrix products and bias column sums alone, as medians over
+repeats. The step runs toward the spoof objective with step size 0, so
+every repeat sees the same generator.
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 bench/generator_step.py > out.json
 """
@@ -19,14 +19,11 @@ import time
 
 import numpy as np
 
-from flowcamo.camouflage import BATCH_SIZE, build_generator, sample_multipliers
+from flowcamo.camouflage import (BATCH_SIZE, RECIPES, attack_objective, build_generator,
+                                 generator_step, sample_multipliers, spoof)
 from flowcamo.core import DeviceClass
 from flowcamo.harness import synth
 from flowcamo.harness.experiment import ExperimentConfig, run_experiment
-from flowcamo.learners import bce_dlogits, one_hot
-
-SECTIONS = ("gather", "generator_forward", "substitute_forward", "input_gradient",
-            "generator_backward", "step")
 
 
 def stats_us(ns):
@@ -56,60 +53,36 @@ def setup(seed: int = 42):
 
 
 def time_step(sub, g, X, anchor_X, target, repeats: int, rng):
-    """Per-section nanoseconds of ``repeats`` batch steps, plus the last
-    step's generator and substitute caches and logit gradient."""
+    """Nanoseconds of ``repeats`` spoof batch steps, each with its gather,
+    and the network input ``Z`` of the rows ``X``."""
     n, k = X.shape
-    targets = one_hot(np.full(BATCH_SIZE, target.id), sub.n_classes)
-    anchor = anchor_X[sub.predict_ids(anchor_X) == target.id].mean(axis=0)
-    anchor_scale2 = g.scaler.scale**2
-    mut = g.schema.mutable_mask
+    objective = attack_objective(spoof(target), g, sub, X, anchor_X)
+    ce_weight = RECIPES["spoof"][1]
     Z = g._input_buffer(X)
     np.divide(sample_multipliers(g.schema, n, rng) * X, g.scaler.scale, out=Z[:, k:])
-    times = {s: [] for s in SECTIONS}
     clock = time.perf_counter_ns
+    ns = []
     for _ in range(repeats):
         idx = rng.permutation(n)[:BATCH_SIZE]
         t0 = clock()
-        Xb, Zb = X[idx], Z[idx]
-        t1 = clock()
-        Hp, grad_cache = g._manipulate(Xb, Zb, want_grad_cache=True)
-        t2 = clock()
-        z, sub_cache = sub.net.forward_logits(sub.scaler.transform(Hp), want_cache=True)
-        spoofed = np.argmax(z, axis=1) == target.id
-        np.count_nonzero(spoofed)
-        t3 = clock()
-        dz = bce_dlogits(z, targets[: idx.size])
-        dz[spoofed] = 0.0
-        dHp = sub.net.input_grad(sub_cache, dz)
-        dHp *= 0.1
-        dHp /= sub.scaler.scale
-        pull = Hp - anchor
-        pull *= 2.0
-        pull *= mut
-        pull /= anchor_scale2
-        pull /= idx.size
-        dHp += pull
-        t4 = clock()
-        grad = g.backward_to_params(grad_cache, dHp)
-        t5 = clock()
-        g.net.sgd_step(grad, 0.0)
-        t6 = clock()
-        for s, a, b in zip(SECTIONS, (t0, t1, t2, t3, t4, t5), (t1, t2, t3, t4, t5, t6)):
-            times[s].append(b - a)
-    return times, (grad_cache[0], sub_cache, dz)
+        generator_step(g, sub, X[idx], Z[idx], idx, objective, ce_weight, 0.0)
+        ns.append(clock() - t0)
+    return ns, Z
 
 
-def products(g, sub, caches):
-    """Every matrix product of one step, in step order, as (name, a, b)."""
-    gen_cache, sub_cache, dz = caches
+def products(g, sub, X, Z):
+    """Every matrix product of one step, in step order, as (name, a, b),
+    with the operands of one forward pass over a batch of ``X``."""
+    Hp, (gen_cache, *_) = g._manipulate(X[:BATCH_SIZE], Z[:BATCH_SIZE], want_grad_cache=True)
+    z, sub_cache = sub.net.forward_logits(sub.scaler.transform(Hp), want_cache=True)
     gW, sW = g.net.weights, sub.net.weights
     out = [(f"generator_forward.h{i}@W{i}", gen_cache[i], gW[i]) for i in range(3)]
     out += [(f"substitute_forward.h{i}@W{i}", sub_cache[i], sW[i]) for i in range(3)]
-    d = dz
+    d = z  # the shape of d(loss)/d(logits)
     for i in (2, 1, 0):
         out.append((f"input_gradient.d@W{i}.T", d, sW[i].T))
         d = d @ sW[i].T
-    dU = np.ones((dz.shape[0], gW[-1].shape[1]))  # the shape of d(loss)/d(h')
+    dU = np.ones((z.shape[0], gW[-1].shape[1]))  # the shape of d(loss)/d(h')
     for i in (2, 1, 0):
         out.append((f"generator_backward.h{i}.T@d (dW{i})", gen_cache[i].T, dU))
         if i > 0:
@@ -132,10 +105,9 @@ def main(repeats: int = 3000) -> int:
     sub, g, X, anchor_X, target = setup()
     rng = np.random.default_rng(0)
     time_step(sub, g, X, anchor_X, target, 200, rng)  # warm-up
-    times, caches = time_step(sub, g, X, anchor_X, target, repeats, rng)
-    step = [sum(parts) for parts in zip(*times.values())]
+    step, Z = time_step(sub, g, X, anchor_X, target, repeats, rng)
     alone = {}
-    for name, a, b in products(g, sub, caches):
+    for name, a, b in products(g, sub, X, Z):
         alone[f"{name} ({a.shape[0]}x{a.shape[1]} @ {b.shape[0]}x{b.shape[1]})"] = stats_us(
             time_alone(lambda: a @ b, repeats))
     for i, width in enumerate(g.net.layer_sizes[1:]):
@@ -148,7 +120,6 @@ def main(repeats: int = 3000) -> int:
         "substitute_sizes": list(sub.net.layer_sizes),
         "repeats": repeats,
         "step": stats_us(step),
-        "sections": {s: stats_us(times[s]) for s in SECTIONS},
         "products_alone": alone,
     }
     json.dump(report, sys.stdout, indent=1)

@@ -28,7 +28,7 @@ from .core import (
     spoofing_rate,
 )
 from .learners import ClassifierModel, Net, Scaler, bce_dlogits, one_hot
-from .learners.base import check_shape
+from .learners.base import check_real, check_shape
 from .learners.io import load_archive, save_archive
 from .substitute import SubstituteModel
 
@@ -46,9 +46,11 @@ BATCH_SIZE = 128
 PLATEAU_WINDOW = 5
 PLATEAU_MIN_EPOCHS = 20
 # Each mode's training recipe: (LR factor per epoch, cross-entropy gradient
-# weight, plateau band). Spoof success on a few thousand rows moves in
-# coarser steps than the misidentify band, so its looser band lets a stuck
-# trial stop early and leaves the budget to the next restart.
+# weight, plateau band). Spoof's step size decays, as constant-step SGD
+# oscillates around the anchor minimum instead of settling into it. Spoof
+# success on a few thousand rows moves in coarser steps than the misidentify
+# band, so its looser band lets a stuck trial stop early and leaves the
+# budget to the next restart.
 RECIPES = {"misidentify": (1.0, 1.0, 1e-4), "spoof": (0.93, 0.1, 2e-3)}
 
 
@@ -93,6 +95,7 @@ class Generator:
                 f"generator sizes {list(sizes)} do not map {2 * k} inputs to {k} outputs"
             )
         check_shape("generator amp", amp, (k,))
+        check_real("generator amp", amp)
         if not np.isfinite(amp).all():
             raise ValidationError("generator amp holds non-finite values")
         self.schema = schema
@@ -191,18 +194,83 @@ def load_generator(path: str) -> Generator:
     return load_archive(path, Generator.from_arrays, "generator")
 
 
-def _success_metric(
-    g: Generator, sub: SubstituteModel, X: np.ndarray, Z: np.ndarray, mode: AttackMode,
-    orig_labels: Optional[np.ndarray], rng: np.random.Generator,
-) -> float:
-    """Substitute success on ``X`` under fresh noise; ``Z`` is ``X``'s
-    network input, whose noise half this overwrites."""
-    np.divide(sample_multipliers(g.schema, X.shape[0], rng) * X, g.scaler.scale,
-              out=Z[:, len(g.schema):])
-    pred = sub.predict_ids(g._manipulate(X, Z))
-    if mode.mode == "misidentify":
-        return float(np.mean(pred != orig_labels))
-    return float(np.mean(pred == mode.target.id))
+def attack_objective(mode: AttackMode, g: Generator, sub: SubstituteModel, X: np.ndarray,
+                     anchor_X: Optional[np.ndarray]) -> tuple:
+    """``(success, dlogits, pull)`` of ``mode`` for the training rows ``X``.
+
+    ``success(pred, idx)`` marks the rows ``X[idx]`` whose substitute ids
+    ``pred`` count; ``dlogits(z, idx, hit)`` is their logit gradient;
+    ``pull(Hp)``, or None, adds a gradient on the manipulated rows.
+    Misidentify ascends the substitute's cross-entropy against its frozen
+    clean labels. Spoof descends it toward the target and pulls the mutable
+    features toward the centroid of the ``anchor_X`` rows the substitute
+    assigns to the target, per feature over the squared reference spread:
+    on the traffic manifold substitute agreement with the victim is high.
+    """
+    spoofing = mode.mode == "spoof"
+    if spoofing and not 0 <= mode.target.id < sub.n_classes:
+        raise ValidationError("spoof target id outside the substitute's classes")
+    if (anchor_X is None) == spoofing:
+        raise ValidationError("spoof mode needs anchor_X; misidentify mode takes none")
+    if not spoofing:
+        orig_labels = sub.predict_ids(X)
+        targets = one_hot(orig_labels, sub.n_classes)  # row i is sample i's target
+
+        def success(pred, idx):
+            return pred != orig_labels[idx]
+
+        def dlogits(z, idx, hit):
+            dz = bce_dlogits(z, targets[idx])
+            return np.negative(dz, out=dz)
+
+        return success, dlogits, None
+
+    tid = mode.target.id
+    # Every row has the same target, so any batch uses a leading slice.
+    targets = one_hot(np.full(min(X.shape[0], BATCH_SIZE), tid), sub.n_classes)
+    rows = anchor_X[sub.predict_ids(anchor_X) == tid]
+    if rows.shape[0] == 0:
+        raise UnreachableTargetError("anchor_X has no rows the substitute assigns to the "
+                                     "spoof target")
+    anchor = rows.mean(axis=0)
+    anchor_scale2 = g.scaler.scale**2
+    mut = g.schema.mutable_mask
+
+    def success(pred, idx):
+        return pred == tid
+
+    def dlogits(z, idx, hit):
+        dz = bce_dlogits(z, targets[: idx.size])
+        dz[hit] = 0.0  # late training only tightens the stragglers
+        return dz
+
+    def pull(Hp):
+        p = Hp - anchor
+        p *= 2.0
+        p *= mut
+        p /= anchor_scale2
+        p /= Hp.shape[0]
+        return p
+
+    return success, dlogits, pull
+
+
+def generator_step(g: Generator, sub: SubstituteModel, H: np.ndarray, Z: np.ndarray,
+                   idx: np.ndarray, objective: tuple, ce_weight: float, lr: float) -> int:
+    """One SGD step of ``g`` on training rows ``idx`` (features ``H``,
+    network input ``Z``) toward ``objective``; returns how many rows the
+    substitute counted as a success before the step."""
+    success, dlogits, pull = objective
+    Hp, grad_cache = g._manipulate(H, Z, want_grad_cache=True)
+    z, sub_cache = sub.net.forward_logits(sub.scaler.transform(Hp), want_cache=True)
+    hit = success(np.argmax(z, axis=1), idx)
+    dHp = sub.net.input_grad(sub_cache, dlogits(z, idx, hit))
+    dHp *= ce_weight
+    dHp /= sub.scaler.scale
+    if pull is not None:
+        dHp += pull(Hp)
+    g.net.sgd_step(g.backward_to_params(grad_cache, dHp), lr)
+    return np.count_nonzero(hit)
 
 
 def train_generator(
@@ -217,18 +285,11 @@ def train_generator(
 ) -> Generator:
     """Gradient-train the generator against a substitute over its schema.
 
-    Misidentify mode ascends the substitute's cross-entropy against its
-    own clean-traffic labels at a constant ``lr``. Spoof mode descends
-    cross-entropy toward the chosen class with two stabilisers, and needs
-    ``anchor_X``. A quadratic pull draws the mutable features toward the
-    centroid of the rows of ``anchor_X`` that the substitute labels as the
-    target class, weighted per feature by the inverse squared reference
-    spread; this keeps the output on the traffic manifold, where substitute
-    agreement with the victim is high. The cross-entropy gradient is zeroed
-    for rows the substitute already assigns to the target, so late training
-    only tightens the stragglers. ``lr`` decays after each epoch; plain
-    constant-step SGD oscillates around the anchor minimum instead of
-    settling into it. Multipliers are re-sampled fresh every epoch.
+    Each batch is one ``generator_step`` toward the mode's
+    ``attack_objective``; spoof mode needs ``anchor_X``. The mode's
+    ``RECIPES`` entry weights the cross-entropy gradient and sets how
+    ``lr`` decays after each epoch. Multipliers are re-sampled fresh every
+    epoch.
 
     ``g.training_curve`` starts with the substitute's success on ``train``
     under fresh noise. Each epoch then appends the share of rows the
@@ -247,71 +308,31 @@ def train_generator(
         raise ValidationError("generator, training data and substitute schemas differ")
     if len(train) == 0:
         raise ValidationError("training dataset is empty")
-    misidentify_mode = mode.mode == "misidentify"
-    if not misidentify_mode and not 0 <= mode.target.id < sub.n_classes:
-        raise ValidationError("spoof target id outside the substitute's classes")
-    if (anchor_X is None) != misidentify_mode:
-        raise ValidationError("spoof mode needs anchor_X; misidentify mode takes none")
 
     lr_factor, ce_weight, plateau_band = RECIPES[mode.mode]
     X = train.X
     n, k = X.shape
     rng = np.random.default_rng(seed)
-    orig_labels = None
-    if misidentify_mode:
-        orig_labels = sub.predict_ids(X)  # frozen clean labels
-        targets = one_hot(orig_labels, sub.n_classes)  # row i is sample i's target
-    else:
-        # Every row has the same target, so any batch uses a leading slice.
-        targets = one_hot(np.full(min(n, BATCH_SIZE), mode.target.id), sub.n_classes)
-        rows = anchor_X[sub.predict_ids(anchor_X) == mode.target.id]
-        if rows.shape[0] == 0:
-            raise UnreachableTargetError(
-                "anchor_X has no rows the substitute assigns to the spoof target"
-            )
-        anchor = rows.mean(axis=0)
-        anchor_scale2 = g.scaler.scale**2
-        mut = g.schema.mutable_mask
+    objective = attack_objective(mode, g, sub, X, anchor_X)
 
     # Network input of every training row. Its noise half is refilled for
     # the first probe and once per epoch; batches gather their rows.
     Z = g._input_buffer(X)
     noise = Z[:, k:]
-    g.training_curve = [
-        _success_metric(g, sub, X, Z, mode, orig_labels, np.random.default_rng(seed + 1))
-    ]
+    np.divide(sample_multipliers(g.schema, n, np.random.default_rng(seed + 1)) * X,
+              g.scaler.scale, out=noise)
+    pred = sub.predict_ids(g._manipulate(X, Z))
+    g.training_curve = [float(np.mean(objective[0](pred, np.arange(n))))]
     for _epoch in range(epochs):
         np.divide(sample_multipliers(g.schema, n, rng) * X, g.scaler.scale, out=noise)
         order = rng.permutation(n)
         hits = 0
         for start in range(0, n, BATCH_SIZE):
             idx = order[start : start + BATCH_SIZE]
-            Hp, grad_cache = g._manipulate(X[idx], Z[idx], want_grad_cache=True)
-            z, sub_cache = sub.net.forward_logits(sub.scaler.transform(Hp), want_cache=True)
-            pred = np.argmax(z, axis=1)
-            if misidentify_mode:
-                hits += np.count_nonzero(pred != orig_labels[idx])
-                dz = bce_dlogits(z, targets[idx])
-                np.negative(dz, out=dz)  # ascend the loss against the frozen labels
-            else:
-                spoofed = pred == mode.target.id
-                hits += np.count_nonzero(spoofed)
-                dz = bce_dlogits(z, targets[: idx.size])
-                dz[spoofed] = 0.0
-            dHp = sub.net.input_grad(sub_cache, dz)
-            dHp *= ce_weight
-            dHp /= sub.scaler.scale
-            if not misidentify_mode:
-                pull = Hp - anchor
-                pull *= 2.0
-                pull *= mut
-                pull /= anchor_scale2
-                pull /= idx.size
-                dHp += pull
-            g.net.sgd_step(g.backward_to_params(grad_cache, dHp), lr)
+            hits += generator_step(g, sub, X[idx], Z[idx], idx, objective, ce_weight, lr)
         lr *= lr_factor
         g.training_curve.append(hits / n)
-        if hits == n and not misidentify_mode:
+        if hits == n and mode.mode == "spoof":
             break
         recent = g.training_curve[-PLATEAU_WINDOW:]
         if (

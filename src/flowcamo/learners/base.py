@@ -20,6 +20,15 @@ def check_shape(what: str, a, shape: tuple) -> None:
         raise ValidationError(f"{what} has shape {np.shape(a)}, expected {shape}")
 
 
+def check_real(what: str, *arrays) -> None:
+    """ValidationError unless every array holds real floats or integers."""
+    dtypes = [np.asarray(a).dtype for a in arrays]
+    if any(d.kind not in "fiu" for d in dtypes):
+        have = "have dtypes" if len(dtypes) > 1 else "has dtype"
+        raise ValidationError(f"{what} {have} {'/'.join(map(str, dtypes))}, "
+                              "expected real floats or integers")
+
+
 def scalar_int(data, key: str) -> int:
     """``int`` of archive array ``key``; ValidationError unless it holds one value."""
     a = data[key]
@@ -47,6 +56,7 @@ class Scaler:
     def check(self, n_features: int, what: str) -> None:
         check_shape(f"{what} scaler_mean", self.mean, (n_features,))
         check_shape(f"{what} scaler_scale", self.scale, (n_features,))
+        check_real(f"{what} scaler_mean/scaler_scale", self.mean, self.scale)
         if not np.isfinite(self.mean).all():
             raise ValidationError(f"{what} scaler_mean holds non-finite values")
         if not (np.isfinite(self.scale) & (self.scale > 0)).all():

@@ -4,7 +4,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import Dataset, ValidationError
-from .base import ClassifierModel, Scaler, check_shape, check_trainable, scalar_int
+from .base import (ClassifierModel, Scaler, check_real, check_shape, check_trainable,
+                   scalar_int)
 
 # Upper bound on query x train distance entries held at once: 2 MiB of
 # float64, so predict's working set stays a few MB at any query count.
@@ -40,6 +41,7 @@ class KnnClassifier(ClassifierModel):
         if train_y.ndim != 1:
             raise ValidationError(f"knn train_y must be 1-D, got shape {train_y.shape}")
         check_shape("knn train_X", train_X, (train_y.shape[0], len(schema)))
+        check_real("knn train_X", train_X)
         if not np.isfinite(train_X).all():
             raise ValidationError("knn train_X holds non-finite values")
         scaler.check(len(schema), "knn")

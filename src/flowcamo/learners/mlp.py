@@ -14,6 +14,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core import NumericError, ValidationError
+from .base import check_real
 
 # Keeps sigmoid outputs strictly inside (0, 1) in float64.
 _LOGIT_CLIP = 30.0
@@ -162,9 +163,7 @@ class Net:
                     f"{prefix}W{i}/{prefix}b{i} have shapes {Wi.shape}/{bi.shape}, "
                     f"expected {W_shape}/{b_shape} from the sizes"
                 )
-            if Wi.dtype.kind not in "fiu" or bi.dtype.kind not in "fiu":
-                raise ValidationError(f"{prefix}W{i}/{prefix}b{i} have dtypes {Wi.dtype}/"
-                                      f"{bi.dtype}, expected real floats or integers")
+            check_real(f"{prefix}W{i}/{prefix}b{i}", Wi, bi)
             if not (np.isfinite(Wi).all() and np.isfinite(bi).all()):
                 raise ValidationError(f"{prefix}W{i}/{prefix}b{i} hold non-finite values")
         net.params = np.concatenate([a.ravel() for a in arrays], dtype=float)

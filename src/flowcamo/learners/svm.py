@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import Dataset, ValidationError
-from .base import ClassifierModel, Scaler, check_shape, check_trainable
+from .base import ClassifierModel, Scaler, check_real, check_shape, check_trainable
 from .mlp import stable_scores
 
 # Subgradient steps of the svm target kind.
@@ -20,6 +20,7 @@ class LinearSvmClassifier(ClassifierModel):
         scaler.check(k, "svm")
         check_shape("svm W", W, (self.n_classes, k))
         check_shape("svm b", b, (self.n_classes,))
+        check_real("svm W/b", W, b)
         if not (np.isfinite(W).all() and np.isfinite(b).all()):
             raise ValidationError("svm W/b hold non-finite values")
         self.scaler = scaler

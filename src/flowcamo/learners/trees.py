@@ -10,7 +10,7 @@ from typing import Optional
 import numpy as np
 
 from ..core import Dataset, ValidationError
-from .base import ClassifierModel, check_shape, check_trainable, scalar_int
+from .base import ClassifierModel, check_real, check_shape, check_trainable, scalar_int
 
 _MIN_GAIN = 1e-12
 # The gain ranked from exact integer statistics and the float gain differ by
@@ -62,6 +62,7 @@ class _TreeArrays:
         for name in ("feature", "threshold", "left", "right"):
             check_shape(f"{what} {name}", getattr(self, name), (n,))
         check_shape(f"{what} dist", self.dist, (n, n_classes))
+        check_real(f"{what} threshold/dist", self.threshold, self.dist)
         if not (np.isfinite(self.threshold).all() and np.isfinite(self.dist).all()):
             raise ValidationError(f"{what} threshold/dist hold non-finite values")
         if not all(np.issubdtype(a.dtype, np.integer)

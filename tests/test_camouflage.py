@@ -1,8 +1,13 @@
+import importlib.util
+import math
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowcamo import camouflage
 from flowcamo.blackbox import make_oracle
 from flowcamo.camouflage import (
     BATCH_SIZE,
@@ -556,6 +561,44 @@ class TestTrainingMatchesReference:
         assert _flat_bits([dHp, T, at_lo, at_hi, *layer_acts]) == before
         want = reference_backward_to_params(g, ref_cache, dHp)
         assert got.tobytes() == want.tobytes()
+
+
+class TestOneBatchStep:
+    """``train_generator`` runs every batch through ``generator_step``, the
+    function ``bench/generator_step.py`` times."""
+
+    @pytest.mark.parametrize("spoofing", [False, True])
+    def test_train_generator_runs_one_step_per_batch(self, monkeypatch, pool_schema,
+                                                     trained_sub, small_split, spoofing):
+        sub, _, _ = trained_sub
+        train_pool, _ = small_split
+        train = train_pool.take(np.arange(300))  # batches of 128, 128 and 44
+        mode, anchor_X = misidentify(), None
+        if spoofing:
+            tid = int(np.bincount(sub.predict_ids(train.X)).argmax())
+            mode, anchor_X = spoof(DeviceClass(tid, "t")), train_pool.X
+        calls = []
+        step = camouflage.generator_step
+
+        def counting_step(*args):
+            calls.append(args[4].size)
+            return step(*args)
+
+        monkeypatch.setattr(camouflage, "generator_step", counting_step)
+        g = build_generator(pool_schema, train.X, seed=15)
+        train_generator(g, sub, train, mode, epochs=4, seed=2, lr=0.05, anchor_X=anchor_X)
+        epochs_run = len(g.training_curve) - 1
+        assert epochs_run >= 1
+        assert len(calls) == epochs_run * math.ceil(300 / BATCH_SIZE)
+        assert sum(calls) == epochs_run * 300
+
+    def test_the_bench_binds_the_same_function(self):
+        path = pathlib.Path(__file__).parents[1] / "bench" / "generator_step.py"
+        spec = importlib.util.spec_from_file_location("generator_step_bench", path)
+        bench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench)
+        assert bench.generator_step is camouflage.generator_step
+        assert bench.attack_objective is camouflage.attack_objective
 
 
 class TestEvaluateAndIo:

@@ -232,6 +232,20 @@ TAMPERED = {
     "mlp_b1_complex": ("neural_net", lambda a: {"net_b1": a["net_b1"] + 1j},
                        "net_W1/net_b1 have dtypes float64/complex128"),
     "svm_W_nan": ("svm", _set_entry("W", np.nan), "svm W/b hold non-finite"),
+    # Complex arrays used to load (svm predicted after a ComplexWarning), and
+    # strings raised a TypeError.
+    "svm_W_complex": ("svm", lambda a: {"W": a["W"].astype(complex)},
+                      "svm W/b have dtypes complex128/float64"),
+    "svm_scaler_mean_complex": ("svm", lambda a: {"scaler_mean": a["scaler_mean"].astype(complex)},
+                                "svm scaler_mean/scaler_scale have dtypes complex128/float64"),
+    "knn_train_X_strings": ("knn", lambda a: {"train_X": a["train_X"].astype(str)},
+                            "knn train_X has dtype <U"),
+    "tree_threshold_strings": ("decision_tree",
+                               lambda a: {"t_threshold": a["t_threshold"].astype(str)},
+                               "decision_tree threshold/dist have dtypes <U"),
+    "mlp_scaler_scale_strings": ("neural_net",
+                                 lambda a: {"scaler_scale": a["scaler_scale"].astype(str)},
+                                 "neural_net scaler_mean/scaler_scale have dtypes float64/<U"),
     "svm_b_inf": ("svm", _set_entry("b", np.inf), "svm W/b hold non-finite"),
     "tree_threshold_nan": ("decision_tree", _set_first_split("t_threshold", np.nan),
                            "decision_tree threshold/dist hold non-finite"),
@@ -300,6 +314,11 @@ TAMPERED_OTHER = {
                           "generator amp holds non-finite"),
     "generator_amp_short": ("generator", lambda a: {"amp": a["amp"][:-1]},
                             "generator amp has shape"),
+    # A complex amp used to load and manipulate rows into complex values.
+    "generator_complex_amp": ("generator", lambda a: {"amp": a["amp"].astype(complex)},
+                              "generator amp has dtype complex128"),
+    "generator_string_amp": ("generator", lambda a: {"amp": a["amp"].astype(str)},
+                             "generator amp has dtype <U"),
     "generator_extra_output": ("generator", _grow_last_layer, "generator sizes .* do not map"),
     "generator_2d_curve": ("generator", lambda a: {"training_curve": np.zeros((2, 2))},
                            "generator training_curve has shape"),
