@@ -52,6 +52,8 @@ PLATEAU_MIN_EPOCHS = 20
 # band, so its looser band lets a stuck trial stop early and leaves the
 # budget to the next restart.
 RECIPES = {"misidentify": (1.0, 1.0, 1e-4), "spoof": (0.93, 0.1, 2e-3)}
+# Step size of the misidentify training in ``flowcamo run`` and ``attack``.
+MISIDENTIFY_LR = 0.05
 
 
 @dataclass(frozen=True)

@@ -11,13 +11,13 @@ usage error), 2 stage or numeric failure (in any command), 3 I/O error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
 
 from ..blackbox import make_oracle
 from ..camouflage import (
+    MISIDENTIFY_LR,
     build_generator,
     evaluate_attack,
     load_generator,
@@ -34,8 +34,17 @@ from ..core import (
     split_dataset,
 )
 from ..learners import KINDS, fit, load_model, save_model
-from ..profiler import evaluate_defense, fit_profiler, make_identities, signature_batch
+from ..profiler import (
+    DEFENSE_ROUNDS,
+    TRAIN_PER_DEVICE,
+    evaluate_defense,
+    fit_profiler,
+    make_identities,
+    signature_batch,
+)
 from ..substitute import (
+    SCAN_EPOCHS,
+    SCAN_L,
     feature_weights,
     load_substitute,
     performance_gain_scan,
@@ -49,7 +58,7 @@ from .csvio import atomic_write_text, dataset_to_csv, ingest_csv, write_report_c
 from .experiment import ExperimentConfig, StageFailure, run_experiment, spoof_cell
 
 # The flag defaults, split fraction and epoch counts of the single-step
-# commands are those of the default pipeline run.
+# commands are those of the default pipeline run (its config or stage constants).
 DEFAULTS = ExperimentConfig()
 
 
@@ -135,7 +144,8 @@ def _write_attack(args, g, rep, target, test) -> int:
 def cmd_attack(args) -> int:
     ds, target, sub, train, test = _attack_inputs(args)
     g = build_generator(ds.schema, train.X, seed=args.seed)
-    train_generator(g, sub, train, misidentify(), epochs=args.epochs, seed=args.seed, lr=0.05)
+    train_generator(g, sub, train, misidentify(), epochs=args.epochs, seed=args.seed,
+                    lr=MISIDENTIFY_LR)
     rep = evaluate_attack(g, target, test, misidentify(), seed=args.seed)
     return _write_attack(args, g, rep, target, test)
 
@@ -270,8 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--data", required=True)
     sp.add_argument("--target", required=True)
     sp.add_argument("--sub", required=True)
-    sp.add_argument("--L", default=",".join(map(str, DEFAULTS.scan_L)))
-    sp.add_argument("--epochs", type=int, default=DEFAULTS.scan_epochs)
+    sp.add_argument("--L", default=",".join(map(str, SCAN_L)))
+    sp.add_argument("--epochs", type=int, default=SCAN_EPOCHS)
     sp.add_argument("--out", required=True)
     sp.add_argument("--seed", type=int, default=DEFAULTS.seed)
 
@@ -291,8 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("defend", cmd_defend, help="fit the device profiler and evaluate")
     sp.add_argument("--out", required=True)
     sp.add_argument("--n-devices", type=int, default=DEFAULTS.n_classes)
-    sp.add_argument("--rounds", type=int, default=DEFAULTS.defense_rounds)
-    sp.add_argument("--train-per-device", type=int, default=DEFAULTS.defense_train_per_device)
+    sp.add_argument("--rounds", type=int, default=DEFENSE_ROUNDS)
+    sp.add_argument("--train-per-device", type=int, default=TRAIN_PER_DEVICE)
     sp.add_argument("--generator")
     sp.add_argument("--data")
     sp.add_argument("--seed", type=int, default=DEFAULTS.seed)
@@ -321,7 +331,7 @@ def main(argv=None) -> int:
     except (StageFailure, NumericError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (ValidationError, ValueError, json.JSONDecodeError) as e:
+    except ValueError as e:  # ValidationError and JSONDecodeError too
         print(f"error: {e}", file=sys.stderr)
         return 1
     except OSError as e:

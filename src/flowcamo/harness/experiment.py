@@ -13,6 +13,7 @@ import numpy as np
 
 from ..blackbox import make_oracle
 from ..camouflage import (
+    MISIDENTIFY_LR,
     build_generator,
     evaluate_attack,
     misidentify,
@@ -29,12 +30,14 @@ from ..core import (
 )
 from ..learners import KINDS, fit
 from ..profiler import (
+    TRAIN_PER_DEVICE,
     evaluate_defense,
     fit_profiler,
     make_identities,
     signature_batch,
 )
 from ..substitute import (
+    SCAN_L,
     feature_weights,
     performance_gain_scan,
     scan_to_csv_rows,
@@ -75,17 +78,12 @@ def _typed(key: str, value, tp):
 _VALUE_RULES = (
     (("n_classes", "rows_per_class"), lambda v: v >= 2, ">= 2"),
     (("seed", "n_decoys"), lambda v: v >= 0, ">= 0"),
-    (("substitute_epochs", "generator_epochs", "scan_epochs", "defense_rounds",
-      "defense_per_device", "defense_train_per_device"), lambda v: v >= 1, ">= 1"),
+    (("substitute_epochs", "generator_epochs"), lambda v: v >= 1, ">= 1"),
     (("separability",), lambda v: 0 < v < np.inf, "positive and finite"),
     (("train_fraction",), lambda v: 0 < v < 1, "in (0, 1)"),
     (("spoof_accept",), lambda v: 0 < v <= 1, "in (0, 1]"),
     (("target_kinds",), lambda v: 0 < len(v) == len(set(v)) and set(v) <= set(KINDS),
      f"a non-empty list of distinct kinds from {list(KINDS)}"),
-    (("spoof_trial_lrs",), lambda v: len(v) > 0 and all(0 < lr < np.inf for lr in v),
-     "a non-empty list of positive, finite learning rates"),
-    (("scan_L",), lambda v: len(v) > 0 and v[0] >= 1 and all(a < b for a, b in zip(v, v[1:])),
-     "a non-empty strictly ascending list of sizes >= 1"),
 )
 
 
@@ -100,26 +98,15 @@ class ExperimentConfig:
     target_kinds: Tuple[str, ...] = KINDS
     substitute_epochs: int = 60
     generator_epochs: int = 60
-    # Spoof training restarts: the anchor landscape has seed- and
-    # step-size-dependent local minima, so each pair tries these learning
-    # rates (fresh init seed per trial), keeps the candidate with the best
-    # oracle-verified success on training rows, and stops early once the
-    # acceptance level is reached.
-    spoof_trial_lrs: Tuple[float, ...] = (0.05, 0.1, 0.03, 0.15, 0.08, 0.07, 0.12)
     spoof_accept: float = 0.85
     spoof_grid: bool = True
     run_scan: bool = False
-    scan_L: Tuple[int, ...] = (2, 4, 6, 8, 12, 16, 20, 28)
-    scan_epochs: int = 25
     run_defense: bool = True
-    defense_rounds: int = 30
-    defense_per_device: int = 10
-    defense_train_per_device: int = 40
     out_dir: str = "out"
 
     def __post_init__(self):
         """ValidationError naming the first field whose value no run can use.
-        ``scan_L`` must also fit the attacker pool, but only when the scan runs."""
+        With the scan on, its largest size must also fit the attacker pool."""
         for keys, ok, need in _VALUE_RULES:
             for key in keys:
                 value = getattr(self, key)
@@ -127,10 +114,11 @@ class ExperimentConfig:
                     raise ValidationError(f"config key {key!r} must be {need}, got {value!r}")
         if not self.run_scan:
             return
-        pool = len(synth.attacker_pool_schema(self.n_decoys))
-        if self.scan_L[-1] > pool:
-            raise ValidationError(f"config key 'scan_L' must be within the attacker pool's "
-                                  f"{pool} features (n_decoys={self.n_decoys}), got {self.scan_L!r}")
+        short = SCAN_L[-1] - len(synth.attacker_pool_schema(self.n_decoys))
+        if short > 0:
+            raise ValidationError(f"config key 'n_decoys' must be >= {self.n_decoys + short} "
+                                  f"with run_scan on, so the scan's largest size "
+                                  f"({SCAN_L[-1]}) fits the attacker pool, got {self.n_decoys}")
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -234,9 +222,7 @@ def _scan(cfg: ExperimentConfig, results: dict, out) -> None:
     corpus = results["corpora"][kind]  # the oracle is deterministic: no re-query
     sub = results["substitutes"][kind]
     weights = feature_weights(corpus, sub, seed=cfg.seed + 500)
-    scan = performance_gain_scan(
-        corpus, weights, list(cfg.scan_L), epochs=cfg.scan_epochs, seed=cfg.seed + 501,
-    )
+    scan = performance_gain_scan(corpus, weights, seed=cfg.seed + 501)
     chosen = select_subset(scan)
     rows = scan_to_csv_rows(scan)
     out("scan.csv", rows[0], rows[1:], {"selected_L": str(chosen)})
@@ -255,7 +241,7 @@ def _attack(cfg: ExperimentConfig, results: dict, out) -> None:
         )
         train_generator(
             g, results["substitutes"][kind], train_pool, misidentify(),
-            epochs=cfg.generator_epochs, seed=cfg.seed + 300 + i, lr=0.05,
+            epochs=cfg.generator_epochs, seed=cfg.seed + 300 + i, lr=MISIDENTIFY_LR,
         )
         target = results["targets"][kind]
         rep_tr = evaluate_attack(g, target, train_pool, misidentify(), seed=cfg.seed + 400 + i)
@@ -275,16 +261,24 @@ def _attack(cfg: ExperimentConfig, results: dict, out) -> None:
     )
 
 
+# Spoof training restarts: the anchor landscape has seed- and
+# step-size-dependent local minima, so each cell tries these learning rates
+# (fresh init seed per trial), keeps the candidate with the best
+# oracle-verified success on training rows, and stops early once the
+# acceptance level is reached.
+SPOOF_TRIAL_LRS = (0.05, 0.1, 0.03, 0.15, 0.08, 0.07, 0.12)
+
+
 def spoof_cell(cfg: ExperimentConfig, sub, oracle, target, anchor_X: np.ndarray,
                src_train: Dataset, src_test: Dataset, target_cls: DeviceClass,
                cell: int) -> Optional[tuple]:
     """``(generator, report on target over src_test)`` of the trial, one per
-    ``cfg.spoof_trial_lrs``, that the oracle rates best on ``src_train``; the
+    ``SPOOF_TRIAL_LRS``, that the oracle rates best on ``src_train``; the
     first to reach ``cfg.spoof_accept`` ends the loop. None when no trial can
     be anchored: the substitute assigns no row of ``anchor_X`` to the target."""
     mode = spoof(target_cls)
     best_g, best_rate = None, -1.0
-    for t, trial_lr in enumerate(cfg.spoof_trial_lrs):
+    for t, trial_lr in enumerate(SPOOF_TRIAL_LRS):
         g = build_generator(src_train.schema, anchor_X, seed=cfg.seed + 600 + cell + 5000 * t)
         try:
             train_generator(
@@ -338,14 +332,9 @@ def _spoof(cfg: ExperimentConfig, results: dict, out) -> None:
 def _defense(cfg: ExperimentConfig, results: dict, out) -> None:
     """RF-signature profiler, scored on one signature stream per round."""
     identities = make_identities(cfg.n_classes, seed=cfg.seed + 900)
-    P, Csi, y = signature_batch(
-        identities, cfg.defense_train_per_device, noise_seed=cfg.seed + 901
-    )
+    P, Csi, y = signature_batch(identities, TRAIN_PER_DEVICE, noise_seed=cfg.seed + 901)
     prof = fit_profiler(P, Csi, y, seed=cfg.seed + 902)
-    report = evaluate_defense(
-        prof, identities, rounds=cfg.defense_rounds,
-        per_device=cfg.defense_per_device, seed=cfg.seed + 903,
-    )
+    report = evaluate_defense(prof, identities, seed=cfg.seed + 903)
     out(
         "fig4.csv",
         ["round", "clean_rate", "under_attack_rate"],

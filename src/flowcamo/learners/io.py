@@ -9,6 +9,7 @@ from __future__ import annotations
 import contextlib
 import os
 import tempfile
+import zipfile
 from typing import Callable
 
 import numpy as np
@@ -48,11 +49,18 @@ def save_archive(obj, path: str) -> None:
 def load_archive(path: str, from_arrays: Callable, what: str):
     """``from_arrays`` over the archive at ``path``.
 
-    A newer format version, or an archive that lacks a key ``from_arrays``
-    reads (another type's archive), raises ValidationError; so does any
-    check ``from_arrays`` makes. Each message names ``path``.
+    A file that ``np.load`` does not open as an npz archive, a newer format
+    version, or an archive that lacks a key ``from_arrays`` reads (another
+    type's archive), raises ValidationError; so does any check
+    ``from_arrays`` makes. Each message names ``path``.
     """
-    with np.load(path, allow_pickle=False) as data:
+    try:
+        data = np.load(path, allow_pickle=False)
+    except (EOFError, ValueError, zipfile.BadZipFile):
+        data = None
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise ValidationError(f"{path} is not a {what} archive: not an npz file")
+    with data:
         try:
             version = scalar_int(data, "format_version")
             if version != FORMAT_VERSION:

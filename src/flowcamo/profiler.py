@@ -27,6 +27,9 @@ PATH_LOSS_REF_DB = 40.0  # at 1 m
 PATH_LOSS_EXPONENT = 2.5
 N_SUBCARRIERS = 30
 SUBCARRIER_SPACING_HZ = 312.5e3
+# The defense's training signatures per device and its evaluation rounds.
+TRAIN_PER_DEVICE = 40
+DEFENSE_ROUNDS = 30
 
 
 @dataclass(frozen=True)
@@ -287,7 +290,7 @@ class DefenseReport:
 def evaluate_defense(
     classifier: MultiStageClassifier,
     identities: Sequence[HardwareIdentity],
-    rounds: int = 30,
+    rounds: int = DEFENSE_ROUNDS,
     per_device: int = 10,
     seed: int = 0,
 ) -> DefenseReport:

@@ -23,6 +23,11 @@ from .learners.base import check_trainable
 from .learners.io import load_archive, save_archive
 from .learners.mlp_classifier import fit_scaled_net
 
+# The scan's subset sizes, strictly ascending up to the full attacker pool
+# of 24 target features plus 4 decoys, and the epochs each size trains for.
+SCAN_L = (2, 4, 6, 8, 12, 16, 20, 28)
+SCAN_EPOCHS = 25
+
 
 def top_l_indices(weights: np.ndarray, L: int) -> tuple:
     """Top-L features by weight; ties broken toward the lower index."""
@@ -134,8 +139,8 @@ def performance_gain(r_c: float, r_p: float, c_c: float, c_p: float):
 def performance_gain_scan(
     corpus: Dataset,
     weights: np.ndarray,
-    L_values: Sequence[int],
-    epochs: int = 30,
+    L_values: Sequence[int] = SCAN_L,
+    epochs: int = SCAN_EPOCHS,
     seed: int = 0,
 ) -> List[PerformanceGainPoint]:
     """Retrain on the top-L projection of the corpus per strictly ascending
@@ -145,7 +150,7 @@ def performance_gain_scan(
         raise ValidationError("L_values is empty")
     if any(b <= a for a, b in zip(L_values, L_values[1:])):
         raise ValidationError(
-            f"scan sizes (scan_L, --L) must be strictly ascending, got {L_values}")
+            f"scan sizes (--L) must be strictly ascending, got {L_values}")
     K = len(corpus.schema)
     if any(not 1 <= L <= K for L in L_values):
         raise ValidationError(f"every L must be in [1, {K}]")

@@ -14,6 +14,7 @@ import numpy as np
 
 from flowcamo.camouflage import sample_multipliers
 from flowcamo.substitute import (
+    SCAN_EPOCHS,
     PerformanceGainPoint,
     feature_weights,
     performance_gain,
@@ -142,7 +143,7 @@ def retrained_agreement(results) -> float:
     corpus, sub = results["corpora"][kind], results["substitutes"][kind]
     weights = feature_weights(corpus, sub, seed=cfg.seed + 500)
     (point,) = performance_gain_scan(corpus, weights, [results["selected_L"]],
-                                     epochs=cfg.scan_epochs, seed=cfg.seed + 501)
+                                     epochs=SCAN_EPOCHS, seed=cfg.seed + 501)
     return point.agreement
 
 

@@ -171,11 +171,6 @@ class TestAcceptance:
             "generator_epochs": 10,
             "spoof_grid": False,
             "run_scan": True,
-            "scan_L": [2, 8, 28],
-            "scan_epochs": 3,
-            "defense_rounds": 3,
-            "defense_per_device": 4,
-            "defense_train_per_device": 12,
         }
         manifest = tmp_path / "config.json"
         manifest.write_text(json.dumps(base))

@@ -651,7 +651,7 @@ def reference_spoof_cell(cfg, sub, oracle, target, train_pool, src_train, src_te
     ``reference_train_generator`` in place of the trainer; returns the kept
     generator and its rate on the target, or None for an unreachable cell."""
     best_g, best_rate = None, -1.0
-    for t, trial_lr in enumerate(cfg.spoof_trial_lrs):
+    for t, trial_lr in enumerate(experiment.SPOOF_TRIAL_LRS):
         g = build_generator(
             train_pool.schema, train_pool.X,
             seed=cfg.seed + 600 + i * 20 + j + 5000 * t,
@@ -720,15 +720,16 @@ class TestSpoofCell:
             assert g.training_curve == want_g.training_curve
             assert _flat_bits(g.net.weights + g.net.biases) == \
                 _flat_bits(want_g.net.weights + want_g.net.biases)
-        assert unreachable and len(cfg.spoof_trial_lrs) in trials
-        assert set(trials) - {1, len(cfg.spoof_trial_lrs)}
+        assert unreachable and len(experiment.SPOOF_TRIAL_LRS) in trials
+        assert set(trials) - {1, len(experiment.SPOOF_TRIAL_LRS)}
 
 
 class TestSpoofCellRestarts:
     """The restart policy, with the trainer stubbed and the oracle check
     replaced by a script of rates."""
 
-    CFG = ExperimentConfig(seed=10, spoof_trial_lrs=(0.5, 0.4, 0.3, 0.2), spoof_accept=0.85)
+    CFG = ExperimentConfig(seed=10, spoof_accept=0.85)
+    LRS = (0.5, 0.4, 0.3, 0.2)
     CLS = DeviceClass(2, "hub_00")
     ANCHOR = np.zeros((3, 2))
     SRC = Dataset(FeatureSchema((Feature("a", "u", 0, 1, True),)), np.zeros((2, 1)),
@@ -755,6 +756,7 @@ class TestSpoofCellRestarts:
             log.append(("test", g["seed"], seed))
             return AttackReport("spoof", 0.5, len(test))
 
+        monkeypatch.setattr(experiment, "SPOOF_TRIAL_LRS", self.LRS)
         monkeypatch.setattr(experiment, "build_generator", build)
         monkeypatch.setattr(experiment, "train_generator", train)
         monkeypatch.setattr(experiment, "evaluate_attack", evaluate)
@@ -769,7 +771,7 @@ class TestSpoofCellRestarts:
         assert rep.attacked_rate == 0.5
         trials = [e for e in log if e[0] == "train"]
         assert trials == [("train", 617 + 5000 * t, 717 + 5000 * t, lr)
-                          for t, lr in enumerate(self.CFG.spoof_trial_lrs)]
+                          for t, lr in enumerate(self.LRS)]
         assert [e[2] for e in log if e[0] == "check"] == [767] * 4
         assert log[-1] == ("test", 5617, 817)
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowcamo import profiler, substitute
 from flowcamo.blackbox import make_oracle
 from flowcamo.camouflage import load_generator
 from flowcamo.core import (
@@ -240,7 +241,9 @@ class TestExperimentConfig:
     @pytest.mark.parametrize("key", [
         "attack_mode", "spoof_target_label", "schema_path", "substitute_hidden",
         "generator_hidden", "delta_scale", "generator_lr", "spoof_lr_decay",
-        "spoof_anchor_weight", "spoof_bce_weight", "query_augment",
+        "spoof_anchor_weight", "spoof_bce_weight", "query_augment", "spoof_trial_lrs",
+        "scan_L", "scan_epochs", "defense_rounds", "defense_per_device",
+        "defense_train_per_device",
     ])
     def test_removed_keys_rejected(self, key, tmp_path, capsys):
         with pytest.raises(ValidationError, match="unknown config keys"):
@@ -248,7 +251,8 @@ class TestExperimentConfig:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({key: "x"}))
         assert main(["run", "--config", str(path), "--out-dir", str(tmp_path)]) == 1
-        assert "unknown config keys" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "unknown config keys" in err and repr(key) in err
 
     def test_default_config_round_trips(self):
         cfg = ExperimentConfig()
@@ -273,12 +277,8 @@ class TestExperimentConfig:
         ({"substitute_epochs": 0}, "substitute_epochs"),
         ({"train_fraction": 1.0}, "train_fraction"),
         ({"spoof_accept": 0.0}, "spoof_accept"),
-        ({"spoof_trial_lrs": []}, "spoof_trial_lrs"),
+        ({"run_scan": True, "n_decoys": 3}, "n_decoys"),
         ({"target_kinds": ["knn", "knn"]}, "target_kinds"),
-        ({"scan_L": [8, 4]}, "scan_L"),
-        ({"scan_L": [4, 4]}, "scan_L"),
-        ({"run_scan": True, "scan_L": [2, 40]}, "scan_L"),
-        ({"run_scan": True, "n_decoys": 0, "scan_L": [2, 28]}, "scan_L"),
     ])
     def test_unusable_value_is_a_validation_exit(self, cfg, key, tmp_path, capsys):
         with pytest.raises(ValidationError, match=key):
@@ -288,13 +288,13 @@ class TestExperimentConfig:
         assert main(["run", "--config", str(path), "--out-dir", str(tmp_path)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: config key {key!r} must be")
-        assert not os.path.exists(tmp_path / "manifest.json")  # no stage ran
+        assert not os.path.exists(tmp_path / "manifest.txt")  # no stage ran
 
     def test_scan_sizes_past_a_narrow_pool_need_the_scan_on(self):
-        """Only the scan reads scan_L: with it off, a pool narrower than the
-        default sizes (24 features at n_decoys=0) is still a usable config."""
+        """Only the scan reads SCAN_L: with it off, a pool narrower than its
+        largest size (24 features at n_decoys=0) is still a usable config."""
         cfg = ExperimentConfig.from_dict({"n_decoys": 0})
-        assert not cfg.run_scan and cfg.scan_L[-1] == 28
+        assert not cfg.run_scan and substitute.SCAN_L[-1] > len(synth.attacker_pool_schema(0))
 
     def test_values_are_checked_on_construction(self):
         with pytest.raises(ValidationError, match="n_classes"):
@@ -303,10 +303,9 @@ class TestExperimentConfig:
             ExperimentConfig(target_kinds=("knnx",))
 
     def test_int_accepted_for_float_field(self):
-        cfg = ExperimentConfig.from_dict({"separability": 1, "spoof_trial_lrs": [1, 0.5]})
-        assert cfg == ExperimentConfig(separability=1.0, spoof_trial_lrs=(1.0, 0.5))
-        assert cfg.config_hash() == ExperimentConfig(
-            separability=1.0, spoof_trial_lrs=(1.0, 0.5)).config_hash()
+        cfg = ExperimentConfig.from_dict({"separability": 1})
+        assert cfg == ExperimentConfig(separability=1.0)
+        assert cfg.config_hash() == ExperimentConfig(separability=1.0).config_hash()
 
     def test_hash_sensitive_to_fields(self):
         assert (
@@ -396,9 +395,7 @@ class TestPipeline:
         chosen subset size, and the manifest names every output."""
         cfg = ExperimentConfig(
             seed=5, n_classes=8, rows_per_class=80, substitute_epochs=30,
-            generator_epochs=6, run_scan=True, scan_L=(2, 4, 8), scan_epochs=3,
-            defense_rounds=3, defense_per_device=5, defense_train_per_device=12,
-            out_dir=str(tmp_path),
+            generator_epochs=6, run_scan=True, out_dir=str(tmp_path),
         )
         results = run_experiment(cfg)
         names = {"table1.csv", "fig3.csv", "scan.csv", "table2.csv", "table3.csv",
@@ -408,7 +405,7 @@ class TestPipeline:
         scan_meta = [line for line in (tmp_path / "scan.csv").read_text().splitlines()
                      if line.startswith("# selected_L=")]
         assert scan_meta == [f"# selected_L={results['selected_L']}"]
-        assert results["selected_L"] in cfg.scan_L
+        assert results["selected_L"] in substitute.SCAN_L
         manifest = (tmp_path / "manifest.txt").read_text().splitlines()
         for name in names - {"manifest.txt"}:
             assert f"output.{name}={tmp_path / name}" in manifest
@@ -419,13 +416,13 @@ class TestPipeline:
         scan trains a substitute on them like on any other subset; only a
         generator needs a mutable feature."""
         cfg = ExperimentConfig(seed=4, n_classes=8, rows_per_class=20, target_kinds=("knn",),
-                               run_scan=True, scan_L=(2, 8, 28), scan_epochs=2,
-                               spoof_grid=False, run_defense=False, out_dir=str(tmp_path))
+                               run_scan=True, spoof_grid=False, run_defense=False,
+                               out_dir=str(tmp_path))
         results = run_experiment(cfg)
         weights = feature_weights(results["corpora"]["knn"], results["substitutes"]["knn"],
                                   seed=cfg.seed + 500)
         assert not POOL.mutable_mask[list(top_l_indices(weights, 2))].any()
-        assert [p.L for p in results["scan"]] == [2, 8, 28]
+        assert [p.L for p in results["scan"]] == list(substitute.SCAN_L)
         assert "scan.csv" in results["outputs"]
 
     @pytest.mark.parametrize("seed", [42, 11, 23])
@@ -443,8 +440,7 @@ class TestPipeline:
         anchor row: those cells get an empty rate and the run reaches fig4."""
         cfg = ExperimentConfig(
             seed=5, n_classes=8, rows_per_class=80, substitute_epochs=8,
-            generator_epochs=6, defense_rounds=3, defense_per_device=5,
-            defense_train_per_device=12, out_dir=str(tmp_path),
+            generator_epochs=6, out_dir=str(tmp_path),
         )
         results = run_experiment(cfg)
         assert (tmp_path / "fig4.csv").is_file()
@@ -486,7 +482,8 @@ class TestPipeline:
 
 class TestCli:
     def test_flag_defaults_are_the_config_defaults(self):
-        """The single-step commands restate no default of the pipeline run."""
+        """The single-step commands restate no default of the pipeline run:
+        each is a config default or a constant of the scan or defense stage."""
         cfg = ExperimentConfig()
         files = ["--data", "d", "--target", "t", "--out", "o"]
         expected = {
@@ -495,13 +492,14 @@ class TestCli:
             ("train-target", "--data", "d", "--kind", "knn", "--out", "o"): dict(seed=cfg.seed),
             ("train-substitute", *files): dict(epochs=cfg.substitute_epochs, seed=cfg.seed),
             ("scan-features", *files, "--sub", "s"): dict(
-                L=",".join(map(str, cfg.scan_L)), epochs=cfg.scan_epochs, seed=cfg.seed),
+                L=",".join(map(str, substitute.SCAN_L)), epochs=substitute.SCAN_EPOCHS,
+                seed=cfg.seed),
             ("attack", *files, "--sub", "s"): dict(epochs=cfg.generator_epochs, seed=cfg.seed),
             ("spoof", *files, "--sub", "s", "--target-class", "c"): dict(
                 epochs=cfg.generator_epochs, seed=cfg.seed),
             ("defend", "--out", "o"): dict(
-                n_devices=cfg.n_classes, rounds=cfg.defense_rounds,
-                train_per_device=cfg.defense_train_per_device, seed=cfg.seed),
+                n_devices=cfg.n_classes, rounds=profiler.DEFENSE_ROUNDS,
+                train_per_device=profiler.TRAIN_PER_DEVICE, seed=cfg.seed),
             ("report",): dict(dir=cfg.out_dir),
         }
         parser = build_parser()

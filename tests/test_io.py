@@ -411,6 +411,14 @@ class TestCliWrongArchive:
         f["sub_narrow"] = str(d / "sub_narrow.npz")
         save_substitute(train_substitute(corpus.project(ds.schema.subset((0, 1, 2))), epochs=2),
                         f["sub_narrow"])
+        # Files that np.load does not open as an npz archive.
+        for name, content in (("empty", b""), ("zip_magic", b"PK\x03\x04" + bytes(96)),
+                              ("random_bytes", np.random.default_rng(0).bytes(100))):
+            f[name] = str(d / f"{name}.npz")
+            (d / f"{name}.npz").write_bytes(content)
+        f["bare_npy"] = str(d / "bare_npy.npz")
+        with open(f["bare_npy"], "wb") as fh:
+            np.save(fh, np.arange(3.0))
         return f
 
     @pytest.mark.parametrize("argv, message", [
@@ -434,10 +442,19 @@ class TestCliWrongArchive:
         (lambda f: ["attack", "--data", f["data"], "--target", f["target"],
                     "--sub", f["sub_huge_sizes"], "--epochs", "1"],
          "sub_huge_sizes.npz: net_W0/net_b0 have shapes (28, 64)/(64,)"),
+        (lambda f: ["train-substitute", "--data", f["data"], "--target", f["empty"]],
+         "empty.npz is not a model archive"),
+        (lambda f: ["attack", "--data", f["data"], "--target", f["target"],
+                    "--sub", f["zip_magic"]], "zip_magic.npz is not a substitute archive"),
+        (lambda f: ["defend", "--generator", f["bare_npy"]],
+         "bare_npy.npz is not a generator archive"),
+        (lambda f: ["attack", "--data", f["data"], "--target", f["random_bytes"],
+                    "--sub", f["sub"]], "random_bytes.npz is not a model archive"),
     ], ids=["target_is_substitute", "sub_is_target", "generator_is_substitute",
             "attack_sub_schema_reversed", "attack_sub_on_a_feature_subset",
             "scan_sub_empty_curve", "attack_sub_zero_width_layer",
-            "attack_sub_sizes_past_memory"])
+            "attack_sub_sizes_past_memory", "target_is_empty", "sub_is_a_broken_zip",
+            "generator_is_a_bare_npy", "target_is_random_bytes"])
     def test_exit_1_with_one_error_line(self, argv, message, files):
         proc = _run_cli([*argv(files), "--out", files["out"]])
         assert proc.returncode == 1, proc.stderr
