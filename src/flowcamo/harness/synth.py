@@ -241,8 +241,7 @@ def generate_dataset(
             probs = np.array([prof.means[i] for i in idx])
             probs = probs / probs.sum()
             choice = rng.choice(len(idx), size=rows_per_class, p=probs)
-            for row, ch in enumerate(choice):
-                X[row, idx[ch]] = 1.0
+            X[np.arange(rows_per_class), np.asarray(idx)[choice]] = 1.0
         np.clip(X, schema.lows, schema.highs, out=X)
         blocks.append(X)
         labels.extend([cid] * rows_per_class)

@@ -49,10 +49,11 @@ def save_archive(obj, path: str) -> None:
 def load_archive(path: str, from_arrays: Callable, what: str):
     """``from_arrays`` over the archive at ``path``.
 
-    A file that ``np.load`` does not open as an npz archive, a newer format
-    version, or an archive that lacks a key ``from_arrays`` reads (another
-    type's archive), raises ValidationError; so does any check
-    ``from_arrays`` makes. Each message names ``path``.
+    A file that ``np.load`` does not open as an npz archive, a member whose
+    bytes fail their checksum, a newer format version, or an archive that
+    lacks a key ``from_arrays`` reads (another type's archive), raises
+    ValidationError; so does any check ``from_arrays`` makes. Each message
+    names ``path``.
     """
     try:
         data = np.load(path, allow_pickle=False)
@@ -61,6 +62,11 @@ def load_archive(path: str, from_arrays: Callable, what: str):
     if not isinstance(data, np.lib.npyio.NpzFile):
         raise ValidationError(f"{path} is not a {what} archive: not an npz file")
     with data:
+        # Members are read lazily, and numpy parses a member's header before
+        # its checksum is checked at the end; check every checksum first.
+        bad = data.zip.testzip()
+        if bad is not None:
+            raise ValidationError(f"{path} is a corrupt {what} archive ({bad} fails its checksum)")
         try:
             version = scalar_int(data, "format_version")
             if version != FORMAT_VERSION:

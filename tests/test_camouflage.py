@@ -728,7 +728,7 @@ class TestSpoofCellRestarts:
     """The restart policy, with the trainer stubbed and the oracle check
     replaced by a script of rates."""
 
-    CFG = ExperimentConfig(seed=10, spoof_accept=0.85)
+    CFG = ExperimentConfig(seed=10)
     LRS = (0.5, 0.4, 0.3, 0.2)
     CLS = DeviceClass(2, "hub_00")
     ANCHOR = np.zeros((3, 2))

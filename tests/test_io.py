@@ -2,8 +2,10 @@
 table, and typed errors for a wrong or newer archive."""
 import json
 import os
+import struct
 import subprocess
 import sys
+import zipfile
 
 import numpy as np
 import pytest
@@ -89,6 +91,20 @@ def _rewrite(src, dst, **changes):
         arrays = dict(data)
     arrays.update(changes)
     np.savez(dst, **arrays)
+
+
+def _corrupt_member(src, dst, member, offset):
+    """A copy of the archive at ``src`` with byte ``offset`` of ``member``'s
+    stored bytes inverted (a negative offset counts from the end)."""
+    with open(src, "rb") as fh:
+        raw = bytearray(fh.read())
+    with zipfile.ZipFile(src) as z:
+        info = z.getinfo(member)
+    h = info.header_offset
+    name_len, extra_len = struct.unpack("<HH", raw[h + 26:h + 30])
+    raw[h + 30 + name_len + extra_len + offset % info.compress_size] ^= 0xFF
+    with open(dst, "wb") as fh:
+        fh.write(raw)
 
 
 def test_kind_order_is_pinned():
@@ -416,6 +432,13 @@ class TestCliWrongArchive:
                               ("random_bytes", np.random.default_rng(0).bytes(100))):
             f[name] = str(d / f"{name}.npz")
             (d / f"{name}.npz").write_bytes(content)
+        # The zip directory is intact; one member's bytes are not: its last
+        # payload byte, or its npy header's opening brace, which numpy parses
+        # before the member's checksum is checked.
+        for name, member, offset in (("target_bad_crc", "format_version.npy", -1),
+                                     ("target_bad_header", "schema_json.npy", 10)):
+            f[name] = str(d / f"{name}.npz")
+            _corrupt_member(f["target"], f[name], member, offset)
         f["bare_npy"] = str(d / "bare_npy.npz")
         with open(f["bare_npy"], "wb") as fh:
             np.save(fh, np.arange(3.0))
@@ -450,11 +473,17 @@ class TestCliWrongArchive:
          "bare_npy.npz is not a generator archive"),
         (lambda f: ["attack", "--data", f["data"], "--target", f["random_bytes"],
                     "--sub", f["sub"]], "random_bytes.npz is not a model archive"),
+        (lambda f: ["train-substitute", "--data", f["data"], "--target", f["target_bad_crc"]],
+         "target_bad_crc.npz is a corrupt model archive (format_version.npy fails its checksum)"),
+        (lambda f: ["train-substitute", "--data", f["data"], "--target",
+                    f["target_bad_header"]],
+         "target_bad_header.npz is a corrupt model archive (schema_json.npy fails its checksum)"),
     ], ids=["target_is_substitute", "sub_is_target", "generator_is_substitute",
             "attack_sub_schema_reversed", "attack_sub_on_a_feature_subset",
             "scan_sub_empty_curve", "attack_sub_zero_width_layer",
             "attack_sub_sizes_past_memory", "target_is_empty", "sub_is_a_broken_zip",
-            "generator_is_a_bare_npy", "target_is_random_bytes"])
+            "generator_is_a_bare_npy", "target_is_random_bytes", "target_member_bad_crc",
+            "target_member_bad_header"])
     def test_exit_1_with_one_error_line(self, argv, message, files):
         proc = _run_cli([*argv(files), "--out", files["out"]])
         assert proc.returncode == 1, proc.stderr
