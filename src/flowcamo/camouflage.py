@@ -17,7 +17,6 @@ import numpy as np
 
 from .blackbox import Oracle
 from .core import (
-    ContractViolationError,
     Dataset,
     DeviceClass,
     FeatureSchema,
@@ -302,7 +301,7 @@ def train_generator(
     step, so the goal is reached without asking the oracle.
     """
     if not isinstance(sub, SubstituteModel):
-        raise ContractViolationError(
+        raise ValidationError(
             f"train_generator needs a SubstituteModel, got {type(sub).__name__}")
     if epochs < 1:
         raise ValidationError(f"epochs must be >= 1, got {epochs}")

@@ -14,31 +14,15 @@ import numpy as np
 
 
 class ValidationError(ValueError):
-    """Input violates a schema or an operation precondition."""
+    """Input violates a schema or an operation precondition (CLI exit 1)."""
 
 
 class UnreachableTargetError(ValidationError):
     """No reference row maps to a spoof target, so it cannot be anchored."""
 
 
-class EvaluationError(ValueError):
-    """A metric was asked to evaluate an empty result set."""
-
-
-class StratificationError(ValueError):
-    """A class has too few rows to appear on both sides of a split."""
-
-
-class DegenerateTrainingError(ValueError):
-    """Training data lacks the variety needed to fit a classifier."""
-
-
 class NumericError(ArithmeticError):
-    """A numeric routine hit non-finite values."""
-
-
-class ContractViolationError(RuntimeError):
-    """A caller broke an interface contract (e.g. passed a target model as the substitute)."""
+    """A numeric routine hit non-finite values (CLI exit 2)."""
 
 
 @dataclass(frozen=True)
@@ -216,7 +200,7 @@ class Dataset:
 def _ids(a) -> np.ndarray:
     ids = np.asarray(a, dtype=int)
     if ids.size == 0:
-        raise EvaluationError("no predictions to evaluate")
+        raise ValidationError("no predictions to evaluate")
     return ids
 
 
@@ -228,10 +212,9 @@ def identification_rate(y_true, y_pred) -> float:
     return float(np.mean(y_true == y_pred))
 
 
-def spoofing_rate(y_pred, target) -> float:
+def spoofing_rate(y_pred, target: DeviceClass) -> float:
     """Fraction of predicted ids equal to the attacker's chosen class."""
-    tid = target.id if isinstance(target, DeviceClass) else int(target)
-    return float(np.mean(_ids(y_pred) == tid))
+    return float(np.mean(_ids(y_pred) == target.id))
 
 
 def stratified_split(y: np.ndarray, train_fraction: float, seed: int):
@@ -262,12 +245,12 @@ def split_dataset(ds: Dataset, train_fraction: float, seed: int):
     """``stratified_split`` of a dataset into train and test datasets.
 
     Every class keeps at least one row on each side, so any class with
-    fewer than 2 rows raises StratificationError.
+    fewer than 2 rows raises ValidationError.
     """
     train_idx, test_idx = stratified_split(ds.y, train_fraction, seed)
     single = np.flatnonzero(np.bincount(ds.y) == 1)
     if single.size:
-        raise StratificationError(
+        raise ValidationError(
             f"class {ds.class_labels[single[0]]!r} has 1 row(s); need >= 2"
         )
     return ds.take(train_idx), ds.take(test_idx)

@@ -8,7 +8,6 @@ identity by construction.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import List, Sequence
 
@@ -183,34 +182,6 @@ def default_profiles(
     return profiles
 
 
-def check_separability(profiles: Sequence[SyntheticProfile]) -> bool:
-    """Warn when two classes lack a feature whose means sit > 2x spread apart."""
-    ok = True
-    for a in range(len(profiles)):
-        for b in range(a + 1, len(profiles)):
-            pa, pb = profiles[a], profiles[b]
-            sep = False
-            for i, fam in enumerate(pa.families):
-                if fam != "normal":
-                    continue
-                spread = max(pa.spreads[i], pb.spreads[i])
-                if spread == 0:
-                    if pa.means[i] != pb.means[i]:
-                        sep = True
-                        break
-                    continue
-                if abs(pa.means[i] - pb.means[i]) > 2.0 * spread:
-                    sep = True
-                    break
-            if not sep:
-                ok = False
-                warnings.warn(
-                    f"profiles {pa.label!r} and {pb.label!r} may be inseparable",
-                    stacklevel=2,
-                )
-    return ok
-
-
 def generate_dataset(
     profiles: Sequence[SyntheticProfile],
     rows_per_class: int,
@@ -222,7 +193,6 @@ def generate_dataset(
         raise ValidationError("need at least 2 profiles")
     if rows_per_class < 1:
         raise ValidationError("rows_per_class must be >= 1")
-    check_separability(profiles)
     rng = np.random.default_rng(seed)
     names = schema.names
     blocks, labels = [], []

@@ -7,7 +7,6 @@ import numpy as np
 
 from ..core import (
     Dataset,
-    DegenerateTrainingError,
     FeatureSchema,
     ValidationError,
     validate_matrix,
@@ -119,4 +118,4 @@ def check_trainable(train: Dataset) -> None:
     if len(train) == 0:
         raise ValidationError("training dataset is empty")
     if np.unique(train.y).size < 2:
-        raise DegenerateTrainingError("training data contains a single class")
+        raise ValidationError("training data contains a single class")

@@ -9,6 +9,7 @@ from __future__ import annotations
 import contextlib
 import os
 import tempfile
+import tokenize
 import zipfile
 from typing import Callable
 
@@ -50,10 +51,10 @@ def load_archive(path: str, from_arrays: Callable, what: str):
     """``from_arrays`` over the archive at ``path``.
 
     A file that ``np.load`` does not open as an npz archive, a member whose
-    bytes fail their checksum, a newer format version, or an archive that
-    lacks a key ``from_arrays`` reads (another type's archive), raises
-    ValidationError; so does any check ``from_arrays`` makes. Each message
-    names ``path``.
+    bytes fail their checksum or whose npy header numpy cannot parse, a
+    newer format version, or an archive that lacks a key ``from_arrays``
+    reads (another type's archive), raises ValidationError; so does any
+    check ``from_arrays`` makes. Each message names ``path``.
     """
     try:
         data = np.load(path, allow_pickle=False)
@@ -74,7 +75,8 @@ def load_archive(path: str, from_arrays: Callable, what: str):
             return from_arrays(data)
         except KeyError as e:
             raise ValidationError(f"{path} is not a {what} archive ({e.args[0]})") from None
-        except ValidationError as e:
+        except (ValueError, SyntaxError, tokenize.TokenError) as e:
+            # numpy parses a member's npy header only when it is read.
             raise ValidationError(f"{path}: {e}") from None
 
 

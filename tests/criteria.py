@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from flowcamo.camouflage import sample_multipliers
+from flowcamo.learners import Net, bce_dlogits, one_hot
 from flowcamo.substitute import (
     SCAN_EPOCHS,
     PerformanceGainPoint,
@@ -20,6 +21,8 @@ from flowcamo.substitute import (
     performance_gain,
     performance_gain_scan,
 )
+
+from finite_diff import bce_loss, central_diff, rel_err, relu_kink_margin
 
 
 @dataclass(frozen=True)
@@ -169,6 +172,49 @@ def feature_subset_selection(results) -> Verdict:
         f"gain flags consistent={flags_consistent}"
     )
     return Verdict(chosen_agree, threshold, ok, detail)
+
+
+def gradients_and_predictions(results) -> Verdict:
+    """Criterion 09: on 20 random networks, ``Net.backward`` and
+    ``Net.input_grad`` over the training path's logit gradient match central
+    finite differences within 1e-4 relative; and on 1,000 uniform vectors
+    over the target schema, every target's ``predict_ids`` is the argmax of
+    its ``predict_scores`` (0 mismatches)."""
+    rng = np.random.default_rng(99)
+    worst_param, worst_input = 0.0, 0.0
+    for trial in range(20):
+        sizes = [int(rng.integers(2, 6)) for _ in range(int(rng.integers(2, 4)) + 1)]
+        net = Net(sizes, seed=trial)
+        n = int(rng.integers(1, 5))
+        X = rng.normal(0, 1, size=(n, sizes[0]))
+        while relu_kink_margin(net, X) < 1e-4:
+            X = rng.normal(0, 1, size=(n, sizes[0]))
+        T = one_hot(rng.integers(0, sizes[-1], size=n), sizes[-1])
+
+        # The path training runs: logits, BCE logit gradient, backprop.
+        z, cache = net.forward_logits(X, want_cache=True)
+        dz = bce_dlogits(z, T)
+        analytic, dX = net.backward(cache, dz), net.input_grad(cache, dz)
+        # Perturbs net.params in place, entry by entry.
+        fd = central_diff(lambda _: bce_loss(net.forward_logits(X), T), net.params)
+        worst_param = max(worst_param, rel_err(analytic, fd))
+        fdX = central_diff(lambda XX: bce_loss(net.forward_logits(XX), T), X.copy())
+        worst_input = max(worst_input, rel_err(dX, fdX))
+
+    schema = results["targets"][results["config"].target_kinds[0]].schema
+    mism = {}
+    for kind, model in results["targets"].items():
+        V = rng.uniform(schema.lows, schema.highs, (1000, len(schema)))
+        ids = np.argmax(model.predict_scores(V), axis=1)
+        mism[kind] = int(np.sum(model.predict_ids(V) != ids))
+    worst, threshold = max(worst_param, worst_input), 1e-4
+    worst_mism = max(mism.values())
+    detail = (
+        f"worst FD rel err: params {worst_param:.2e}, inputs {worst_input:.2e} < {threshold:.0e} "
+        f"(margin {threshold - worst:+.2e}); predict/argmax mismatches per kind {mism}, "
+        f"bound 0 (margin {-worst_mism:+d})"
+    )
+    return Verdict(worst, threshold, worst < threshold and worst_mism == 0, detail)
 
 
 def scan_of(points, n_classes: int) -> list:

@@ -27,7 +27,6 @@ from flowcamo.camouflage import (
     train_generator,
 )
 from flowcamo.core import (
-    ContractViolationError,
     Dataset,
     DeviceClass,
     Feature,
@@ -306,7 +305,8 @@ class TestTraining:
         is not a SubstituteModel."""
         train_pool, _ = small_split
         target = fit("neural_net", train_pool, seed=0)
-        with pytest.raises(ContractViolationError, match="MlpClassifier"):
+        with pytest.raises(ValidationError,
+                           match="train_generator needs a SubstituteModel, got MlpClassifier"):
             train_generator(gen, target, train_pool, misidentify(), epochs=1)
         assert gen.training_curve == []
 

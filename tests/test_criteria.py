@@ -11,12 +11,14 @@ from flowcamo.camouflage import Generator, build_generator, spoof
 from flowcamo.core import Dataset, DeviceClass
 from flowcamo.harness import experiment, synth
 from flowcamo.harness.experiment import ExperimentConfig, run_experiment
+from flowcamo.learners import Net
 from flowcamo.substitute import select_subset
 
 import criteria
 from criteria import (
     contract_holds,
     feature_subset_selection,
+    gradients_and_predictions,
     misidentification,
     scan_of,
     spoof_pairs,
@@ -161,6 +163,39 @@ class TestSubstituteAgreement:
         verdict = substitute_agreement(results)
         assert not verdict.ok and verdict.value > 0.5
         assert f"margin {0.05 - verdict.value:+.4f}" in verdict.detail
+
+
+class TestGradientsAndPredictions:
+    def test_honest_run_passes(self, honest_tree_run):
+        verdict = gradients_and_predictions(honest_tree_run)
+        assert verdict.ok and verdict.value < 1e-6
+        assert "mismatches per kind {'decision_tree': 0}" in verdict.detail
+
+    def test_one_bias_gradient_scaled_fails(self, honest_tree_run, monkeypatch):
+        """``Net.backward`` returns the first layer's bias gradient 0.1 % too
+        large; the finite differences see it on the parameter side."""
+        backward = Net.backward
+
+        def scaled(self, cache, d_logits):
+            grad = backward(self, cache, d_logits)
+            self._views(grad)[1][0] *= 1.001
+            return grad
+
+        monkeypatch.setattr(Net, "backward", scaled)
+        verdict = gradients_and_predictions(honest_tree_run)
+        assert not verdict.ok and verdict.value > verdict.threshold
+        assert f"margin {verdict.threshold - verdict.value:+.2e}" in verdict.detail
+
+    def test_ids_that_are_not_the_argmax_of_the_scores_fail(self, honest_tree_run,
+                                                            monkeypatch):
+        """The target's ids are its argmax class shifted by one, as from a
+        label table off by one, so all 1,000 vectors disagree."""
+        model = honest_tree_run["targets"]["decision_tree"]
+        monkeypatch.setattr(type(model), "predict_ids", lambda self, X: (
+            np.argmax(self.predict_scores(X), axis=1) + 1) % self.n_classes)
+        verdict = gradients_and_predictions(honest_tree_run)
+        assert not verdict.ok and verdict.value < verdict.threshold
+        assert "{'decision_tree': 1000}, bound 0 (margin -1000)" in verdict.detail
 
 
 # A knn-only run small enough for the fast suite. At 8 classes x 40 rows the

@@ -107,6 +107,15 @@ def _corrupt_member(src, dst, member, offset):
         fh.write(raw)
 
 
+def _rewrite_member(src, dst, member, old, new):
+    """A copy of the archive at ``src`` with the first ``old`` in ``member``'s
+    bytes replaced by ``new``, stored under a valid checksum."""
+    with zipfile.ZipFile(src) as zin, zipfile.ZipFile(dst, "w") as zout:
+        for info in zin.infolist():
+            raw = zin.read(info)
+            zout.writestr(info, raw.replace(old, new, 1) if info.filename == member else raw)
+
+
 def test_kind_order_is_pinned():
     # The default target list, the per-target seed offsets, the report row
     # order and the config hash all follow this order.
@@ -439,6 +448,12 @@ class TestCliWrongArchive:
                                      ("target_bad_header", "schema_json.npy", 10)):
             f[name] = str(d / f"{name}.npz")
             _corrupt_member(f["target"], f[name], member, offset)
+        # Valid checksums over an npy header that numpy cannot parse: a wrong
+        # key, or a closing brace where the dict opens.
+        for name, old, new in (("target_header_keys", b"'descr'", b"'descX'"),
+                               ("target_header_syntax", b"{", b"}")):
+            f[name] = str(d / f"{name}.npz")
+            _rewrite_member(f["target"], f[name], "schema_json.npy", old, new)
         f["bare_npy"] = str(d / "bare_npy.npz")
         with open(f["bare_npy"], "wb") as fh:
             np.save(fh, np.arange(3.0))
@@ -478,12 +493,18 @@ class TestCliWrongArchive:
         (lambda f: ["train-substitute", "--data", f["data"], "--target",
                     f["target_bad_header"]],
          "target_bad_header.npz is a corrupt model archive (schema_json.npy fails its checksum)"),
+        (lambda f: ["train-substitute", "--data", f["data"], "--target",
+                    f["target_header_keys"]],
+         "target_header_keys.npz: Header does not contain the correct keys"),
+        (lambda f: ["train-substitute", "--data", f["data"], "--target",
+                    f["target_header_syntax"]], "target_header_syntax.npz: "),
     ], ids=["target_is_substitute", "sub_is_target", "generator_is_substitute",
             "attack_sub_schema_reversed", "attack_sub_on_a_feature_subset",
             "scan_sub_empty_curve", "attack_sub_zero_width_layer",
             "attack_sub_sizes_past_memory", "target_is_empty", "sub_is_a_broken_zip",
             "generator_is_a_bare_npy", "target_is_random_bytes", "target_member_bad_crc",
-            "target_member_bad_header"])
+            "target_member_bad_header", "target_member_header_keys",
+            "target_member_header_syntax"])
     def test_exit_1_with_one_error_line(self, argv, message, files):
         proc = _run_cli([*argv(files), "--out", files["out"]])
         assert proc.returncode == 1, proc.stderr

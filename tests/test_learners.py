@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from flowcamo.core import (
     Dataset,
-    DegenerateTrainingError,
     Feature,
     FeatureSchema,
     ValidationError,
@@ -102,7 +101,7 @@ class TestEveryKind:
     def test_single_class_rejected(self, kind):
         ds = blob_dataset(seed=8)
         one = ds.take(np.flatnonzero(ds.y == 0))
-        with pytest.raises(DegenerateTrainingError):
+        with pytest.raises(ValidationError, match="training data contains a single class"):
             fit(kind, one, seed=0)
 
     def test_out_of_range_input_rejected(self, kind):

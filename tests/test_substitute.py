@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowcamo.blackbox import make_oracle
-from flowcamo.core import Dataset, DegenerateTrainingError, ValidationError
+from flowcamo.core import Dataset, ValidationError
 from flowcamo.harness import synth
 from flowcamo.harness.csvio import write_report_csv
 from flowcamo.learners import fit
@@ -112,7 +112,7 @@ class TestTrainSubstitute:
         one = Dataset(
             corpus.schema, corpus.X[:40], np.zeros(40, dtype=int), corpus.class_labels
         )
-        with pytest.raises(DegenerateTrainingError):
+        with pytest.raises(ValidationError, match="training data contains a single class"):
             train_substitute(one, epochs=2)
 
     def test_bad_epochs_rejected(self, corpus):
