@@ -514,6 +514,17 @@ class TestCli:
         assert rc == 0
         assert "oracle agreement" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag, schema", [([], synth.target_schema())])
+    def test_train_target_projection_flag(self, flag, schema, tmp_path):
+        data = str(tmp_path / "d.csv")
+        main(["gen-data", "--out", data, "--n-classes", "3",
+              "--rows-per-class", "10", "--seed", "3"])
+        model = str(tmp_path / "m.npz")
+        rc = main(["train-target", "--data", data, "--kind", "knn",
+                   "--out", model, "--seed", "3", *flag])
+        assert rc == 0
+        assert load_model(model).schema == schema
+
     def test_tampered_knn_target_is_a_validation_exit(self, tmp_path, capsys):
         data = str(tmp_path / "d.csv")
         main(["gen-data", "--out", data, "--n-classes", "3",
