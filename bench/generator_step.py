@@ -111,9 +111,9 @@ def main(repeats: int = 3000) -> int:
         alone[f"{name} ({a.shape[0]}x{a.shape[1]} @ {b.shape[0]}x{b.shape[1]})"] = stats_us(
             time_alone(lambda: a @ b, repeats))
     for i, width in enumerate(g.net.layer_sizes[1:]):
-        col = np.ones((BATCH_SIZE, width))
-        alone[f"generator_backward.sum(d, axis=0) (db{i}, {BATCH_SIZE}x{width})"] = stats_us(
-            time_alone(lambda: np.sum(col, axis=0), repeats))
+        col, db = np.ones((BATCH_SIZE, width)), np.empty(width)
+        alone[f"generator_backward.add.reduce(d, axis=0) (db{i}, {BATCH_SIZE}x{width})"] = (
+            stats_us(time_alone(lambda: np.add.reduce(col, axis=0, out=db), repeats)))
     report = {
         "batch_rows": BATCH_SIZE,
         "generator_sizes": list(g.net.layer_sizes),

@@ -38,10 +38,10 @@ HIDDEN = (64, 64)
 # network and saturate the tanh irrecoverably.
 DELTA_SCALE = 6.0
 BATCH_SIZE = 128
-# Training stops early once the success metric moved less than the mode's
-# plateau band over PLATEAU_WINDOW epochs, but not before PLATEAU_MIN_EPOCHS.
-# Spoof mode also stops after any epoch that spoofed every row, whatever the
-# epoch count: in such an epoch its gated cross-entropy gave no gradient.
+# Training reaches its goal after any epoch in which every row succeeded on
+# the substitute, the attacker's only model (asking the oracle costs queries),
+# and stops there. It also stops once the success metric moved less than the
+# mode's plateau band over PLATEAU_WINDOW epochs, not before PLATEAU_MIN_EPOCHS.
 PLATEAU_WINDOW = 5
 PLATEAU_MIN_EPOCHS = 20
 # Each mode's training recipe: (LR factor per epoch, cross-entropy gradient
@@ -295,10 +295,10 @@ def train_generator(
     ``g.training_curve`` starts with the substitute's success on ``train``
     under fresh noise. Each epoch then appends the share of rows the
     substitute's logits counted as a success in that epoch's batches,
-    before each batch's step; the plateau test reads this curve. Spoof
+    before each batch's step; the plateau test reads this curve. Either
     mode also ends after the first epoch whose entry is 1.0: the
-    substitute assigned every row to the target before that row's own
-    step, so the goal is reached without asking the oracle.
+    substitute, the attacker's only model, counted every row as a success
+    before that row's own step, so the goal is reached with no oracle query.
     """
     if not isinstance(sub, SubstituteModel):
         raise ValidationError(
@@ -333,7 +333,7 @@ def train_generator(
             hits += generator_step(g, sub, X[idx], Z[idx], idx, objective, ce_weight, lr)
         lr *= lr_factor
         g.training_curve.append(hits / n)
-        if hits == n and mode.mode == "spoof":
+        if hits == n:
             break
         recent = g.training_curve[-PLATEAU_WINDOW:]
         if (

@@ -116,7 +116,7 @@ class Net:
         dWs, dbs = self._views(grad)
         for i in range(len(dWs) - 1, -1, -1):
             np.matmul(cache[i].T, d, out=dWs[i])
-            np.sum(d, axis=0, out=dbs[i])
+            np.add.reduce(d, axis=0, out=dbs[i])
             if i > 0:
                 d = d @ self.weights[i].T
                 d *= cache[i] > 0

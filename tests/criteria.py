@@ -8,6 +8,8 @@ controls in ``test_criteria.py`` call them on doctored results.
 from __future__ import annotations
 
 import math
+import os
+import pathlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -215,6 +217,24 @@ def gradients_and_predictions(results) -> Verdict:
         f"bound 0 (margin {-worst_mism:+d})"
     )
     return Verdict(worst, threshold, worst < threshold and worst_mism == 0, detail)
+
+
+def bit_identical_reruns(dir_a: str, dir_b: str) -> Verdict:
+    """Criterion 10: two runs from one manifest, written to ``dir_a`` and
+    ``dir_b``, hold the same report CSVs byte for byte. A report only one
+    run wrote counts as differing. At least three reports, ``scan.csv``
+    among them, must be compared, so a run that wrote almost nothing fails."""
+    names = sorted({n for d in (dir_a, dir_b) for n in os.listdir(d) if n.endswith(".csv")})
+
+    def read(d, n):
+        path = pathlib.Path(d, n)
+        return path.read_bytes() if path.exists() else None
+
+    diffs = [n for n in names if read(dir_a, n) != read(dir_b, n)]
+    ok = not diffs and len(names) >= 3 and "scan.csv" in names
+    detail = (f"two runs from one manifest: {len(names)} report CSVs compared, "
+              f"differing: {diffs or 'none'} (bound 0, margin {-len(diffs):+d})")
+    return Verdict(len(diffs), 0, ok, detail)
 
 
 def scan_of(points, n_classes: int) -> list:

@@ -24,14 +24,13 @@ Criteria, one test each, one printed PASS/FAIL line each:
     report CSV byte-for-byte
 """
 import json
-import os
-import pathlib
 
 import pytest
 
 from flowcamo.harness.experiment import ExperimentConfig, run_experiment
 
 from criteria import (
+    bit_identical_reruns,
     contract_holds,
     feature_subset_selection,
     gradients_and_predictions,
@@ -139,20 +138,7 @@ class TestAcceptance:
         dirs = [str(tmp_path / "run_a"), str(tmp_path / "run_b")]
         for d in dirs:
             run_experiment(ExperimentConfig.from_file(str(manifest), {"out_dir": d}))
-        names = sorted(
-            n for n in os.listdir(dirs[0]) if n.endswith(".csv")
-        )
-        diffs = []
-        for n in names:
-            a = pathlib.Path(dirs[0], n).read_bytes()
-            b = pathlib.Path(dirs[1], n).read_bytes()
-            if a != b:
-                diffs.append(n)
-        ok = not diffs and len(names) >= 3 and "scan.csv" in names
-        announce(
-            capsys, 10, ok,
-            f"two runs from one manifest: {len(names)} report CSVs compared, "
-            f"differing: {diffs or 'none'}",
-        )
-        assert ok
+        verdict = bit_identical_reruns(*dirs)
+        announce(capsys, 10, verdict.ok, verdict.detail)
+        assert verdict.ok
 

@@ -75,8 +75,8 @@ def _reference_success(g, sub, X, mode, orig_labels, rng):
 def reference_train_generator(g, sub, train, mode, epochs, seed=0, lr=0.01, anchor_X=None):
     """Misidentify: constant LR, BCE weight 1, no gate, no anchor, plateau
     delta 1e-4. Spoof: LR decay 0.93, BCE weight 0.1, gated BCE, anchor
-    weight 1.0, plateau delta 2e-3, and a stop after any epoch whose every
-    row counted as a success. Both: plateau minimum 20 epochs. The curve is
+    weight 1.0, plateau delta 2e-3. Both: a stop after any epoch whose every
+    row counted as a success, and plateau minimum 20 epochs. The curve is
     one fresh-noise probe, then per epoch the share of rows whose batch
     logits, before the batch's step, count as a success."""
     if mode.mode == "misidentify":
@@ -124,7 +124,7 @@ def reference_train_generator(g, sub, train, mode, epochs, seed=0, lr=0.01, anch
             g.net.sgd_step(reference_backward_to_params(g, grad_cache, dHp), lr)
         lr *= lr_decay
         g.training_curve.append(float(np.mean(np.concatenate(successes))))
-        if mode.mode == "spoof" and g.training_curve[-1] == 1.0:
+        if g.training_curve[-1] == 1.0:
             break
         recent = g.training_curve[-PLATEAU_WINDOW:]
         if (len(g.training_curve) > plateau_min_epochs and len(recent) == PLATEAU_WINDOW
@@ -416,35 +416,49 @@ class TestTraining:
         assert len(g.training_curve) == PLATEAU_MIN_EPOCHS + 1
         assert len(set(g.training_curve)) == 1
 
-    def test_spoof_stops_after_the_first_epoch_that_spoofs_every_row(
-            self, pool_schema, trained_sub, small_split):
-        """At lr 0 the generator stays the identity map, so rows the
-        substitute already assigns to the target are all spoofed in epoch 1."""
-        sub, _, _ = trained_sub
-        train_pool, _ = small_split
-        clean = sub.predict_ids(train_pool.X)
-        tid = int(clean[0])
-        train = train_pool.take(np.flatnonzero(clean == tid))
-        g = build_generator(pool_schema, train.X, seed=9)
-        train_generator(g, sub, train, spoof(DeviceClass(tid, "t")), epochs=60, lr=0.0,
-                        anchor_X=train_pool.X)
-        assert g.training_curve == [1.0, 1.0]
-
-    def test_misidentify_that_evades_every_row_stops_on_the_plateau(
-            self, pool_schema, trained_sub, small_split):
-        """A last layer with zero weights and large biases makes each row's
-        output independent of its noise; on the rows whose clean label
-        differs from their output's, every epoch of an lr-0 training reads
-        1.0."""
-        sub, _, _ = trained_sub
-        train_pool, _ = small_split
+    @staticmethod
+    def success_fixed_by_row(pool_schema, sub, train_pool, mode_name):
+        """An lr-0 set-up in which each row's substitute id does not depend
+        on the noise: ``(g, succeeds, mode, anchor_X)``, where ``succeeds``
+        marks the rows that count as a success in every epoch, and the rest
+        never do. Spoof keeps the identity map and targets the first row's
+        class. Misidentify gets a last layer with zero weights and large
+        biases, and a row succeeds if its clean id differs from its output's."""
         g = build_generator(pool_schema, train_pool.X, seed=9)
+        clean = sub.predict_ids(train_pool.X)
+        if mode_name == "spoof":
+            tid = int(clean[0])
+            return g, clean == tid, spoof(DeviceClass(tid, "t")), train_pool.X
         g.net.biases[-1][:] = 10.0
         moved = sub.predict_ids(g.manipulate_batch(train_pool.X, np.zeros_like(train_pool.X)))
-        train = train_pool.take(np.flatnonzero(sub.predict_ids(train_pool.X) != moved))
+        return g, clean != moved, misidentify(), None
+
+    @pytest.mark.parametrize("mode_name", ["misidentify", "spoof"])
+    def test_stops_after_the_first_epoch_that_succeeds_on_every_row(
+            self, pool_schema, trained_sub, small_split, mode_name):
+        sub, _, _ = trained_sub
+        train_pool, _ = small_split
+        g, succeeds, mode, anchor_X = self.success_fixed_by_row(pool_schema, sub, train_pool,
+                                                                 mode_name)
+        train = train_pool.take(np.flatnonzero(succeeds))
         assert len(train) > BATCH_SIZE
-        train_generator(g, sub, train, misidentify(), epochs=60, lr=0.0)
-        assert g.training_curve == [1.0] * (PLATEAU_MIN_EPOCHS + 1)
+        train_generator(g, sub, train, mode, epochs=60, lr=0.0, anchor_X=anchor_X)
+        assert g.training_curve == [1.0, 1.0]
+
+    @pytest.mark.parametrize("mode_name", ["misidentify", "spoof"])
+    def test_one_row_that_never_succeeds_runs_to_the_plateau(
+            self, pool_schema, trained_sub, small_split, mode_name):
+        """The same set-up plus one row that fails in every epoch: the curve
+        never reads 1.0, so only the plateau ends the training."""
+        sub, _, _ = trained_sub
+        train_pool, _ = small_split
+        g, succeeds, mode, anchor_X = self.success_fixed_by_row(pool_schema, sub, train_pool,
+                                                                 mode_name)
+        rows = np.append(np.flatnonzero(succeeds), np.flatnonzero(~succeeds)[0])
+        train = train_pool.take(rows)
+        n = len(train)
+        train_generator(g, sub, train, mode, epochs=60, lr=0.0, anchor_X=anchor_X)
+        assert g.training_curve == [(n - 1) / n] * (PLATEAU_MIN_EPOCHS + 1)
 
     def test_anchor_rows_are_needed_for_spoof_only(self, gen, trained_sub, small_split):
         sub, _, _ = trained_sub
@@ -500,6 +514,18 @@ class TestTrainingMatchesReference:
         train_pool, _ = small_split
         g = self.check(pool_schema, sub, train_pool, misidentify(), epochs=4, lr=0.05)
         assert len(g.training_curve) == 5
+
+    def test_misidentify_stops_once_every_row_evades(self, pool_schema, trained_sub,
+                                                      small_split):
+        """The rows of the substitute's largest clean class all evade it
+        within a few epochs, well before the plateau minimum."""
+        sub, _, _ = trained_sub
+        train_pool, _ = small_split
+        clean = sub.predict_ids(train_pool.X)
+        train = train_pool.take(np.flatnonzero(clean == np.bincount(clean).argmax()))
+        g = self.check(pool_schema, sub, train, misidentify(), epochs=40, lr=0.05)
+        c = g.training_curve
+        assert c[-1] == 1.0 and 1.0 not in c[:-1] and len(c) <= PLATEAU_MIN_EPOCHS
 
     def test_misidentify_stops_inside_its_narrower_band(self, pool_schema, trained_sub,
                                                         small_split):

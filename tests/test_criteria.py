@@ -16,6 +16,7 @@ from flowcamo.substitute import select_subset
 
 import criteria
 from criteria import (
+    bit_identical_reruns,
     contract_holds,
     feature_subset_selection,
     gradients_and_predictions,
@@ -102,6 +103,36 @@ def permuted(ds: Dataset) -> Dataset:
 def honest_tree_run(tmp_path_factory):
     return run_experiment(ExperimentConfig(out_dir=str(tmp_path_factory.mktemp("tree")),
                                            run_scan=True, **TINY_TREE))
+
+
+def _unseeded_noise(cfg, results, out):
+    """A stage whose report draws from a generator that no seed fixes."""
+    out("noise.csv", ["value"], [[f"{v:.17g}"] for v in np.random.default_rng().random(4)])
+
+
+class TestBitIdenticalReruns:
+    def reruns(self, tmp_path):
+        dirs = [str(tmp_path / d) for d in ("run_a", "run_b")]
+        for d in dirs:
+            run_experiment(ExperimentConfig(out_dir=d, run_scan=True, **TINY_TREE))
+        return dirs
+
+    def test_honest_reruns_pass_and_a_report_one_run_lacks_fails(self, tmp_path):
+        dirs = self.reruns(tmp_path)
+        verdict = bit_identical_reruns(*dirs)
+        assert verdict.ok and "4 report CSVs compared, differing: none" in verdict.detail
+        (tmp_path / "run_b" / "table2.csv").unlink()
+        verdict = bit_identical_reruns(*dirs)
+        assert not verdict.ok and "differing: ['table2.csv']" in verdict.detail
+
+    def test_a_stage_that_draws_unseeded_noise_fails(self, tmp_path, monkeypatch):
+        """Every report but the noise stage's is equal across the runs."""
+        stages = experiment.STAGES
+        monkeypatch.setattr(experiment, "STAGES",
+                            stages[:-1] + (("noise", _unseeded_noise, None),) + stages[-1:])
+        verdict = bit_identical_reruns(*self.reruns(tmp_path))
+        assert not verdict.ok and verdict.value == 1
+        assert "differing: ['noise.csv'] (bound 0, margin -1)" in verdict.detail
 
 
 class TestScanReproduced:

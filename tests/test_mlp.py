@@ -285,6 +285,24 @@ class TestAgainstEarlierAlgorithms:
             assert all(same_bits(a, b) for a, b in zip(stepped.weights + stepped.biases, Ws + bs))
         assert same_bits(loaded.forward_logits(X), net.forward_logits(X))
 
+    def test_bias_gradients_are_column_sums_bit_for_bit(self):
+        """At batch heights from one row to a full 128-row batch, each bias
+        gradient of a generator-shaped net has the bytes of ``np.sum(d,
+        axis=0)`` over its layer's upstream gradient. A product with a ones
+        vector sums in another order and differs in the last bits."""
+        net = Net([56, 64, 64, 28], seed=0)
+        rng = np.random.default_rng(1)
+        for b in net.biases:
+            b[:] = rng.normal(0, 0.5, size=b.shape)
+        for rows in (1, 2, 3, 44, 112, 128):
+            for _trial in range(5):
+                X = rng.normal(0, 1, size=(rows, 56))
+                d = rng.normal(0, 1, size=(rows, 28))
+                _, cache = net.forward_logits(X, want_cache=True)
+                _, dbs, _ = full_backward(net, cache, d)
+                got = net._views(net.backward(cache, d))[1]
+                assert all(same_bits(a, b) for a, b in zip(got, dbs)), rows
+
     def test_single_layer_net(self):
         """[in, out]: no hidden layer, so no ReLU mask anywhere."""
         net = Net([3, 2], seed=4)
