@@ -40,17 +40,22 @@ DELTA_SCALE = 6.0
 BATCH_SIZE = 128
 # Training reaches its goal after any epoch in which every row succeeded on
 # the substitute, the attacker's only model (asking the oracle costs queries),
-# and stops there. It also stops once the success metric moved less than the
-# mode's plateau band over PLATEAU_WINDOW epochs, not before PLATEAU_MIN_EPOCHS.
+# and stops there. It also stops once the epochs' success counts moved by
+# fewer rows than the mode's plateau band over PLATEAU_WINDOW epochs, not
+# before PLATEAU_MIN_EPOCHS.
 PLATEAU_WINDOW = 5
 PLATEAU_MIN_EPOCHS = 20
 # Each mode's training recipe: (LR factor per epoch, cross-entropy gradient
-# weight, plateau band). Spoof's step size decays, as constant-step SGD
-# oscillates around the anchor minimum instead of settling into it. Spoof
-# success on a few thousand rows moves in coarser steps than the misidentify
-# band, so its looser band lets a stuck trial stop early and leaves the
-# budget to the next restart.
-RECIPES = {"misidentify": (1.0, 1.0, 1e-4), "spoof": (0.93, 0.1, 2e-3)}
+# weight, plateau band as a share of the training rows, least plateau band in
+# rows). Spoof's step size decays, as constant-step SGD oscillates around the
+# anchor minimum instead of settling into it. Spoof's looser band lets a
+# stuck trial stop early and leaves the budget to the next restart. On the
+# default run's 2,800-row cells 2e-3 spans 5.6 rows; on a few hundred rows it
+# would span less than one, and a stuck trial whose success still wanders by
+# a few rows would run the whole budget. The 6-row floor keeps the default
+# cells' resolution. Misidentify's 1-row floor asks for a flat window, as its
+# share already does below 10,000 rows.
+RECIPES = {"misidentify": (1.0, 1.0, 1e-4, 1), "spoof": (0.93, 0.1, 2e-3, 6)}
 # Step size of the misidentify training in ``flowcamo run`` and ``attack``.
 MISIDENTIFY_LR = 0.05
 
@@ -274,6 +279,13 @@ def generator_step(g: Generator, sub: SubstituteModel, H: np.ndarray, Z: np.ndar
     return np.count_nonzero(hit)
 
 
+def plateau_rows(mode: str, n: int) -> float:
+    """Band of a ``mode`` training on ``n`` rows, in rows: a window of epochs
+    whose success counts span fewer rows than this is a plateau."""
+    _, _, band, min_rows = RECIPES[mode]
+    return max(band * n, min_rows)
+
+
 def train_generator(
     g: Generator,
     sub: SubstituteModel,
@@ -295,10 +307,11 @@ def train_generator(
     ``g.training_curve`` starts with the substitute's success on ``train``
     under fresh noise. Each epoch then appends the share of rows the
     substitute's logits counted as a success in that epoch's batches,
-    before each batch's step; the plateau test reads this curve. Either
-    mode also ends after the first epoch whose entry is 1.0: the
-    substitute, the attacker's only model, counted every row as a success
-    before that row's own step, so the goal is reached with no oracle query.
+    before each batch's step. The plateau test reads the counts behind
+    those shares, against ``plateau_rows``. Either mode also ends after the
+    first epoch whose entry is 1.0: the substitute, the attacker's only
+    model, counted every row as a success before that row's own step, so
+    the goal is reached with no oracle query.
     """
     if not isinstance(sub, SubstituteModel):
         raise ValidationError(
@@ -310,9 +323,10 @@ def train_generator(
     if len(train) == 0:
         raise ValidationError("training dataset is empty")
 
-    lr_factor, ce_weight, plateau_band = RECIPES[mode.mode]
+    lr_factor, ce_weight, _, _ = RECIPES[mode.mode]
     X = train.X
     n, k = X.shape
+    band = plateau_rows(mode.mode, n)
     rng = np.random.default_rng(seed)
     objective = attack_objective(mode, g, sub, X, anchor_X)
 
@@ -324,7 +338,8 @@ def train_generator(
               g.scaler.scale, out=noise)
     pred = sub.predict_ids(g._manipulate(X, Z))
     g.training_curve = [float(np.mean(objective[0](pred, np.arange(n))))]
-    for _epoch in range(epochs):
+    epoch_hits = []
+    for epoch in range(epochs):
         np.divide(sample_multipliers(g.schema, n, rng) * X, g.scaler.scale, out=noise)
         order = rng.permutation(n)
         hits = 0
@@ -335,12 +350,9 @@ def train_generator(
         g.training_curve.append(hits / n)
         if hits == n:
             break
-        recent = g.training_curve[-PLATEAU_WINDOW:]
-        if (
-            len(g.training_curve) > PLATEAU_MIN_EPOCHS
-            and len(recent) == PLATEAU_WINDOW
-            and max(recent) - min(recent) < plateau_band
-        ):
+        epoch_hits.append(hits)
+        recent = epoch_hits[-PLATEAU_WINDOW:]
+        if epoch + 1 >= PLATEAU_MIN_EPOCHS and max(recent) - min(recent) < band:
             break
     return g
 

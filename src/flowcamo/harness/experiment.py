@@ -163,32 +163,33 @@ def _generate(cfg: ExperimentConfig, results: dict, out) -> None:
 
 
 def _train_targets(cfg: ExperimentConfig, results: dict, out) -> None:
-    train_tgt, test_tgt = results["train_tgt"], results["test_tgt"]
     targets = results["targets"] = {}
-    target_rates = results["target_rates"] = {}
     for i, kind in enumerate(cfg.target_kinds):
-        model = targets[kind] = fit(kind, train_tgt, seed=cfg.seed + i)
-        target_rates[kind] = (_rate(model, train_tgt), _rate(model, test_tgt))
+        targets[kind] = fit(kind, results["train_tgt"], seed=cfg.seed + i)
 
 
 def _substitute(cfg: ExperimentConfig, results: dict, out) -> None:
     """One substitute per target, fit to the oracle's labels of the
-    eavesdropped training traffic only."""
+    eavesdropped training traffic only. Those labels are the target's own
+    predictions on its training rows, so they also give its training rate."""
     train_pool, test_pool = results["train_pool"], results["test_pool"]
     oracles = results["oracles"] = {}
     corpora = results["corpora"] = {}
     subs = results["substitutes"] = {}
+    target_rates = results["target_rates"] = {}
     sub_rates = results["sub_rates"] = {}
     for i, kind in enumerate(cfg.target_kinds):
-        oracle = oracles[kind] = make_oracle(results["targets"][kind], train_pool.schema)
+        target = results["targets"][kind]
+        oracle = oracles[kind] = make_oracle(target, train_pool.schema)
         corpora[kind] = oracle.collect(train_pool.X)
+        target_rates[kind] = (identification_rate(train_pool.y, corpora[kind].y),
+                              _rate(target, results["test_tgt"]))
         sub = subs[kind] = train_substitute(
             corpora[kind], epochs=cfg.substitute_epochs, seed=cfg.seed + 100 + i,
         )
         # Substitute's own identification rates against ground truth.
         sub_rates[kind] = (_rate(sub, train_pool), _rate(sub, test_pool), sub.agreement)
 
-    target_rates = results["target_rates"]
     out(
         "table1.csv",
         ["model", "target_train", "target_test", "sub_train", "sub_test", "oracle_agreement",

@@ -4,7 +4,7 @@ import pathlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowcamo import camouflage
@@ -14,6 +14,7 @@ from flowcamo.camouflage import (
     DELTA_SCALE,
     PLATEAU_MIN_EPOCHS,
     PLATEAU_WINDOW,
+    RECIPES,
     AttackMode,
     AttackReport,
     Generator,
@@ -21,6 +22,7 @@ from flowcamo.camouflage import (
     evaluate_attack,
     load_generator,
     misidentify,
+    plateau_rows,
     sample_multipliers,
     save_generator,
     spoof,
@@ -74,15 +76,18 @@ def _reference_success(g, sub, X, mode, orig_labels, rng):
 
 def reference_train_generator(g, sub, train, mode, epochs, seed=0, lr=0.01, anchor_X=None):
     """Misidentify: constant LR, BCE weight 1, no gate, no anchor, plateau
-    delta 1e-4. Spoof: LR decay 0.93, BCE weight 0.1, gated BCE, anchor
-    weight 1.0, plateau delta 2e-3. Both: a stop after any epoch whose every
-    row counted as a success, and plateau minimum 20 epochs. The curve is
-    one fresh-noise probe, then per epoch the share of rows whose batch
-    logits, before the batch's step, count as a success."""
+    delta 1e-4 of the rows, at least 1 row. Spoof: LR decay 0.93, BCE weight
+    0.1, gated BCE, anchor weight 1.0, plateau delta 2e-3 of the rows, at
+    least 6 rows. Both: a stop after any epoch whose every row counted as a
+    success, and plateau minimum 20 epochs. The curve is one fresh-noise
+    probe, then per epoch the share of rows whose batch logits, before the
+    batch's step, count as a success; the plateau reads those row counts."""
     if mode.mode == "misidentify":
-        lr_decay, bce_weight, gate_success, anchor_weight, plateau_delta = 1.0, 1.0, False, 0.0, 1e-4
+        lr_decay, bce_weight, gate_success, anchor_weight = 1.0, 1.0, False, 0.0
+        plateau_delta, plateau_min_rows = 1e-4, 1
     else:
-        lr_decay, bce_weight, gate_success, anchor_weight, plateau_delta = 0.93, 0.1, True, 1.0, 2e-3
+        lr_decay, bce_weight, gate_success, anchor_weight = 0.93, 0.1, True, 1.0
+        plateau_delta, plateau_min_rows = 2e-3, 6
     plateau_min_epochs = 20
     X = train.X
     n = X.shape[0]
@@ -102,6 +107,7 @@ def reference_train_generator(g, sub, train, mode, epochs, seed=0, lr=0.01, anch
             anchor_scale2 = g.scaler.scale**2
             mut = g.schema.mutable_mask
     g.training_curve = [_reference_success(g, sub, X, mode, orig_labels, eval_rng)]
+    counts = []
     for _epoch in range(epochs):
         S = sample_multipliers(g.schema, n, rng) * X
         order = rng.permutation(n)
@@ -126,9 +132,10 @@ def reference_train_generator(g, sub, train, mode, epochs, seed=0, lr=0.01, anch
         g.training_curve.append(float(np.mean(np.concatenate(successes))))
         if g.training_curve[-1] == 1.0:
             break
-        recent = g.training_curve[-PLATEAU_WINDOW:]
-        if (len(g.training_curve) > plateau_min_epochs and len(recent) == PLATEAU_WINDOW
-                and max(recent) - min(recent) < plateau_delta):
+        counts.append(int(np.count_nonzero(np.concatenate(successes))))
+        recent = counts[-PLATEAU_WINDOW:]
+        if (len(counts) >= plateau_min_epochs
+                and max(recent) - min(recent) < max(plateau_delta * n, plateau_min_rows)):
             break
     return g
 
@@ -460,6 +467,41 @@ class TestTraining:
         train_generator(g, sub, train, mode, epochs=60, lr=0.0, anchor_X=anchor_X)
         assert g.training_curve == [(n - 1) / n] * (PLATEAU_MIN_EPOCHS + 1)
 
+    @pytest.mark.parametrize("mode_name, offsets, stops", [
+        ("spoof", (0, 3, 5, 1, 4), True),
+        ("spoof", (0, 3, 6, 1, 4), False),
+        ("misidentify", (0, 1, 1, 0, 0), False),
+    ])
+    def test_plateau_band_in_rows(self, monkeypatch, pool_schema, trained_sub, small_split,
+                                  mode_name, offsets, stops):
+        """On 240 rows (batches of 128 and 112) each epoch's first batch
+        scores 100 plus the next offset in turn and the second none, so every
+        window of 5 epochs spans the offsets' range. Spoof's 2e-3 share of
+        240 rows is 0.48 rows, but its band is at least 6 rows: a window that
+        moves by 5 rows stops at the plateau minimum, one that moves by 6
+        runs the whole budget. Misidentify's band of 1 row asks for a flat
+        window."""
+        sub, _, _ = trained_sub
+        train_pool, _ = small_split
+        train = train_pool.take(np.arange(240))
+        mode, anchor_X = misidentify(), None
+        if mode_name == "spoof":
+            tid = int(sub.predict_ids(train.X)[0])
+            mode, anchor_X = spoof(DeviceClass(tid, "t")), train_pool.X
+        calls = []
+
+        def scripted_step(*args):
+            calls.append(1)
+            epoch, batch = divmod(len(calls) - 1, 2)
+            return 100 + offsets[epoch % len(offsets)] if batch == 0 else 0
+
+        monkeypatch.setattr(camouflage, "generator_step", scripted_step)
+        g = build_generator(pool_schema, train.X, seed=9)
+        train_generator(g, sub, train, mode, epochs=60, anchor_X=anchor_X)
+        epochs_run = PLATEAU_MIN_EPOCHS if stops else 60
+        assert g.training_curve[1:] == [(100 + offsets[e % len(offsets)]) / 240
+                                        for e in range(epochs_run)]
+
     def test_anchor_rows_are_needed_for_spoof_only(self, gen, trained_sub, small_split):
         sub, _, _ = trained_sub
         train_pool, _ = small_split
@@ -487,6 +529,51 @@ class TestTraining:
             AttackMode("spoof", None)
         with pytest.raises(ValidationError):
             AttackMode("nonsense", None)
+
+
+def float_plateau(lo, r, n, band):
+    """The plateau test on the training curve's shares: a window whose
+    epochs scored between ``lo`` and ``lo + r`` of ``n`` rows."""
+    return (lo + r) / n - lo / n < band
+
+
+class TestPlateauRows:
+    """The plateau test on success counts against ``plateau_rows`` gives the
+    answer the test on the curve's shares against the mode's band gave,
+    wherever the floor does not widen the band."""
+
+    @pytest.mark.parametrize("mode_name, n", [("spoof", 2800), ("misidentify", 11200)])
+    def test_the_default_runs_cells_keep_the_share_test(self, mode_name, n):
+        """Every window range r in 0..n at every position: the default
+        run's spoof cells and its misidentify training pool."""
+        band = RECIPES[mode_name][2]
+        rows = plateau_rows(mode_name, n)
+        for r in range(n + 1):
+            lo = np.arange(n - r + 1, dtype=float)
+            assert (float_plateau(lo, r, n, band) == (r < rows)).all(), r
+        assert math.ceil(rows) - 1 == {"spoof": 5, "misidentify": 1}[mode_name]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 200_000).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, n)).flatmap(
+            lambda nr: st.tuples(st.just(nr), st.integers(0, nr[0] - nr[1])))))
+    @example(((240, 0), 17))
+    @example(((240, 1), 17))
+    @example(((9_999, 1), 0))
+    @example(((10_000, 1), 0))
+    @example(((11_200, 1), 5_000))
+    @example(((11_200, 2), 5_000))
+    def test_misidentify_keeps_the_share_test_at_any_size(self, case):
+        """Below 10,000 rows the 1e-4 share is less than one row, so both
+        tests ask for a flat window. Where 1e-4 of n is a whole number of
+        rows, a window spanning exactly that many was a plateau at some
+        positions and not at others; the row test says it is not one."""
+        (n, r), lo = case
+        if n % 10_000 == 0 and r == n // 10_000:
+            assert not r < plateau_rows("misidentify", n)
+            return
+        assert float_plateau(lo, r, n, RECIPES["misidentify"][2]) == \
+            (r < plateau_rows("misidentify", n))
 
 
 class TestTrainingMatchesReference:

@@ -270,8 +270,8 @@ class TestSpoofPairs:
     def test_honest_grid_passes(self, tmp_path):
         verdict = spoof_pairs(run_experiment(ExperimentConfig(out_dir=str(tmp_path),
                                                                **TINY_GRID)))
-        assert verdict.ok and verdict.value == pytest.approx(0.975)
-        assert "margin +0.1750" in verdict.detail and "camera>switch:" in verdict.detail
+        assert verdict.ok and verdict.value == pytest.approx(0.925)
+        assert "margin +0.1250" in verdict.detail and "camera>switch:" in verdict.detail
 
     def test_rates_read_against_the_wrong_target_class_fail(self, tmp_path, monkeypatch):
         """Each cell trains and is accepted as before, but its reported rate
