@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from flowcamo.camouflage import (BATCH_SIZE, RECIPES, attack_objective, build_generator,
-                                 generator_step, sample_multipliers, spoof)
+                                 generator_step, sample_multipliers, spoof, spoof_anchors)
 from flowcamo.core import DeviceClass
 from flowcamo.harness import synth
 from flowcamo.harness.experiment import ExperimentConfig, run_experiment
@@ -33,8 +33,8 @@ def stats_us(ns):
 
 
 def setup(seed: int = 42):
-    """The substitute, generator, training rows and spoof target of the
-    spoof grid's first cell at the spoof-grid workload's sizes."""
+    """The substitute, generator, training rows, spoof anchor and spoof
+    target of the spoof grid's first cell at the spoof-grid workload's sizes."""
     with tempfile.TemporaryDirectory() as out_dir:
         cfg = ExperimentConfig(seed=seed, target_kinds=("neural_net",), n_classes=8,
                                rows_per_class=150, spoof_grid=False, run_defense=False,
@@ -49,14 +49,14 @@ def setup(seed: int = 42):
     dst_id = synth.classes_of_type(profiles, dst)[0]
     target = DeviceClass(dst_id, profiles[dst_id].label)
     g = build_generator(src_train.schema, train_pool.X, seed=seed + 600)
-    return sub, g, src_train.X, train_pool.X, target
+    return sub, g, src_train.X, spoof_anchors(sub, train_pool.X)[dst_id], target
 
 
-def time_step(sub, g, X, anchor_X, target, repeats: int, rng):
+def time_step(sub, g, X, anchor, target, repeats: int, rng):
     """Nanoseconds of ``repeats`` spoof batch steps, each with its gather,
     and the network input ``Z`` of the rows ``X``."""
     n, k = X.shape
-    objective = attack_objective(spoof(target), g, sub, X, anchor_X)
+    objective = attack_objective(spoof(target), g, sub, X, anchor)
     ce_weight = RECIPES["spoof"][1]
     Z = g._input_buffer(X)
     np.divide(sample_multipliers(g.schema, n, rng) * X, g.scaler.scale, out=Z[:, k:])
@@ -102,10 +102,10 @@ def time_alone(fn, repeats: int):
 
 
 def main(repeats: int = 3000) -> int:
-    sub, g, X, anchor_X, target = setup()
+    sub, g, X, anchor, target = setup()
     rng = np.random.default_rng(0)
-    time_step(sub, g, X, anchor_X, target, 200, rng)  # warm-up
-    step, Z = time_step(sub, g, X, anchor_X, target, repeats, rng)
+    time_step(sub, g, X, anchor, target, 200, rng)  # warm-up
+    step, Z = time_step(sub, g, X, anchor, target, repeats, rng)
     alone = {}
     for name, a, b in products(g, sub, X, Z):
         alone[f"{name} ({a.shape[0]}x{a.shape[1]} @ {b.shape[0]}x{b.shape[1]})"] = stats_us(

@@ -11,7 +11,7 @@ only touched at evaluation time (transferability).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Union
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from .core import (
     DeviceClass,
     FeatureSchema,
     NumericError,
-    UnreachableTargetError,
     ValidationError,
     identification_rate,
     spoofing_rate,
@@ -200,8 +199,16 @@ def load_generator(path: str) -> Generator:
     return load_archive(path, Generator.from_arrays, "generator")
 
 
+def spoof_anchors(sub: SubstituteModel, anchor_X: np.ndarray) -> Dict[int, np.ndarray]:
+    """Spoof anchor of each class the substitute assigns a row of
+    ``anchor_X`` to: the centroid of those rows. A class with no such row
+    has no entry, and a spoof toward it cannot be anchored."""
+    ids = sub.predict_ids(anchor_X)
+    return {int(c): anchor_X[ids == c].mean(axis=0) for c in np.unique(ids)}
+
+
 def attack_objective(mode: AttackMode, g: Generator, sub: SubstituteModel, X: np.ndarray,
-                     anchor_X: Optional[np.ndarray]) -> tuple:
+                     anchor: Optional[np.ndarray]) -> tuple:
     """``(success, dlogits, pull)`` of ``mode`` for the training rows ``X``.
 
     ``success(pred, idx)`` marks the rows ``X[idx]`` whose substitute ids
@@ -209,15 +216,15 @@ def attack_objective(mode: AttackMode, g: Generator, sub: SubstituteModel, X: np
     ``pull(Hp)``, or None, adds a gradient on the manipulated rows.
     Misidentify ascends the substitute's cross-entropy against its frozen
     clean labels. Spoof descends it toward the target and pulls the mutable
-    features toward the centroid of the ``anchor_X`` rows the substitute
-    assigns to the target, per feature over the squared reference spread:
-    on the traffic manifold substitute agreement with the victim is high.
+    features toward ``anchor``, the target's entry in ``spoof_anchors``,
+    per feature over the squared reference spread: on the traffic manifold
+    substitute agreement with the victim is high.
     """
     spoofing = mode.mode == "spoof"
     if spoofing and not 0 <= mode.target.id < sub.n_classes:
         raise ValidationError("spoof target id outside the substitute's classes")
-    if (anchor_X is None) == spoofing:
-        raise ValidationError("spoof mode needs anchor_X; misidentify mode takes none")
+    if (anchor is None) == spoofing:
+        raise ValidationError("spoof mode needs an anchor; misidentify mode takes none")
     if not spoofing:
         orig_labels = sub.predict_ids(X)
         targets = one_hot(orig_labels, sub.n_classes)  # row i is sample i's target
@@ -231,14 +238,13 @@ def attack_objective(mode: AttackMode, g: Generator, sub: SubstituteModel, X: np
 
         return success, dlogits, None
 
+    check_shape("spoof anchor", anchor, (len(g.schema),))
+    check_real("spoof anchor", anchor)
+    if not np.isfinite(anchor).all():
+        raise ValidationError("spoof anchor holds non-finite values")
     tid = mode.target.id
     # Every row has the same target, so any batch uses a leading slice.
     targets = one_hot(np.full(min(X.shape[0], BATCH_SIZE), tid), sub.n_classes)
-    rows = anchor_X[sub.predict_ids(anchor_X) == tid]
-    if rows.shape[0] == 0:
-        raise UnreachableTargetError("anchor_X has no rows the substitute assigns to the "
-                                     "spoof target")
-    anchor = rows.mean(axis=0)
     anchor_scale2 = g.scaler.scale**2
     mut = g.schema.mutable_mask
 
@@ -294,12 +300,12 @@ def train_generator(
     epochs: int,
     seed: int = 0,
     lr: float = 0.01,
-    anchor_X: Optional[np.ndarray] = None,
+    anchor: Optional[np.ndarray] = None,
 ) -> Generator:
     """Gradient-train the generator against a substitute over its schema.
 
     Each batch is one ``generator_step`` toward the mode's
-    ``attack_objective``; spoof mode needs ``anchor_X``. The mode's
+    ``attack_objective``; spoof mode needs the target's ``anchor``. The mode's
     ``RECIPES`` entry weights the cross-entropy gradient and sets how
     ``lr`` decays after each epoch. Multipliers are re-sampled fresh every
     epoch.
@@ -328,7 +334,7 @@ def train_generator(
     n, k = X.shape
     band = plateau_rows(mode.mode, n)
     rng = np.random.default_rng(seed)
-    objective = attack_objective(mode, g, sub, X, anchor_X)
+    objective = attack_objective(mode, g, sub, X, anchor)
 
     # Network input of every training row. Its noise half is refilled for
     # the first probe and once per epoch; batches gather their rows.

@@ -17,10 +17,6 @@ class ValidationError(ValueError):
     """Input violates a schema or an operation precondition (CLI exit 1)."""
 
 
-class UnreachableTargetError(ValidationError):
-    """No reference row maps to a spoof target, so it cannot be anchored."""
-
-
 class NumericError(ArithmeticError):
     """A numeric routine hit non-finite values (CLI exit 2)."""
 

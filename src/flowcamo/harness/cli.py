@@ -23,12 +23,12 @@ from ..camouflage import (
     load_generator,
     misidentify,
     save_generator,
+    spoof_anchors,
     train_generator,
 )
 from ..core import (
     DeviceClass,
     NumericError,
-    UnreachableTargetError,
     ValidationError,
     identification_rate,
     split_dataset,
@@ -163,13 +163,13 @@ def cmd_spoof(args) -> int:
     if not len(src_train) or not len(src_test):
         raise ValidationError(f"source type {args.source_type!r} matches no class label "
                               "with both training and test rows")
+    anchors = spoof_anchors(sub, train.X)
+    if tid not in anchors:
+        raise ValidationError(f"the substitute assigns no training row to {args.target_class!r}")
     cfg = ExperimentConfig(seed=args.seed, generator_epochs=args.epochs)
-    found = spoof_cell(cfg, sub, make_oracle(target, ds.schema), target, train.X,
-                       src_train, src_test, DeviceClass(tid, args.target_class), 0)
-    if found is None:
-        raise UnreachableTargetError(
-            f"the substitute assigns no training row to {args.target_class!r}")
-    return _write_attack(args, *found, target, src_test)
+    g, rep = spoof_cell(cfg, sub, make_oracle(target, ds.schema), target, train.X, anchors[tid],
+                        src_train, src_test, DeviceClass(tid, args.target_class), 0)
+    return _write_attack(args, g, rep, target, src_test)
 
 
 def cmd_defend(args) -> int:

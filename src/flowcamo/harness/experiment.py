@@ -18,12 +18,12 @@ from ..camouflage import (
     evaluate_attack,
     misidentify,
     spoof,
+    spoof_anchors,
     train_generator,
 )
 from ..core import (
     Dataset,
     DeviceClass,
-    UnreachableTargetError,
     ValidationError,
     identification_rate,
     split_dataset,
@@ -258,36 +258,32 @@ def _attack(cfg: ExperimentConfig, results: dict, out) -> None:
 SPOOF_TRIAL_LRS = (0.05, 0.1, 0.03, 0.15, 0.08, 0.07, 0.12)
 
 
-def spoof_cell(cfg: ExperimentConfig, sub, oracle, target, anchor_X: np.ndarray,
-               src_train: Dataset, src_test: Dataset, target_cls: DeviceClass,
-               cell: int) -> Optional[tuple]:
+def spoof_cell(cfg: ExperimentConfig, sub, oracle, target, reference_X: np.ndarray,
+               anchor: np.ndarray, src_train: Dataset, src_test: Dataset,
+               target_cls: DeviceClass, cell: int) -> tuple:
     """``(generator, report on target over src_test)`` of the trial, one per
     ``SPOOF_TRIAL_LRS``, that the oracle rates best on ``src_train``; the
-    first to reach ``cfg.spoof_accept`` ends the loop. None when no trial can
-    be anchored: the substitute assigns no row of ``anchor_X`` to the target."""
+    first to reach ``cfg.spoof_accept`` ends the loop. Each trial normalises
+    on ``reference_X`` and pulls toward the target's ``spoof_anchors`` entry."""
     mode = spoof(target_cls)
     best_g, best_rate = None, -1.0
     for t, trial_lr in enumerate(SPOOF_TRIAL_LRS):
-        g = build_generator(src_train.schema, anchor_X, seed=cfg.seed + 600 + cell + 5000 * t)
-        try:
-            train_generator(
-                g, sub, src_train, mode, epochs=cfg.generator_epochs,
-                seed=cfg.seed + 700 + cell + 5000 * t, lr=trial_lr, anchor_X=anchor_X,
-            )
-        except UnreachableTargetError:
-            break  # every trial shares the substitute and the anchor rows
+        g = build_generator(src_train.schema, reference_X, seed=cfg.seed + 600 + cell + 5000 * t)
+        train_generator(
+            g, sub, src_train, mode, epochs=cfg.generator_epochs,
+            seed=cfg.seed + 700 + cell + 5000 * t, lr=trial_lr, anchor=anchor,
+        )
         check = evaluate_attack(g, oracle, src_train, mode, seed=cfg.seed + 750 + cell)
         if check.attacked_rate > best_rate:
             best_g, best_rate = g, check.attacked_rate
         if best_rate >= cfg.spoof_accept:
             break
-    if best_g is None:
-        return None
     return best_g, evaluate_attack(best_g, target, src_test, mode, seed=cfg.seed + 800 + cell)
 
 
 def _spoof(cfg: ExperimentConfig, results: dict, out) -> None:
-    """Spoof grid: every (target, source type, destination type) cell."""
+    """Spoof grid: every (target, source type, destination type) cell; one
+    whose target has no spoof anchor gets no rate and trains nothing."""
     profiles = results["profiles"]
     train_pool, test_pool = results["train_pool"], results["test_pool"]
     spoof_rows = []
@@ -295,22 +291,22 @@ def _spoof(cfg: ExperimentConfig, results: dict, out) -> None:
     pairs = [(a, b) for a in synth.DEVICE_TYPES for b in synth.DEVICE_TYPES if a != b]
     for i, kind in enumerate(cfg.target_kinds):
         sub, oracle, target = (results[k][kind] for k in ("substitutes", "oracles", "targets"))
+        anchors = spoof_anchors(sub, train_pool.X)
         for j, (src, dst) in enumerate(pairs):
             src_classes = synth.classes_of_type(profiles, src)
             dst_classes = synth.classes_of_type(profiles, dst)
             if not src_classes or not dst_classes:
                 continue
             target_cls = DeviceClass(dst_classes[0], profiles[dst_classes[0]].label)
-            src_train = train_pool.take(np.flatnonzero(np.isin(train_pool.y, src_classes)))
-            src_test = test_pool.take(np.flatnonzero(np.isin(test_pool.y, src_classes)))
-            found = spoof_cell(cfg, sub, oracle, target, train_pool.X, src_train, src_test,
-                               target_cls, i * 20 + j)
-            if found is None:  # unreachable cell: reported with no rate
+            if target_cls.id not in anchors:
                 spoof_rows.append([kind, src, dst, target_cls.label, ""])
                 continue
-            rate = found[1].attacked_rate
-            spoof_rows.append([kind, src, dst, target_cls.label, f"{rate:.6f}"])
-            spoof_rates[(kind, src, dst)] = rate
+            src_train = train_pool.take(np.flatnonzero(np.isin(train_pool.y, src_classes)))
+            src_test = test_pool.take(np.flatnonzero(np.isin(test_pool.y, src_classes)))
+            _, rep = spoof_cell(cfg, sub, oracle, target, train_pool.X, anchors[target_cls.id],
+                                src_train, src_test, target_cls, i * 20 + j)
+            spoof_rows.append([kind, src, dst, target_cls.label, f"{rep.attacked_rate:.6f}"])
+            spoof_rates[(kind, src, dst)] = rep.attacked_rate
     out(
         "table3.csv",
         ["model", "source_type", "target_type", "spoof_class", "spoofing_rate"],

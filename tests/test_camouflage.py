@@ -26,6 +26,7 @@ from flowcamo.camouflage import (
     sample_multipliers,
     save_generator,
     spoof,
+    spoof_anchors,
     train_generator,
 )
 from flowcamo.core import (
@@ -33,7 +34,6 @@ from flowcamo.core import (
     DeviceClass,
     Feature,
     FeatureSchema,
-    UnreachableTargetError,
     ValidationError,
 )
 from flowcamo.harness import experiment, synth
@@ -101,8 +101,7 @@ def reference_train_generator(g, sub, train, mode, epochs, seed=0, lr=0.01, anch
         targets = one_hot(np.full(min(n, BATCH_SIZE), mode.target.id), sub.n_classes)
         if anchor_X is not None and anchor_weight > 0.0:
             rows = anchor_X[sub.predict_ids(anchor_X) == mode.target.id]
-            if rows.shape[0] == 0:
-                raise UnreachableTargetError("no anchor row is assigned to the target")
+            assert rows.shape[0], "no anchor row is assigned to the target"
             anchor = rows.mean(axis=0)
             anchor_scale2 = g.scaler.scale**2
             mut = g.schema.mutable_mask
@@ -380,15 +379,15 @@ class TestTraining:
         train = train_pool.take(np.arange(300))
         X, n = train.X, 300
         clean = sub.predict_ids(X)
-        mode, anchor_X = misidentify(), None
+        mode, anchor = misidentify(), None
         if spoofing:
             tid = int(np.bincount(clean).argmax())
-            mode, anchor_X = spoof(DeviceClass(tid, "t")), X
+            mode, anchor = spoof(DeviceClass(tid, "t")), spoof_anchors(sub, X)[tid]
         g = build_generator(pool_schema, X, seed=14)
         g.net.weights[-1][:] = np.random.default_rng(14).normal(0, 0.5,
                                                                 size=g.net.weights[-1].shape)
         epochs = 6
-        train_generator(g, sub, train, mode, epochs=epochs, seed=3, lr=0.0, anchor_X=anchor_X)
+        train_generator(g, sub, train, mode, epochs=epochs, seed=3, lr=0.0, anchor=anchor)
         rng = np.random.default_rng(3)
         want = []
         for _epoch in range(epochs):
@@ -413,12 +412,12 @@ class TestTraining:
         minimum number of epochs has run."""
         sub, _, _ = trained_sub
         train_pool, _ = small_split
-        mode, anchor_X = misidentify(), None
+        mode, anchor = misidentify(), None
         if spoofing:
             tid = int(sub.predict_ids(train_pool.X)[0])
-            mode, anchor_X = spoof(DeviceClass(tid, "t")), train_pool.X
+            mode, anchor = spoof(DeviceClass(tid, "t")), spoof_anchors(sub, train_pool.X)[tid]
         g = build_generator(pool_schema, train_pool.X, seed=9)
-        train_generator(g, sub, train_pool, mode, epochs=60, lr=0.0, anchor_X=anchor_X)
+        train_generator(g, sub, train_pool, mode, epochs=60, lr=0.0, anchor=anchor)
         assert PLATEAU_MIN_EPOCHS == 20
         assert len(g.training_curve) == PLATEAU_MIN_EPOCHS + 1
         assert len(set(g.training_curve)) == 1
@@ -426,7 +425,7 @@ class TestTraining:
     @staticmethod
     def success_fixed_by_row(pool_schema, sub, train_pool, mode_name):
         """An lr-0 set-up in which each row's substitute id does not depend
-        on the noise: ``(g, succeeds, mode, anchor_X)``, where ``succeeds``
+        on the noise: ``(g, succeeds, mode, anchor)``, where ``succeeds``
         marks the rows that count as a success in every epoch, and the rest
         never do. Spoof keeps the identity map and targets the first row's
         class. Misidentify gets a last layer with zero weights and large
@@ -435,7 +434,8 @@ class TestTraining:
         clean = sub.predict_ids(train_pool.X)
         if mode_name == "spoof":
             tid = int(clean[0])
-            return g, clean == tid, spoof(DeviceClass(tid, "t")), train_pool.X
+            return (g, clean == tid, spoof(DeviceClass(tid, "t")),
+                    spoof_anchors(sub, train_pool.X)[tid])
         g.net.biases[-1][:] = 10.0
         moved = sub.predict_ids(g.manipulate_batch(train_pool.X, np.zeros_like(train_pool.X)))
         return g, clean != moved, misidentify(), None
@@ -445,11 +445,11 @@ class TestTraining:
             self, pool_schema, trained_sub, small_split, mode_name):
         sub, _, _ = trained_sub
         train_pool, _ = small_split
-        g, succeeds, mode, anchor_X = self.success_fixed_by_row(pool_schema, sub, train_pool,
-                                                                 mode_name)
+        g, succeeds, mode, anchor = self.success_fixed_by_row(pool_schema, sub, train_pool,
+                                                               mode_name)
         train = train_pool.take(np.flatnonzero(succeeds))
         assert len(train) > BATCH_SIZE
-        train_generator(g, sub, train, mode, epochs=60, lr=0.0, anchor_X=anchor_X)
+        train_generator(g, sub, train, mode, epochs=60, lr=0.0, anchor=anchor)
         assert g.training_curve == [1.0, 1.0]
 
     @pytest.mark.parametrize("mode_name", ["misidentify", "spoof"])
@@ -459,12 +459,12 @@ class TestTraining:
         never reads 1.0, so only the plateau ends the training."""
         sub, _, _ = trained_sub
         train_pool, _ = small_split
-        g, succeeds, mode, anchor_X = self.success_fixed_by_row(pool_schema, sub, train_pool,
-                                                                 mode_name)
+        g, succeeds, mode, anchor = self.success_fixed_by_row(pool_schema, sub, train_pool,
+                                                               mode_name)
         rows = np.append(np.flatnonzero(succeeds), np.flatnonzero(~succeeds)[0])
         train = train_pool.take(rows)
         n = len(train)
-        train_generator(g, sub, train, mode, epochs=60, lr=0.0, anchor_X=anchor_X)
+        train_generator(g, sub, train, mode, epochs=60, lr=0.0, anchor=anchor)
         assert g.training_curve == [(n - 1) / n] * (PLATEAU_MIN_EPOCHS + 1)
 
     @pytest.mark.parametrize("mode_name, offsets, stops", [
@@ -484,10 +484,10 @@ class TestTraining:
         sub, _, _ = trained_sub
         train_pool, _ = small_split
         train = train_pool.take(np.arange(240))
-        mode, anchor_X = misidentify(), None
+        mode, anchor = misidentify(), None
         if mode_name == "spoof":
             tid = int(sub.predict_ids(train.X)[0])
-            mode, anchor_X = spoof(DeviceClass(tid, "t")), train_pool.X
+            mode, anchor = spoof(DeviceClass(tid, "t")), spoof_anchors(sub, train_pool.X)[tid]
         calls = []
 
         def scripted_step(*args):
@@ -497,7 +497,7 @@ class TestTraining:
 
         monkeypatch.setattr(camouflage, "generator_step", scripted_step)
         g = build_generator(pool_schema, train.X, seed=9)
-        train_generator(g, sub, train, mode, epochs=60, anchor_X=anchor_X)
+        train_generator(g, sub, train, mode, epochs=60, anchor=anchor)
         epochs_run = PLATEAU_MIN_EPOCHS if stops else 60
         assert g.training_curve[1:] == [(100 + offsets[e % len(offsets)]) / 240
                                         for e in range(epochs_run)]
@@ -505,24 +505,53 @@ class TestTraining:
     def test_anchor_rows_are_needed_for_spoof_only(self, gen, trained_sub, small_split):
         sub, _, _ = trained_sub
         train_pool, _ = small_split
-        with pytest.raises(ValidationError, match="anchor_X"):
+        with pytest.raises(ValidationError, match="spoof mode needs an anchor"):
             train_generator(gen, sub, train_pool, spoof(DeviceClass(0, "t")), epochs=1)
-        with pytest.raises(ValidationError, match="anchor_X"):
+        with pytest.raises(ValidationError, match="misidentify mode takes none"):
             train_generator(gen, sub, train_pool, misidentify(), epochs=1,
-                            anchor_X=train_pool.X)
+                            anchor=train_pool.X[0])
         assert gen.training_curve == []
 
-    def test_anchor_requires_matching_rows(self, pool_schema, trained_sub, small_split):
+    @pytest.mark.parametrize("bad, message", [
+        (np.zeros(27), r"spoof anchor has shape \(27,\), expected \(28,\)"),
+        (np.zeros((1, 28)), r"spoof anchor has shape \(1, 28\), expected \(28,\)"),
+        (np.zeros(28, dtype=complex), "spoof anchor has dtype complex128"),
+        (np.full(28, np.nan), "spoof anchor holds non-finite values"),
+    ], ids=["27 wide", "1 x 28", "complex", "nan"])
+    def test_anchor_must_be_a_finite_real_row(self, pool_schema, trained_sub, small_split,
+                                               bad, message):
+        """A wrong-width anchor would fail in numpy's broadcasting, a (1, K)
+        one would broadcast, and a NaN one would surface epochs later as a
+        NumericError: each is rejected before any epoch."""
         sub, _, _ = trained_sub
         train_pool, _ = small_split
         g = build_generator(pool_schema, train_pool.X, seed=10)
-        # Identical anchor rows get one label; target any other class.
+        before = g.net.params.copy()
+        with pytest.raises(ValidationError, match=message):
+            train_generator(g, sub, train_pool, spoof(DeviceClass(0, "t")), epochs=1,
+                            anchor=bad)
+        assert g.training_curve == []
+        np.testing.assert_array_equal(before, g.net.params)
+
+    def test_spoof_anchors_are_the_centroids_of_assigned_rows(self, pool_schema, trained_sub,
+                                                              small_split):
+        """One entry per class the substitute assigns a row to; a class
+        with none has no entry, and the rows are left unchanged."""
+        sub, _, _ = trained_sub
+        train_pool, _ = small_split
+        # Identical rows get one label; every other class has no row.
         far = np.tile(pool_schema.highs, (8, 1))
-        tid = min(set(range(sub.n_classes)) - set(sub.predict_ids(far).tolist()))
-        tgt = spoof(DeviceClass(tid, train_pool.class_labels[tid]))
-        with pytest.raises(UnreachableTargetError):
-            train_generator(g, sub, train_pool, tgt, epochs=1,
-                            anchor_X=far)
+        before = far.tobytes()
+        anchors = spoof_anchors(sub, far)
+        (tid,) = set(sub.predict_ids(far).tolist())
+        assert list(anchors) == [tid]
+        assert anchors[tid].tobytes() == pool_schema.highs.tobytes()
+        assert far.tobytes() == before
+        ids = sub.predict_ids(train_pool.X)
+        anchors = spoof_anchors(sub, train_pool.X)
+        assert sorted(anchors) == sorted(set(ids.tolist()))
+        for c, centroid in anchors.items():
+            assert centroid.tobytes() == train_pool.X[ids == c].mean(axis=0).tobytes()
 
     def test_attack_mode_validation(self):
         with pytest.raises(ValidationError):
@@ -580,14 +609,16 @@ class TestTrainingMatchesReference:
     """train_generator gives the reference loop's weights and curve, bit for
     bit, and changes none of its inputs."""
 
-    def check(self, schema, sub, train, mode, **kw):
+    def check(self, schema, sub, train, mode, anchor_X=None, **kw):
+        """The reference takes the anchor rows and finds the target's
+        centroid itself; ``train_generator`` gets its ``spoof_anchors`` entry."""
         X_before = train.X.tobytes()
-        anchor_X = kw.get("anchor_X")
         anchor_before = None if anchor_X is None else anchor_X.tobytes()
+        anchor = None if anchor_X is None else spoof_anchors(sub, anchor_X)[mode.target.id]
         got = build_generator(schema, train.X, seed=21)
         want = build_generator(schema, train.X, seed=21)
-        train_generator(got, sub, train, mode, seed=5, **kw)
-        reference_train_generator(want, sub, train, mode, seed=5, **kw)
+        train_generator(got, sub, train, mode, seed=5, anchor=anchor, **kw)
+        reference_train_generator(want, sub, train, mode, seed=5, anchor_X=anchor_X, **kw)
         assert got.training_curve == want.training_curve
         assert _flat_bits(got.net.weights + got.net.biases) == \
             _flat_bits(want.net.weights + want.net.biases)
@@ -686,10 +717,10 @@ class TestOneBatchStep:
         sub, _, _ = trained_sub
         train_pool, _ = small_split
         train = train_pool.take(np.arange(300))  # batches of 128, 128 and 44
-        mode, anchor_X = misidentify(), None
+        mode, anchor = misidentify(), None
         if spoofing:
             tid = int(np.bincount(sub.predict_ids(train.X)).argmax())
-            mode, anchor_X = spoof(DeviceClass(tid, "t")), train_pool.X
+            mode, anchor = spoof(DeviceClass(tid, "t")), spoof_anchors(sub, train_pool.X)[tid]
         calls = []
         step = camouflage.generator_step
 
@@ -699,7 +730,7 @@ class TestOneBatchStep:
 
         monkeypatch.setattr(camouflage, "generator_step", counting_step)
         g = build_generator(pool_schema, train.X, seed=15)
-        train_generator(g, sub, train, mode, epochs=4, seed=2, lr=0.05, anchor_X=anchor_X)
+        train_generator(g, sub, train, mode, epochs=4, seed=2, lr=0.05, anchor=anchor)
         epochs_run = len(g.training_curve) - 1
         assert epochs_run >= 1
         assert len(calls) == epochs_run * math.ceil(300 / BATCH_SIZE)
@@ -762,22 +793,22 @@ def reference_spoof_cell(cfg, sub, oracle, target, train_pool, src_train, src_te
                          target_cls, i, j):
     """The spoof grid's per-cell loop before it became ``spoof_cell``, with
     ``reference_train_generator`` in place of the trainer; returns the kept
-    generator and its rate on the target, or None for an unreachable cell."""
+    generator and its rate on the target, or None when the substitute
+    assigns no row of ``train_pool`` to the target."""
+    if not (sub.predict_ids(train_pool.X) == target_cls.id).any():
+        return None
     best_g, best_rate = None, -1.0
     for t, trial_lr in enumerate(experiment.SPOOF_TRIAL_LRS):
         g = build_generator(
             train_pool.schema, train_pool.X,
             seed=cfg.seed + 600 + i * 20 + j + 5000 * t,
         )
-        try:
-            reference_train_generator(
-                g, sub, src_train, spoof(target_cls),
-                epochs=cfg.generator_epochs,
-                seed=cfg.seed + 700 + i * 20 + j + 5000 * t,
-                lr=trial_lr, anchor_X=train_pool.X,
-            )
-        except UnreachableTargetError:
-            break
+        reference_train_generator(
+            g, sub, src_train, spoof(target_cls),
+            epochs=cfg.generator_epochs,
+            seed=cfg.seed + 700 + i * 20 + j + 5000 * t,
+            lr=trial_lr, anchor_X=train_pool.X,
+        )
         check = evaluate_attack(
             g, oracle, src_train, spoof(target_cls),
             seed=cfg.seed + 750 + i * 20 + j,
@@ -786,8 +817,6 @@ def reference_spoof_cell(cfg, sub, oracle, target, train_pool, src_train, src_te
             best_g, best_rate = g, check.attacked_rate
         if best_rate >= cfg.spoof_accept:
             break
-    if best_g is None:
-        return None
     rep = evaluate_attack(
         best_g, target, src_test, spoof(target_cls),
         seed=cfg.seed + 800 + i * 20 + j,
@@ -810,6 +839,7 @@ class TestSpoofCell:
                             lambda *a, **kw: trainings.append(1) or train_generator(*a, **kw))
         profiles, train_pool, test_pool = res["profiles"], res["train_pool"], res["test_pool"]
         sub, oracle, target = (res[k]["knn"] for k in ("substitutes", "oracles", "targets"))
+        anchors = spoof_anchors(sub, train_pool.X)
         pairs = [(a, b) for a in synth.DEVICE_TYPES for b in synth.DEVICE_TYPES if a != b]
         trials, unreachable = [], 0
         for j, (src, dst) in enumerate(pairs):
@@ -820,15 +850,16 @@ class TestSpoofCell:
             src_test = test_pool.take(np.flatnonzero(np.isin(test_pool.y, src_classes)))
             want = reference_spoof_cell(cfg, sub, oracle, target, train_pool, src_train,
                                         src_test, target_cls, 0, j)
-            trainings.clear()
-            got = experiment.spoof_cell(cfg, sub, oracle, target, train_pool.X, src_train,
-                                        src_test, target_cls, j)
-            trials.append(len(trainings))
             if want is None:
-                assert got is None
+                assert target_cls.id not in anchors
                 unreachable += 1
                 continue
-            (g, rep), (want_g, want_rate) = got, want
+            trainings.clear()
+            g, rep = experiment.spoof_cell(cfg, sub, oracle, target, train_pool.X,
+                                           anchors[target_cls.id], src_train, src_test,
+                                           target_cls, j)
+            trials.append(len(trainings))
+            want_g, want_rate = want
             assert rep.attacked_rate == want_rate
             assert g.training_curve == want_g.training_curve
             assert _flat_bits(g.net.weights + g.net.biases) == \
@@ -844,21 +875,21 @@ class TestSpoofCellRestarts:
     CFG = ExperimentConfig(seed=10)
     LRS = (0.5, 0.4, 0.3, 0.2)
     CLS = DeviceClass(2, "hub_00")
-    ANCHOR = np.zeros((3, 2))
+    REFERENCE = np.zeros((3, 1))
+    ANCHOR = np.zeros(1)
     SRC = Dataset(FeatureSchema((Feature("a", "u", 0, 1, True),)), np.zeros((2, 1)),
                   np.array([0, 1]), ("x", "y"))
 
-    def run(self, monkeypatch, rates, unreachable=False):
+    def run(self, monkeypatch, rates):
         log = []
 
         def build(schema, reference_X, seed):
+            assert reference_X is self.REFERENCE
             log.append(("build", seed))
             return {"seed": seed}
 
-        def train(g, sub, train, mode, epochs, seed, lr, anchor_X):
-            if unreachable:
-                raise UnreachableTargetError("no anchor row")
-            assert mode == spoof(self.CLS) and anchor_X is self.ANCHOR
+        def train(g, sub, train, mode, epochs, seed, lr, anchor):
+            assert mode == spoof(self.CLS) and anchor is self.ANCHOR
             log.append(("train", g["seed"], seed, lr))
 
         def evaluate(g, victim, test, mode, seed):
@@ -873,8 +904,8 @@ class TestSpoofCellRestarts:
         monkeypatch.setattr(experiment, "build_generator", build)
         monkeypatch.setattr(experiment, "train_generator", train)
         monkeypatch.setattr(experiment, "evaluate_attack", evaluate)
-        found = experiment.spoof_cell(self.CFG, "sub", "oracle", "target", self.ANCHOR,
-                                      self.SRC, self.SRC, self.CLS, 7)
+        found = experiment.spoof_cell(self.CFG, "sub", "oracle", "target", self.REFERENCE,
+                                      self.ANCHOR, self.SRC, self.SRC, self.CLS, 7)
         return found, log
 
     def test_keeps_the_best_trial_when_none_is_accepted(self, monkeypatch):
@@ -897,6 +928,40 @@ class TestSpoofCellRestarts:
         assert found[0] == {"seed": 5617}
         assert [e[0] for e in log] == ["build", "train", "check"] * 2 + ["test"]
 
-    def test_unreachable_target_stops_after_one_build(self, monkeypatch):
-        found, log = self.run(monkeypatch, [], unreachable=True)
-        assert found is None and log == [("build", 617)]
+    def test_a_target_with_no_anchor_trains_nothing(self, monkeypatch, profiles, small_split):
+        """The grid decides a cell whose target has no spoof anchor before
+        any trial: its rate is empty, and it builds no generator, trains
+        nothing and spends no oracle query. The substitute here assigns
+        every row to the first hub, so only the cells toward hubs run."""
+        train_pool, test_pool = small_split
+        hub = synth.classes_of_type(profiles, "hub")[0]
+
+        class OneClassSub:
+            def predict_ids(self, X):
+                return np.full(X.shape[0], hub)
+
+        log, tables = [], {}
+
+        def train(g, sub, train, mode, epochs, seed, lr, anchor):
+            assert anchor.tobytes() == train_pool.X.mean(axis=0).tobytes()
+            log.append("train")
+
+        def evaluate(g, victim, test, mode, seed):
+            log.append((victim, mode.target.id))
+            return AttackReport("spoof", 1.0, len(test))
+
+        monkeypatch.setattr(experiment, "build_generator",
+                            lambda schema, reference_X, seed: log.append("build"))
+        monkeypatch.setattr(experiment, "train_generator", train)
+        monkeypatch.setattr(experiment, "evaluate_attack", evaluate)
+        results = {"profiles": profiles, "train_pool": train_pool, "test_pool": test_pool,
+                   "substitutes": {"knn": OneClassSub()}, "oracles": {"knn": "oracle"},
+                   "targets": {"knn": "target"}}
+        experiment._spoof(ExperimentConfig(seed=10, target_kinds=("knn",)), results,
+                          lambda name, header, rows: tables.update({name: rows}))
+        rates = {(r[1], r[2]): r[4] for r in tables["table3.csv"]}
+        assert len(rates) == 12
+        assert rates == {k: "1.000000" if k[1] == "hub" else "" for k in rates}
+        assert log == ["build", "train", ("oracle", hub), ("target", hub)] * 3
+        assert set(results["spoof_rates"]) == {("knn", src, "hub") for src in
+                                               ("camera", "switch", "health")}

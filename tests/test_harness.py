@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from flowcamo import profiler, substitute
 from flowcamo.blackbox import make_oracle
-from flowcamo.camouflage import load_generator
+from flowcamo.camouflage import load_generator, spoof_anchors
 from flowcamo.core import (
     Dataset,
     DeviceClass,
@@ -20,7 +20,7 @@ from flowcamo.core import (
     ValidationError,
     split_dataset,
 )
-from flowcamo.harness import experiment, synth
+from flowcamo.harness import cli, experiment, synth
 from flowcamo.harness.cli import build_parser, main
 from flowcamo.harness.csvio import CsvParseError, dataset_to_csv, ingest_csv
 from flowcamo.harness.experiment import (
@@ -726,6 +726,7 @@ class TestCliSuccess:
         ds = ingest_csv(inputs[1], POOL)
         train, test = split_dataset(ds, cfg.train_fraction, 3)
         target, sub = load_model(inputs[3]), load_substitute(inputs[5])
+        anchors = spoof_anchors(sub, train.X)
         for src, dst in (("camera", "hub_00"), ("switch", "camera_00")):
             out, gen = tmp_path / f"{src}.csv", tmp_path / f"{src}.npz"
             assert main(["spoof", *inputs, "--epochs", "10", "--out", str(out),
@@ -734,11 +735,12 @@ class TestCliSuccess:
             rows = _report(out)[2]
             assert float(rows[0][3]) >= cfg.spoof_accept
             keep = [i for i, lab in enumerate(ds.class_labels) if lab.startswith(src)]
+            tid = ds.class_labels.index(dst)
             g, rep = spoof_cell(
-                cfg, sub, make_oracle(target, POOL), target, train.X,
+                cfg, sub, make_oracle(target, POOL), target, train.X, anchors[tid],
                 train.take(np.flatnonzero(np.isin(train.y, keep))),
                 test.take(np.flatnonzero(np.isin(test.y, keep))),
-                DeviceClass(ds.class_labels.index(dst), dst), 0)
+                DeviceClass(tid, dst), 0)
             assert rows[0][2:] == [f"{rep.attacked_rate:.6f}", f"{rep.success_rate:.6f}",
                                    str(rep.n_rows)]
             saved = load_generator(str(gen))
@@ -761,6 +763,20 @@ class TestCliSuccess:
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and message in err[0], err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_spoof_target_with_no_anchor_is_a_validation_exit(self, monkeypatch, inputs,
+                                                               tmp_path, capsys):
+        """A target the substitute assigns no training row to is bad input,
+        decided before any training: exit 1, one error line, no file."""
+        monkeypatch.setattr(cli, "spoof_anchors", lambda sub, anchor_X: {})
+        monkeypatch.setattr(cli, "spoof_cell", _explode)
+        rc = main(["spoof", *inputs, "--out", str(tmp_path / "s.csv"),
+                   "--save-generator", str(tmp_path / "g.npz"),
+                   "--source-type", "camera", "--target-class", "hub_00"])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: the substitute assigns no training row to 'hub_00'"]
         assert list(tmp_path.iterdir()) == []
 
     def test_defend(self, inputs, tmp_path, capsys):

@@ -26,7 +26,7 @@ tracer = Tracer(timed=True)
 tracer.install()
 
 from flowcamo.blackbox import make_oracle
-from flowcamo.camouflage import build_generator, spoof
+from flowcamo.camouflage import build_generator, spoof, spoof_anchors
 from flowcamo.core import DeviceClass, split_dataset
 from flowcamo.harness import experiment, synth
 from flowcamo.learners import fit
@@ -43,7 +43,7 @@ src = train.take(np.flatnonzero(train.y != tid))
 g = build_generator(schema, train.X, seed=3)
 experiment.train_generator(
     g, sub, src, spoof(DeviceClass(tid, train.class_labels[tid])), epochs=2, seed=4,
-    anchor_X=train.X,
+    anchor=spoof_anchors(sub, train.X)[tid],
 )
 identities = experiment.make_identities(5, seed=6)
 P, Csi, y = experiment.signature_batch(identities, 12, noise_seed=7)
